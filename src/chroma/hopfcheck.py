@@ -11,11 +11,12 @@ minimal polynomial, then verified on both sides.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Bicharacter, FinAbGroup
-from .scalars import Cyclo, Rational01
+from .scalars import Cyclo, Rational01, _power_table
 
 
 class ActionError(ValueError):
@@ -254,30 +255,69 @@ class StructBialgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "StructBialgebra":
-        N = data["conductor"]
+        """Parse ``to_json`` output; any malformed table raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a structure must be a JSON object")
+        N, dim = data["conductor"], data["dim"]
+        if type(N) is not int or N < 1:
+            raise ValueError(f"conductor must be a positive integer, not {N!r}")
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dim must be a nonnegative integer, not {dim!r}")
+
+        def index(k) -> int:
+            if type(k) is not int or not 0 <= k < dim:
+                raise ValueError(f"basis index {k!r} is not in range({dim})")
+            return k
 
         def coeff(c) -> Cyclo:
             if isinstance(c, str):
                 return Cyclo.embed(Rational01.parse(c), N)
-            return Cyclo(N, [Fraction(s) for s in c])
+            return Cyclo(N, [_rational(s) for s in _array(c, None, "coefficient")])
 
-        mult = [[tuple((k, coeff(c)) for k, c in cell) for cell in row]
-                for row in data["mult"]]
-        comult = [tuple((j, k, coeff(c)) for j, k, c in entry)
-                  for entry in data["comult"]]
-        unit = {k: coeff(c) for k, c in data["unit"]}
-        counit = [coeff(c) for c in data["counit"]]
+        def terms(value, width: int, what: str):
+            return (_array(t, width, what) for t in _array(value, None, what))
+
+        mult = [[tuple((index(k), coeff(c)) for k, c in terms(cell, 2, "mult term"))
+                 for cell in _array(row, dim, "mult row")]
+                for row in _array(data["mult"], dim, "mult")]
+        comult = [tuple((index(j), index(k), coeff(c))
+                        for j, k, c in terms(entry, 3, "comult term"))
+                  for entry in _array(data["comult"], dim, "comult")]
+        unit = {index(k): coeff(c) for k, c in terms(data["unit"], 2, "unit term")}
+        counit = [coeff(c) for c in _array(data["counit"], dim, "counit")]
         grading = None
         group = None
         beta = None
         if "grading" in data:
             group = FinAbGroup.from_json(data["group"])
-            grading = tuple(group.element(r) for r in data["grading"])
+            grading = tuple(group.element(r)
+                            for r in _array(data["grading"], dim, "grading"))
             if data.get("beta") is not None:
                 beta = Bicharacter.from_json(group, data["beta"])
-        return cls(dim=data["dim"], conductor=N, mult=mult, comult=comult,
+        return cls(dim=dim, conductor=N, mult=mult, comult=comult,
                    unit=unit, counit=counit, grading=grading, group=group,
                    beta=beta)
+
+
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?\Z")
+
+
+def _rational(text) -> Fraction:
+    """A coefficient string "p/q" or "p"; anything else is malformed."""
+    m = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError(f"coefficient {text!r} is not a \"p/q\" string")
+    if m.group(1) is not None and int(m.group(1)) == 0:
+        raise ValueError(f"zero denominator in coefficient {text!r}")
+    return Fraction(text)
+
+
+def _array(value, length: int | None, what: str) -> list:
+    """``value`` checked to be a JSON array, of ``length`` items if given."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "" if length is None else f" of length {length}"
+        raise ValueError(f"{what} must be an array{size}")
+    return value
 
 
 def lift_cyclo(c: Cyclo, M: int) -> Cyclo:
@@ -287,16 +327,13 @@ def lift_cyclo(c: Cyclo, M: int) -> Cyclo:
     if M % c.N:
         raise ValueError("target conductor must be a multiple")
     step = M // c.N
-    out = Cyclo.zero(M)
-    for k, f in enumerate(c.coeffs):
-        if f:
-            out = out + Cyclo(M, _x_power(M, k * step)).scale(f)
-    return out
-
-
-def _x_power(N: int, k: int):
-    from .scalars import _power_table
-    return _power_table(N)[k % N]
+    table = _power_table(M)
+    nums = [0] * len(table[0])
+    for k, a in enumerate(c.nums):
+        if a:
+            for j, t in enumerate(table[k * step % M]):
+                nums[j] += a * t
+    return Cyclo._make(M, tuple(nums), c.den)
 
 
 # ---------------------------------------------------------------------------

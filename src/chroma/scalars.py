@@ -9,8 +9,13 @@ Two layers:
   among themselves or with the roots of unity.
 
 * ``Cyclo`` -- elements of the cyclotomic field Q(zeta_N), stored as
-  residues modulo the N-th cyclotomic polynomial.  Linear algebra over
-  these is exact and zero-testing is canonical.
+  residues modulo the monic integer N-th cyclotomic polynomial Phi_N:
+  integer numerators in the power basis 1, zeta, .., zeta^(deg-1) over
+  one positive common denominator, with no common factor left between
+  them (so zero is all-zero numerators over 1).  This form is unique,
+  hence equality and hashing are structural and zero-testing is a scan
+  of the numerators.  Sums, products and root-of-unity embeddings run on
+  Python ints; only the inverse goes through ``Fraction``.
 
 Roots of unity are represented additively by ``Rational01``: the reduced
 fraction k/N in [0, 1) stands for exp(2*pi*i*k/N).
@@ -103,6 +108,8 @@ class Rational01:
         text = text.strip()
         if "/" in text:
             a, b = text.split("/", 1)
+            if int(b) == 0:
+                raise ValueError(f"zero denominator in root {text!r}")
             return cls(int(a), int(b))
         return cls(int(text), 1)
 
@@ -332,60 +339,107 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # x^k mod Phi_n for 0 <= k < n
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    # x^k mod Phi_n for 0 <= k < n; integral because Phi_n is monic
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     table = []
-    current = [Fraction(0)] * deg
-    current[0] = Fraction(1)
+    current = [1] + [0] * (deg - 1)
     for _ in range(n):
         table.append(tuple(current))
         # multiply by x
         carry = current[-1]
-        current = [Fraction(0)] + current[:-1]
+        current = [0] + current[:-1]
         if carry:
             for j in range(deg):
                 current[j] -= carry * phi[j]
     return tuple(table)
 
 
-class Cyclo:
-    """An element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial."""
+@functools.lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # deg Phi_n and its nonzero lower terms (j, phi_j)
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
-    __slots__ = ("N", "coeffs")
+
+def _reduce_mod_phi(nums: list[int], N: int) -> list[int]:
+    # fold x^i for i >= deg back using x^deg = -sum_{j<deg} phi_j x^j
+    deg, tail = _phi_tail(N)
+    for i in range(len(nums) - 1, deg - 1, -1):
+        c = nums[i]
+        if c:
+            base = i - deg
+            for j, pj in tail:
+                nums[base + j] -= c * pj
+    del nums[deg:]
+    return nums
+
+
+def _conductor_mismatch(a: "Cyclo", b: "Cyclo") -> ValueError:
+    return ValueError(f"conductor mismatch: {a.N} vs {b.N}")
+
+
+class Cyclo:
+    """An element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.
+
+    Stored as integer numerators ``nums`` (one per power zeta^0 ..
+    zeta^(deg-1), deg = deg Phi_N) over one positive integer ``den``, in
+    canonical form: gcd(den, *nums) == 1, so zero is all-zero ``nums``
+    over ``den == 1``.  Equal elements therefore have equal fields, and
+    ``==`` and ``hash`` are structural.  Sums, products and embeddings
+    run on Python ints only; ``coeffs`` gives the rational coefficients.
+    """
+
+    __slots__ = ("N", "nums", "den")
 
     def __init__(self, N: int, coeffs):
-        phi = cyclotomic_polynomial(N)
-        deg = len(phi) - 1
-        coeffs = list(coeffs)
-        if len(coeffs) > deg:
-            # reduce high-degree terms using x^deg = -sum phi_j x^j
-            for i in range(len(coeffs) - 1, deg - 1, -1):
-                c = coeffs[i]
-                if c:
-                    for j in range(deg):
-                        coeffs[i - deg + j] -= c * phi[j]
-                coeffs[i] = Fraction(0)
-            coeffs = coeffs[:deg]
-        while len(coeffs) < deg:
-            coeffs.append(Fraction(0))
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        deg = _phi_tail(N)[0]
+        if len(nums) > deg:
+            _reduce_mod_phi(nums, N)
+        nums += [0] * (deg - len(nums))
+        g = math.gcd(den, *nums)
         self.N = N
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.nums = tuple(c // g for c in nums)
+        self.den = den // g
+
+    @classmethod
+    def _make(cls, N: int, nums: tuple, den: int) -> "Cyclo":
+        # nums over den > 0, already reduced mod Phi_N; made canonical here
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = tuple(c // g for c in nums)
+                den //= g
+        self = object.__new__(cls)
+        self.N = N
+        self.nums = nums
+        self.den = den
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of zeta^0 .. zeta^(deg-1)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, N: int) -> "Cyclo":
-        return cls(N, ())
+        return cls._make(N, (0,) * _phi_tail(N)[0], 1)
 
     @classmethod
     def one(cls, N: int) -> "Cyclo":
-        return cls(N, (Fraction(1),))
+        return cls._make(N, _power_table(N)[0], 1)
 
     @classmethod
     def from_rational(cls, q, N: int) -> "Cyclo":
-        return cls(N, (Fraction(q),))
+        q = Fraction(q)
+        return cls._make(N, (q.numerator,) + (0,) * (_phi_tail(N)[0] - 1),
+                         q.denominator)
 
     @classmethod
     def embed(cls, r: Rational01, N: int) -> "Cyclo":
@@ -393,39 +447,54 @@ class Cyclo:
         if N % r.den != 0:
             raise ValueError(f"order {r.den} does not divide conductor {N}")
         k = (N // r.den) * r.num
-        return cls(N, _power_table(N)[k % N])
+        return cls._make(N, _power_table(N)[k % N], 1)
 
     # -- ring/field operations ----------------------------------------------
 
-    def _check(self, other: "Cyclo"):
-        if self.N != other.N:
-            raise ValueError(f"conductor mismatch: {self.N} vs {other.N}")
-
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        self._check(other)
-        return Cyclo(self.N, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.N != other.N:
+            raise _conductor_mismatch(self, other)
+        d, e = self.den, other.den
+        if d == e:
+            nums = tuple([a + b for a, b in zip(self.nums, other.nums)])
+            return Cyclo._make(self.N, nums, d)
+        nums = tuple([a * e + b * d for a, b in zip(self.nums, other.nums)])
+        return Cyclo._make(self.N, nums, d * e)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        self._check(other)
-        return Cyclo(self.N, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.N != other.N:
+            raise _conductor_mismatch(self, other)
+        d, e = self.den, other.den
+        if d == e:
+            nums = tuple([a - b for a, b in zip(self.nums, other.nums)])
+            return Cyclo._make(self.N, nums, d)
+        nums = tuple([a * e - b * d for a, b in zip(self.nums, other.nums)])
+        return Cyclo._make(self.N, nums, d * e)
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.N, (-a for a in self.coeffs))
+        return Cyclo._make(self.N, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        N = self.N
+        if N != other.N:
+            raise _conductor_mismatch(self, other)
+        a, b = self.nums, other.nums
+        if len(a) == 1:
+            # Q(zeta_1) = Q(zeta_2) = Q: no reduction
+            return Cyclo._make(N, (a[0] * b[0],), self.den * other.den)
+        out = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] += ai * bj
-        return Cyclo(self.N, out)
+        return Cyclo._make(N, tuple(_reduce_mod_phi(out, N)), self.den * other.den)
 
     def scale(self, q) -> "Cyclo":
         q = Fraction(q)
-        return Cyclo(self.N, (a * q for a in self.coeffs))
+        p = q.numerator
+        return Cyclo._make(self.N, tuple([a * p for a in self.nums]),
+                           self.den * q.denominator)
 
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse via extended Euclid against Phi_N."""
@@ -451,14 +520,14 @@ class Cyclo:
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Cyclo)
-                and self.N == other.N and self.coeffs == other.coeffs)
+        return (isinstance(other, Cyclo) and self.N == other.N
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.N, self.coeffs))
+        return hash((self.N, self.nums, self.den))
 
     def __repr__(self):
         return f"Cyclo({self.N}, {[str(c) for c in self.coeffs]})"

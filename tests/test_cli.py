@@ -232,3 +232,35 @@ def test_bad_input_exit_2(tmp_path, capsys):
     path2.write_text(json.dumps(payload))
     code, _ = run(capsys, "diagram", "--input", str(path2))
     assert code == 2
+
+
+def _set(path, value):
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value(payload) if callable(value) else value
+        return payload
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("counit", 0), ["1/0"]),
+    _set(("counit", 0), "1/0"),
+    _set(("counit", 0), [1.5]),
+    _set(("mult", 0, 0, 0, 0), lambda p: p["dim"]),
+    _set(("dim",), lambda p: p["dim"] + 1),
+    _set(("conductor",), "3"),
+    lambda payload: [payload],
+], ids=["zero-denominator", "zero-denominator-root", "float-coefficient",
+        "index-out-of-range", "dim-exceeds-tables", "string-conductor",
+        "not-an-object"])
+def test_verify_malformed_structure_exit_2(mutate, tmp_path, capsys):
+    mp = cases.squaring_matched_pair()
+    payload = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp)).to_json()
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(mutate(payload)))
+    code = main(["verify", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
