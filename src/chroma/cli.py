@@ -3,28 +3,19 @@
 Subcommands read JSON inputs, dispatch to the library, and emit
 byte-deterministic JSON (or DOT / glyph-text for diagrams).  Exit codes:
 0 when every check passed, 1 when some check failed (the report is still
-written), 2 on malformed input.
+written), 2 on malformed input, 3 when an internal self-check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import dynkin, doubles, extensions, hopfcheck, triangular, weyl
 from .datum import Datum
 from .groups import Bicharacter, FinAbGroup
 from .scalars import ParseError
-
-
-def _threads() -> int:
-    value = os.environ.get("CHROMA_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -41,7 +32,10 @@ def _emit_json(report: dict, output: str | None) -> None:
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _load(path: str) -> dict:
 
 def _cmd_orbit(args) -> int:
     E = Datum.from_json(_load(args.input))
-    orbit = weyl.weyl_orbit(E, max_nodes=args.max_nodes, threads=_threads())
+    orbit = weyl.weyl_orbit(E, max_nodes=args.max_nodes)
     report = {
         "schema": 1,
         "command": "orbit",
@@ -335,6 +329,10 @@ def main(argv=None) -> int:
     except (ParseError, json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        detail = " ".join(str(exc).split()) or "failed self-check"
+        sys.stderr.write(f"internal error: {detail}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -78,9 +78,9 @@ def twist_matrix(q: BraidingMatrix, t: tuple[Element, ...],
                  beta: Bicharacter) -> ScalarMatrix:
     """qt_ij = beta(t_i, t_j)^{-1} * q_ij (its diagonal may contain 1)."""
     rows = []
-    for i in range(q.theta):
-        rows.append([Scalar.from_root(-beta.eval(t[i], t[j])) * q[i, j]
-                     for j in range(q.theta)])
+    for i, row in enumerate(q.entries):
+        rows.append([Scalar._make(s.root - beta.eval(t[i], t[j]), s.exps)
+                     for j, s in enumerate(row)])
     return ScalarMatrix(rows)
 
 
@@ -111,6 +111,17 @@ class Datum:
                 raise DimensionMismatch("degree from the wrong group")
         if not beta.is_nondegenerate():
             raise DegenerateBeta("datum requires a nondegenerate bicharacter")
+        self._derive(q, group, beta, t)
+
+    @classmethod
+    def _reflected(cls, source: "Datum", q: BraidingMatrix, t: tuple) -> "Datum":
+        # q and t replaced on the group and beta of an already validated datum
+        # (beta, hence its nondegeneracy, never changes along an orbit)
+        self = object.__new__(cls)
+        self._derive(q, source.group, source.beta, t)
+        return self
+
+    def _derive(self, q, group, beta, t) -> None:
         self.q = q
         self.group = group
         self.beta = beta

@@ -5,6 +5,8 @@ The doubles themselves are infinite dimensional and never materialized;
 what is computable is the presentation data (relation coefficients,
 coproduct rules, pairing values on generators), the enumeration of
 retractions onto the group algebra, and the finite color criteria.
+The retraction counts are taken from the element pool (|G|^theta
+choices of images) without enumerating the retractions themselves.
 """
 
 from __future__ import annotations
@@ -126,11 +128,16 @@ def presentation_digest(E: Datum) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def retractions(E: Datum) -> list[Retraction]:
-    """All group homomorphisms from the free part to G (|G|^theta of them)."""
+def _retraction_pool(E: Datum) -> list[Element]:
+    # the candidate images of each K_i: every element of G
     if not E.beta.is_nondegenerate():
         raise DegenerateBeta("retraction enumeration needs nondegenerate beta")
-    pool = list(E.group.elements())
+    return list(E.group.elements())
+
+
+def retractions(E: Datum) -> list[Retraction]:
+    """All group homomorphisms from the free part to G (|G|^theta of them)."""
+    pool = _retraction_pool(E)
     return [Retraction(images) for images in itertools.product(pool, repeat=E.theta)]
 
 
@@ -161,9 +168,15 @@ def is_color_coinvariants(r: Retraction) -> bool:
 
 
 def color_retraction_count(E: Datum) -> tuple[int, int]:
-    """(number of retractions, number giving a color Hopf algebra)."""
-    all_r = retractions(E)
-    return len(all_r), sum(1 for r in all_r if is_color_coinvariants(r))
+    """(number of retractions, number giving a color Hopf algebra).
+
+    Counted from the element pool, not enumerated: a retraction picks
+    each of its theta images from the pool independently, and it gives a
+    color Hopf algebra iff every image is the identity.
+    """
+    pool = _retraction_pool(E)
+    identities = sum(1 for g in pool if g.is_identity())
+    return len(pool) ** E.theta, identities ** E.theta
 
 
 def single_copy_color_check(E: Datum) -> dict:

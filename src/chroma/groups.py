@@ -78,7 +78,15 @@ class FinAbGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FinAbGroup":
-        return cls(tuple(data["orders"]))
+        if not isinstance(data, dict):
+            raise ValueError("group must be a JSON object")
+        orders = data["orders"]
+        if not isinstance(orders, list):
+            raise ValueError("group orders must be a list")
+        for o in orders:
+            if isinstance(o, bool) or not isinstance(o, int):
+                raise ValueError(f"group order {o!r} is not an integer")
+        return cls(tuple(orders))
 
 
 @dataclass(frozen=True)
@@ -177,10 +185,12 @@ class Bicharacter:
 
     ``matrix[i][j]`` is the exponent of the value on the generator pair
     (g_i, g_j); bimultiplicativity forces orders[i]*matrix[i][j] and
-    orders[j]*matrix[i][j] to be integers, which is checked.
+    orders[j]*matrix[i][j] to be integers, which is checked.  Every entry
+    is therefore a multiple of 1/exponent(G); evaluation sums those
+    integer multiples and reduces once.
     """
 
-    __slots__ = ("group", "matrix")
+    __slots__ = ("group", "matrix", "_exponent", "_ints")
 
     def __init__(self, group: FinAbGroup, matrix):
         rows = tuple(tuple(m) for m in matrix)
@@ -195,6 +205,8 @@ class Bicharacter:
                         f"{oi}, {oj}")
         self.group = group
         self.matrix = rows
+        e = self._exponent = group.exponent
+        self._ints = tuple(tuple(b.num * (e // b.den) for b in row) for row in rows)
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Bicharacter":
@@ -204,36 +216,30 @@ class Bicharacter:
     def eval(self, g: Element, h: Element) -> Rational01:
         if g.group != self.group or h.group != self.group:
             raise DomainError("bicharacter applied to foreign elements")
-        total = R01_ZERO
-        for i, gi in enumerate(g.residues):
-            if gi == 0:
-                continue
-            for j, hj in enumerate(h.residues):
-                if hj:
-                    total = total + self.matrix[i][j].scale(gi * hj)
-        return total
+        total = 0
+        for gi, row in zip(g.residues, self._ints):
+            if gi:
+                for hj, b in zip(h.residues, row):
+                    if hj:
+                        total += gi * hj * b
+        e = self._exponent
+        return Rational01(total, e) if total % e else R01_ZERO
 
     def chi(self, g: Element) -> Character:
         """The character h -> beta(h, g)."""
-        res = []
-        for i in range(self.group.rank):
-            e = R01_ZERO
-            for j, gj in enumerate(g.residues):
-                if gj:
-                    e = e + self.matrix[i][j].scale(gj)
-            res.append((self.group.orders[i] * e.num) // e.den)
-        return Character(self.group, tuple(res))
+        return self._character(self._ints, g)
 
     def chi_o(self, g: Element) -> Character:
         """The character h -> beta(g, h)."""
-        res = []
-        for i in range(self.group.rank):
-            e = R01_ZERO
-            for j, gj in enumerate(g.residues):
-                if gj:
-                    e = e + self.matrix[j][i].scale(gj)
-            res.append((self.group.orders[i] * e.num) // e.den)
-        return Character(self.group, tuple(res))
+        return self._character(tuple(zip(*self._ints)), g)
+
+    def _character(self, rows, g: Element) -> Character:
+        # residue i is orders[i] * (sum_j rows[i][j] g_j / exponent mod 1),
+        # an integer because orders[i] kills every entry of row i
+        e = self._exponent
+        res = tuple((o * (sum(b * gj for b, gj in zip(row, g.residues)) % e)) // e
+                    for o, row in zip(self.group.orders, rows))
+        return Character(self.group, res)
 
     def chi_hom(self) -> "Homomorphism":
         return Homomorphism(self.group, self.group,

@@ -170,19 +170,41 @@ class Scalar:
     def variable(cls, name: str, exp: int = 1) -> "Scalar":
         return cls(R01_ZERO, ((name, exp),))
 
+    @classmethod
+    def _make(cls, root: Rational01, exps: tuple) -> "Scalar":
+        # ``exps`` already sorted by name, valid names, no zero exponents
+        self = object.__new__(cls)
+        self.root = root
+        self.exps = exps
+        return self
+
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        merged = dict(self.exps)
-        for name, e in other.exps:
-            merged[name] = merged.get(name, 0) + e
-        return Scalar(self.root + other.root, merged)
+        a, b = self.exps, other.exps
+        if not b:
+            exps = a
+        elif not a:
+            exps = b
+        else:
+            merged = dict(a)
+            for name, e in b:
+                merged[name] = merged.get(name, 0) + e
+            exps = tuple(sorted((n, e) for n, e in merged.items() if e))
+        r, s = self.root, other.root
+        root = r if not s.num else s if not r.num else r + s
+        return Scalar._make(root, exps)
 
     def inverse(self) -> "Scalar":
-        return Scalar(-self.root, tuple((n, -e) for n, e in self.exps))
+        return Scalar._make(-self.root, tuple((n, -e) for n, e in self.exps))
 
     def __pow__(self, k: int) -> "Scalar":
-        return Scalar(self.root.scale(k), tuple((n, e * k) for n, e in self.exps))
+        if k == 1:
+            return self
+        if k == 0:
+            return Scalar._make(R01_ZERO, ())
+        return Scalar._make(self.root.scale(k),
+                            tuple((n, e * k) for n, e in self.exps))
 
     def is_one(self) -> bool:
         return self.root.is_zero() and not self.exps

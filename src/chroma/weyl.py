@@ -9,10 +9,11 @@ rule as the braiding matrix itself, which ``reflect_datum`` re-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .datum import BraidingMatrix, Datum, DiagonalOne
-from .scalars import order_of, solve_power
+from .datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
+from .scalars import Rational01, Scalar, order_of, solve_power
 
 
 class NotReflectable(ValueError):
@@ -42,21 +43,44 @@ def cartan_row(q: BraidingMatrix, p: int) -> list[int] | None:
     return row
 
 
+def _reflect_entries(m: ScalarMatrix, p: int, a: list[int]) -> list[list[Scalar]]:
+    """Entries m_ij m_pj^{-a_i} m_ip^{-a_j} m_pp^{a_i a_j}, taken in log space.
+
+    Root parts become integers over one common denominator D and variable
+    parts integer exponents, so each entry is one integer combination
+    log m_ij - a_i log m_pj - a_j log m_ip + a_i a_j log m_pp.
+    """
+    rows = m.entries
+    D = math.lcm(*(s.root.den for row in rows for s in row))
+    logs = [[(s.root.num * (D // s.root.den), s.exps) for s in row] for row in rows]
+    r_pp, e_pp = logs[p][p]
+    out = []
+    for i, row in enumerate(logs):
+        ai = a[i]
+        r_ip, e_ip = row[p]
+        new_row = []
+        for j, (r_ij, e_ij) in enumerate(row):
+            aj = a[j]
+            r_pj, e_pj = logs[p][j]
+            num = r_ij - ai * r_pj - aj * r_ip + ai * aj * r_pp
+            if e_pj or e_ip or e_pp:
+                exps = dict(e_ij)
+                for terms, c in ((e_pj, -ai), (e_ip, -aj), (e_pp, ai * aj)):
+                    if c:
+                        for name, e in terms:
+                            exps[name] = exps.get(name, 0) + c * e
+                e_ij = tuple(sorted((n, e) for n, e in exps.items() if e))
+            new_row.append(Scalar._make(Rational01(num, D), e_ij))
+        out.append(new_row)
+    return out
+
+
 def reflect_matrix(q: BraidingMatrix, p: int) -> BraidingMatrix:
     """The reflected matrix q'_ij = q_ij q_pj^{-a_pi} q_ip^{-a_pj} q_pp^{a_pi a_pj}."""
     a = cartan_row(q, p)
     if a is None:
         raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
-    theta = q.theta
-    rows = []
-    for i in range(theta):
-        row = []
-        for j in range(theta):
-            s = q[i, j] * (q[p, j] ** (-a[i])) * (q[i, p] ** (-a[j])) \
-                * (q[p, p] ** (a[i] * a[j]))
-            row.append(s)
-        rows.append(row)
-    return BraidingMatrix(rows)
+    return BraidingMatrix(_reflect_entries(q, p, a))
 
 
 def reflect_datum(E: Datum, p: int) -> Datum:
@@ -68,15 +92,13 @@ def reflect_datum(E: Datum, p: int) -> Datum:
     a = cartan_row(E.q, p)
     if a is None:
         raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
-    q_new = reflect_matrix(E.q, p)
+    q_new = BraidingMatrix(_reflect_entries(E.q, p, a))
     t_new = tuple(E.t[i] * (E.t[p] ** (-a[i])) for i in range(E.theta))
-    result = Datum(q_new, E.group, E.beta, t_new)
-    qt = E.qt
-    for i in range(E.theta):
-        for j in range(E.theta):
-            expected = qt[i, j] * (qt[p, j] ** (-a[i])) * (qt[i, p] ** (-a[j])) \
-                * (qt[p, p] ** (a[i] * a[j]))
-            if result.qt[i, j] != expected:
+    result = Datum._reflected(E, q_new, t_new)
+    expected = _reflect_entries(E.qt, p, a)
+    for i, (got_row, want_row) in enumerate(zip(result.qt.entries, expected)):
+        for j, (got, want) in enumerate(zip(got_row, want_row)):
+            if got != want:
                 raise AssertionError(
                     f"twisted matrix does not satisfy the reflection identity "
                     f"at ({i},{j})")
@@ -92,11 +114,9 @@ def reflectable_vertices(E: Datum) -> list[int]:
     """
     out = []
     for p in range(E.theta):
-        if cartan_row(E.q, p) is None:
-            continue
         try:
             reflect_datum(E, p)
-        except DiagonalOne:
+        except (NotReflectable, DiagonalOne):
             continue
         out.append(p)
     return out
@@ -112,16 +132,13 @@ class OrbitGraph:
         return self.nodes.index(E)
 
 
-def weyl_orbit(E: Datum, max_nodes: int = 1024, threads: int = 1) -> OrbitGraph:
+def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
     """Breadth-first closure of a datum under all reflections.
 
     Node identity is exact datum equality.  Vertices with an infinite
-    Cartan entry are skipped.  When the closure would exceed
-    ``max_nodes`` the graph is returned with ``truncated=True``.
-
-    Frontier levels can be reflected in parallel worker threads; results
-    are merged in a fixed order so the output is identical for any thread
-    count.
+    Cartan entry, or whose reflection has a diagonal entry 1, are
+    skipped.  When the closure would exceed ``max_nodes`` the graph is
+    returned with ``truncated=True``.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
@@ -130,29 +147,15 @@ def weyl_orbit(E: Datum, max_nodes: int = 1024, threads: int = 1) -> OrbitGraph:
     edges = []
     truncated = False
     frontier = [0]
-
-    def expand(src: int):
-        current = nodes[src]
-        results = []
-        for p in range(current.theta):
-            if cartan_row(current.q, p) is None:
-                continue
-            try:
-                results.append((p, reflect_datum(current, p)))
-            except DiagonalOne:
-                continue  # not a reflectable vertex for this matrix
-        return src, results
-
     while frontier:
-        if threads > 1 and len(frontier) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                expanded = list(pool.map(expand, frontier))
-        else:
-            expanded = [expand(src) for src in frontier]
         next_frontier = []
-        for src, results in expanded:
-            for p, reflected in results:
+        for src in frontier:
+            current = nodes[src]
+            for p in range(current.theta):
+                try:
+                    reflected = reflect_datum(current, p)
+                except (NotReflectable, DiagonalOne):
+                    continue
                 if reflected in index:
                     tgt = index[reflected]
                 else:

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -54,17 +53,15 @@ def test_orbit_deterministic_bytes(rank2_file, tmp_path, capsys):
     assert nodes[0] == cases.rank2_c3_datum()
 
 
-def test_orbit_thread_env_invariance(rank2_file, tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    os.environ["CHROMA_THREADS"] = "1"
-    try:
-        main(["orbit", "--input", rank2_file, "--output", str(out1)])
-        os.environ["CHROMA_THREADS"] = "4"
-        main(["orbit", "--input", rank2_file, "--output", str(out2)])
-    finally:
-        del os.environ["CHROMA_THREADS"]
-    assert out1.read_bytes() == out2.read_bytes()
+def test_orbit_repeat_runs_byte_identical(tmp_path):
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps(cases.rank4_klein_datum().to_json()))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["orbit", "--input", str(path), "--max-nodes", "40",
+                     "--output", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["truncated"] is True
 
 
 def test_check_datum(rank2_file, capsys):
@@ -264,3 +261,51 @@ def test_verify_malformed_structure_exit_2(mutate, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("orbit", lambda d: dict(d, group={"orders": "x"})),
+    ("check-datum", lambda d: dict(d, group={"orders": [3.5]})),
+    ("triangular", lambda d: {"group": {"orders": [True]}, "beta": [["0/1"]]}),
+    ("check-datum", lambda d: dict(d, group={"orders": [0]})),
+    ("check-datum", lambda d: dict(d, group=[3])),
+    ("orbit", lambda d: [1, 2]),
+    ("triangular", lambda d: {"group": {"orders": "x"}, "beta": [["1/3"]]}),
+    ("triangular", lambda d: [1, 2]),
+    ("verify", lambda d: _graded_structure(group={"orders": "x"})),
+    ("verify", lambda d: _graded_structure(group={"orders": [1.5]})),
+], ids=["orders-string", "orders-float", "orders-bool", "orders-zero",
+        "group-not-object", "datum-not-object", "triangular-orders-string",
+        "triangular-not-object", "verify-grading-orders-string",
+        "verify-grading-orders-float"])
+def test_malformed_group_exit_2(command, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload(cases.rank2_c3_datum().to_json())))
+    code = main([command, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _graded_structure(group):
+    mp = cases.squaring_matched_pair()
+    payload = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp)).to_json()
+    payload["grading"] = [[0]] * payload["dim"]
+    payload["group"] = group
+    return payload
+
+
+def test_internal_error_exit_3(rank2_file, monkeypatch, capsys):
+    import chroma.weyl
+
+    def broken(E, p):
+        raise AssertionError("twisted matrix does not satisfy\nthe identity")
+
+    monkeypatch.setattr(chroma.weyl, "reflect_datum", broken)
+    code = main(["orbit", "--input", rank2_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal error: twisted matrix does not satisfy "
+                            "the identity\n")
+    assert "Traceback" not in captured.err

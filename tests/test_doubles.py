@@ -3,7 +3,7 @@ import json
 import pytest
 
 import cases
-from chroma.datum import BraidingMatrix, Datum
+from chroma.datum import BraidingMatrix, Datum, DegenerateBeta
 from chroma.doubles import (Retraction, color_retraction_count,
                             is_color_coinvariants, presentation,
                             presentation_digest, retraction_values,
@@ -126,3 +126,21 @@ def test_single_copy_color_cases():
     assert rep2["color"] is True
     # color implies a retraction exists (the trivial images witness it)
     assert rep2["retraction_exists"] is True
+
+
+@pytest.mark.parametrize("make", [
+    rank1_trivial_datum, cases.rank2_c3_datum, cases.rank2_c3_symmetric_datum,
+    cases.rank4_klein_datum,
+], ids=["rank1-trivial", "rank2-c3", "rank2-c3-symmetric", "rank4-klein"])
+def test_retraction_count_matches_enumeration(make):
+    E = make()
+    rs = retractions(E)
+    assert color_retraction_count(E) == (len(rs), sum(r.is_trivial() for r in rs))
+
+
+def test_retraction_count_keeps_beta_check():
+    E = cases.rank2_c3_datum()
+    G = FinAbGroup.of(3)
+    E.beta = Bicharacter.trivial(G)
+    with pytest.raises(DegenerateBeta):
+        color_retraction_count(E)

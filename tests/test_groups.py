@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -175,3 +177,47 @@ def test_homomorphism_validation():
     assert hom(G.element((3,))).residues == (1,)
     with pytest.raises(ValueError):
         Homomorphism(H, G, (G.element((1,)),))  # order-2 generator to order-4 image
+
+
+def per_term_eval(beta, g, h):
+    total = Rational01(0, 1)
+    for i, gi in enumerate(g.residues):
+        for j, hj in enumerate(h.residues):
+            total = total + beta.matrix[i][j].scale(gi * hj)
+    return total
+
+
+def per_term_character(beta, g, transpose):
+    G = beta.group
+    res = []
+    for i, o in enumerate(G.orders):
+        e = Rational01(0, 1)
+        for j, gj in enumerate(g.residues):
+            entry = beta.matrix[j][i] if transpose else beta.matrix[i][j]
+            e = e + entry.scale(gj)
+        res.append(Fraction(o * e.num, e.den))
+    assert all(r.denominator == 1 for r in res)
+    return Character(G, tuple(int(r) for r in res))
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (3, 9), (12, 12)])
+def test_eval_matches_per_term_sum(orders):
+    rng = random.Random(sum(orders))
+    G = FinAbGroup(orders)
+    elems = list(G.elements())
+    for _ in range(20):
+        rows = []
+        for oi in orders:
+            row = []
+            for oj in orders:
+                d = math.gcd(oi, oj)
+                row.append(Rational01(rng.randrange(d), d))
+            rows.append(row)
+        beta = Bicharacter(G, rows)
+        for _ in range(40):
+            g, h = rng.choice(elems), rng.choice(elems)
+            assert beta.eval(g, h) == per_term_eval(beta, g, h)
+            assert beta.chi(g) == per_term_character(beta, g, False)
+            assert beta.chi_o(g) == per_term_character(beta, g, True)
+    zero = Bicharacter.trivial(G)
+    assert zero.eval(elems[-1], elems[-1]) == Rational01(0, 1)

@@ -41,6 +41,22 @@ def test_group_laws_random():
         assert a * a.inverse() == Scalar.one()
 
 
+def test_fast_products_match_validating_constructor():
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b = rand_scalar(rng, ("p", "q", "r")), rand_scalar(rng, ("q", "r", "s"))
+        merged = dict(a.exps)
+        for name, e in b.exps:
+            merged[name] = merged.get(name, 0) + e
+        assert a * b == Scalar(a.root + b.root, merged)
+        assert a.inverse() == Scalar(-a.root, {n: -e for n, e in a.exps})
+        k = rng.randrange(-4, 5)
+        assert a ** k == Scalar(a.root.scale(k), {n: e * k for n, e in a.exps})
+        for s in (a * b, a.inverse(), a ** k):
+            assert s.exps == tuple(sorted(s.exps))
+            assert all(e != 0 for _, e in s.exps)
+
+
 def test_pow_and_normalization():
     q = Scalar.variable("q")
     assert (q ** 2) * (q ** -2) == Scalar.one()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import cases
-from chroma.datum import BraidingMatrix, Datum
+from chroma.datum import BraidingMatrix, Datum, DiagonalOne
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.scalars import Cyclo, Rational01, Scalar
 from chroma.weyl import (NotReflectable, cartan_entry, cartan_row,
@@ -125,13 +125,13 @@ def test_orbit_truncation_flag():
     assert len(orb.nodes) == 5
 
 
-def test_orbit_deterministic_and_thread_invariant():
-    E = cases.rank2_c3_datum()
-    a = weyl_orbit(E)
-    b = weyl_orbit(E)
-    c = weyl_orbit(E, threads=4)
-    assert a.nodes == b.nodes == c.nodes
-    assert a.edges == b.edges == c.edges
+def test_orbit_deterministic():
+    for E, cap in ((cases.rank2_c3_datum(), 1024), (cases.rank4_klein_datum(), 40)):
+        a = weyl_orbit(E, max_nodes=cap)
+        b = weyl_orbit(E, max_nodes=cap)
+        assert a.nodes == b.nodes
+        assert a.edges == b.edges
+        assert a.truncated == b.truncated
 
 
 def test_consistency_detects_corruption():
@@ -144,3 +144,85 @@ def test_consistency_detects_corruption():
                    tuple(x * s for x in bad[1].t))
     orb.nodes = bad
     assert not check_consistent_coloring(orb)
+
+
+# -- oracle for the log-space reflection ------------------------------------
+
+
+def random_braiding_matrix(rng, theta):
+    """Roots of orders 1..12 times q^a r^b; about half of the off-diagonal
+    pairs have opposite exponents, so their products cancel to a root.
+    Most diagonals are pure roots, which keeps the Cartan rows finite."""
+    def entry(exps):
+        n = rng.randint(1, 12)
+        return Scalar(Rational01(rng.randrange(n), n), exps)
+
+    def exps():
+        return {"q": rng.randint(-2, 2), "r": rng.randint(-2, 2)}
+
+    rows = [[None] * theta for _ in range(theta)]
+    for i in range(theta):
+        n = rng.randint(2, 12)
+        diag = Scalar(Rational01(rng.randrange(1, n), n))
+        rows[i][i] = diag if rng.random() < 0.75 else diag * entry(exps())
+        for j in range(i + 1, theta):
+            e = exps()
+            rows[i][j] = entry(e)
+            rows[j][i] = entry({k: -v for k, v in e.items()}
+                               if rng.random() < 0.5 else exps())
+    return BraidingMatrix(rows)
+
+
+def multiplicative_reflection(m, p, a):
+    theta = m.theta
+    return [[m[i, j] * m[p, j] ** (-a[i]) * m[i, p] ** (-a[j])
+             * m[p, p] ** (a[i] * a[j]) for j in range(theta)]
+            for i in range(theta)]
+
+
+def assert_canonical(entries):
+    for row in entries:
+        for s in row:
+            assert s == Scalar(Rational01(s.root.num, s.root.den), s.exps)
+
+
+def test_reflection_matches_multiplicative_formula():
+    rng = random.Random(20261018)
+    groups = [(FinAbGroup.of(12), [[Rational01(5, 12)]]),
+              (FinAbGroup.of(3, 4), [[Rational01(1, 3), Rational01(0, 1)],
+                                     [Rational01(0, 1), Rational01(3, 4)]])]
+    reflected = 0
+    for trial in range(300):
+        theta = rng.randint(2, 4)
+        q = random_braiding_matrix(rng, theta)
+        G, rows = groups[trial % 2]
+        beta = Bicharacter(G, rows)
+        t = tuple(G.element([rng.randrange(o) for o in G.orders])
+                  for _ in range(theta))
+        E = Datum(q, G, beta, t)
+        for p in range(theta):
+            a = cartan_row(q, p)
+            if a is None:
+                with pytest.raises(NotReflectable):
+                    reflect_datum(E, p)
+                continue
+            want_q = multiplicative_reflection(q, p, a)
+            if any(want_q[i][i].is_one() for i in range(theta)):
+                with pytest.raises(DiagonalOne):
+                    reflect_matrix(q, p)
+                continue
+            reflected += 1
+            assert reflect_matrix(q, p).entries == tuple(map(tuple, want_q))
+            E1 = reflect_datum(E, p)
+            assert E1.q.entries == tuple(map(tuple, want_q))
+            assert E1.t == tuple(t[i] * t[p] ** (-a[i]) for i in range(theta))
+            want_qt = multiplicative_reflection(E.qt, p, a)
+            assert E1.qt.entries == tuple(map(tuple, want_qt))
+            assert E1.qt.entries == tuple(
+                tuple(Scalar.from_root(-beta.eval(E1.t[i], E1.t[j])) * want_q[i][j]
+                      for j in range(theta)) for i in range(theta))
+            assert_canonical(E1.q.entries)
+            assert_canonical(E1.qt.entries)
+            fresh = Datum(E1.q, G, beta, E1.t)
+            assert (fresh, fresh.qt, fresh.xi) == (E1, E1.qt, E1.xi)
+    assert reflected > 300
