@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 from .groups import Bicharacter, Character, Element, FinAbGroup
-from .hopfcheck import (MonomialMatrix, NonCommutingAction, NonMonomialAction,
-                        StructBialgebra, is_bialgebra_morphism)
+from .hopfcheck import (MonomialMatrix, NonCommutingAction, StructBialgebra,
+                        is_bialgebra_morphism, projector_column, validated_action)
 from .scalars import Cyclo, R01_ZERO, Rational01
 from .zlinalg import solve_homogeneous_mod
 
@@ -610,54 +610,12 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int,
 # ---------------------------------------------------------------------------
 
 
-def _validate_action(H: StructBialgebra, action: dict, group: FinAbGroup):
-    dual = FinAbGroup(group.orders)
-    mats = []
-    for a in dual.elements():
-        if a not in action:
-            raise ValueError("action table must cover the whole dual group")
-        m = action[a]
-        if not isinstance(m, MonomialMatrix):
-            raise NonMonomialAction("action values must be monomial matrices")
-        if m.dim != H.dim:
-            raise ValueError("action matrix has the wrong size")
-        mats.append((a, m))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not mats[i][1].commutes_with(mats[j][1]):
-                raise NonCommutingAction("action matrices must commute")
-    return mats
-
-
-def support(H: StructBialgebra, action: dict, group: FinAbGroup,
-            beta: Bicharacter | None = None) -> frozenset:
+def support(H: StructBialgebra, action: dict, group: FinAbGroup) -> frozenset:
     """Degrees g with nonzero isotypic projector (1/|G|) sum_a a(g)^{-1} rho(a)."""
-    mats = _validate_action(H, action, group)
-    dens = [group.exponent]
-    for _, m in mats:
-        dens.extend(s.den for s in m.scal)
-    N = math.lcm(*dens)
-    out = []
-    for g in group.elements():
-        nonzero = False
-        for j in range(H.dim):
-            acc: dict = {}
-            for a, m in mats:
-                val = Character(group, a.residues)(g)
-                entry = Cyclo.embed(m.scal[j] - val, N)
-                i = m.perm[j]
-                v = acc.get(i)
-                v = entry if v is None else v + entry
-                if v.is_zero():
-                    acc.pop(i, None)
-                else:
-                    acc[i] = v
-            if acc:
-                nonzero = True
-                break
-        if nonzero:
-            out.append(g)
-    return frozenset(out)
+    mats = validated_action(H.dim, action, group)
+    N = math.lcm(group.exponent, *(s.den for _, m in mats for s in m.scal))
+    return frozenset(g for g in group.elements()
+                     if any(projector_column(mats, group, g, j, N) for j in range(H.dim)))
 
 
 def is_color(H: StructBialgebra, action: dict, group: FinAbGroup,

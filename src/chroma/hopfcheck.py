@@ -6,6 +6,15 @@ basis tuples, in plain or color mode (color mode twists the product on
 the tensor square by the bicharacter of the grading group).  The
 antipode is obtained as the convolution inverse of the identity via its
 minimal polynomial, then verified on both sides.
+
+All sparse linear algebra goes through one small kernel: ``lc_add_scaled``
+(and its tensor variant ``lc_add_tensor``) accumulates (key, Cyclo) terms
+and drops zeros, ``lc_map`` applies a map given by its columns, and
+``Echelon`` is the one incremental Gauss-Jordan elimination behind the
+antipode's Krylov relation, ``matrix_rank``, ``invert_columns`` and
+``grade_by_action``.  Monomial dual-group actions are validated and
+projected onto isotypic components by ``validated_action`` and
+``projector_column``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import Bicharacter, FinAbGroup
+from .groups import Bicharacter, Character, FinAbGroup
 from .scalars import Cyclo, Rational01, _power_table
 
 
@@ -109,10 +118,16 @@ class MonomialMatrix:
 # ---------------------------------------------------------------------------
 
 
-def lc_add_scaled(acc: dict, combo: dict, factor: Cyclo) -> None:
+def lc_add_scaled(acc: dict, terms, factor: Cyclo) -> None:
+    """acc += factor * sum of c e_k over the (k, c) pairs of ``terms``.
+
+    ``terms`` is any iterable of (key, Cyclo) pairs: a mult cell,
+    ``dict.items()`` or generated pairs.  Entries that become zero are
+    dropped, so a combination never stores a zero coefficient.
+    """
     if factor.is_zero():
         return
-    for k, c in combo.items():
+    for k, c in terms:
         v = acc.get(k)
         v = c * factor if v is None else v + c * factor
         if v.is_zero():
@@ -121,10 +136,66 @@ def lc_add_scaled(acc: dict, combo: dict, factor: Cyclo) -> None:
             acc[k] = v
 
 
+def lc_add_tensor(acc: dict, x, y, factor: Cyclo) -> None:
+    """acc += factor * (x (x) y), keyed by pairs; ``y`` must be re-iterable."""
+    for p, cp in x:
+        lc_add_scaled(acc, (((p, q), cq) for q, cq in y), cp * factor)
+
+
+def lc_map(columns: list, combo: dict) -> dict:
+    """The image of ``combo`` under the linear map e_i -> columns[i]."""
+    out: dict = {}
+    for i, c in combo.items():
+        lc_add_scaled(out, columns[i].items(), c)
+    return out
+
+
 def lc_equal(a: dict, b: dict) -> bool:
     if set(a) != set(b):
         return False
     return all(a[k] == b[k] for k in a)
+
+
+class Echelon:
+    """Incremental Gauss-Jordan elimination of sparse vectors over Q(zeta_N).
+
+    Each stored row is (pivot, vector, tags): the vector has coefficient 1
+    at its pivot and 0 at every other row's pivot, and ``tags`` is the
+    combination of input tags it equals.  Each pivot is inverted once.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+
+    def add(self, vec: dict, tags: dict | None = None) -> dict | None:
+        """Reduce ``vec``, whose tag combination is ``tags``, by the rows.
+
+        If it reduces to zero, return the tag combination that vanishes
+        (the dependency); otherwise store it as a new row and return None.
+        """
+        vec = dict(vec)
+        tags = dict(tags) if tags else {}
+        for pivot, row, row_tags in self.rows:
+            _clear(vec, tags, pivot, row, row_tags)
+        if not vec:
+            return tags
+        pivot = min(vec)
+        inv = vec[pivot].inverse()
+        vec = {k: c * inv for k, c in vec.items()}
+        tags = {k: c * inv for k, c in tags.items()}
+        for _, row, row_tags in self.rows:
+            _clear(row, row_tags, pivot, vec, tags)
+        self.rows.append((pivot, vec, tags))
+        return None
+
+
+def _clear(vec: dict, tags: dict, pivot, row: dict, row_tags: dict) -> None:
+    """Subtract vec[pivot] times (row, row_tags), whose pivot entry is 1."""
+    f = vec.get(pivot)
+    if f is not None:
+        f = -f
+        lc_add_scaled(vec, row.items(), f)
+        lc_add_scaled(tags, row_tags.items(), f)
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +231,29 @@ class StructBialgebra:
         for i, ci in x.items():
             row = self.mult[i]
             for j, cj in y.items():
-                f = ci * cj
-                if f.is_zero():
-                    continue
-                for k, m in row[j]:
-                    v = acc.get(k)
-                    v = m * f if v is None else v + m * f
-                    if v.is_zero():
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = v
+                lc_add_scaled(acc, row[j], ci * cj)
+        return acc
+
+    def tensor_product(self, x: dict, y: dict, braided: bool = False) -> dict:
+        """The product xy in H (x) H, for combinations keyed by index pairs.
+
+        Braided: (a (x) b)(a' (x) b') = beta(|b|, |a'|) aa' (x) bb'.
+        """
+        acc: dict = {}
+        for (a, b), cx in x.items():
+            for (a2, b2), cy in y.items():
+                f = cx * cy
+                if braided:
+                    tw = self.beta.eval(self.grading[b], self.grading[a2])
+                    if not tw.is_zero():
+                        f = f * self.root(tw)
+                lc_add_tensor(acc, self.mult[a][a2], self.mult[b][b2], f)
         return acc
 
     def coproduct_combo(self, x: dict) -> dict:
         acc: dict = {}
         for i, ci in x.items():
-            for j, k, c in self.comult[i]:
-                v = acc.get((j, k))
-                v = c * ci if v is None else v + c * ci
-                if v.is_zero():
-                    acc.pop((j, k), None)
-                else:
-                    acc[(j, k)] = v
+            lc_add_scaled(acc, (((j, k), c) for j, k, c in self.comult[i]), ci)
         return acc
 
     def counit_combo(self, x: dict) -> Cyclo:
@@ -392,22 +464,8 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
         left: dict = {}
         right: dict = {}
         for j, k, c in H.comult[i]:
-            for a, b, c2 in H.comult[j]:
-                key = (a, b, k)
-                v = left.get(key)
-                v = c * c2 if v is None else v + c * c2
-                if v.is_zero():
-                    left.pop(key, None)
-                else:
-                    left[key] = v
-            for a, b, c2 in H.comult[k]:
-                key = (j, a, b)
-                v = right.get(key)
-                v = c * c2 if v is None else v + c * c2
-                if v.is_zero():
-                    right.pop(key, None)
-                else:
-                    right[key] = v
+            lc_add_scaled(left, (((a, b, k), c2) for a, b, c2 in H.comult[j]), c)
+            lc_add_scaled(right, (((j, a, b), c2) for a, b, c2 in H.comult[k]), c)
         if not lc_equal(left, right):
             ok, ce = False, (i,)
             break
@@ -419,22 +477,8 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
         left: dict = {}
         right: dict = {}
         for j, k, c in H.comult[i]:
-            v = c * H.counit[j]
-            if not v.is_zero():
-                w = right.get(k)
-                w = v if w is None else w + v
-                if w.is_zero():
-                    right.pop(k, None)
-                else:
-                    right[k] = w
-            v = c * H.counit[k]
-            if not v.is_zero():
-                w = left.get(j)
-                w = v if w is None else w + v
-                if w.is_zero():
-                    left.pop(j, None)
-                else:
-                    left[j] = w
+            lc_add_scaled(right, ((k, c),), H.counit[j])
+            lc_add_scaled(left, ((j, c),), H.counit[k])
         e = H.basis_combo(i)
         if not lc_equal(left, e) or not lc_equal(right, e):
             ok, ce = False, (i,)
@@ -459,47 +503,18 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
 
     # coproduct of the unit
     unit_tensor: dict = {}
-    for a, ca in H.unit.items():
-        for b, cb in H.unit.items():
-            v = ca * cb
-            if not v.is_zero():
-                unit_tensor[(a, b)] = v
+    lc_add_tensor(unit_tensor, H.unit.items(), H.unit.items(), H.one())
     record("unit_comultiplicative",
            lc_equal(H.coproduct_combo(H.unit), unit_tensor), None)
 
     # coproduct is an algebra map (beta-twisted in color mode)
     ok, ce = True, None
-    use_beta = mode == "color"
+    braided = mode == "color"
+    deltas = [H.coproduct_combo(H.basis_combo(i)) for i in range(n)]
     for i in range(n):
-        di = H.comult[i]
         for j in range(n):
-            dj = H.comult[j]
             lhs = H.coproduct_combo(dict(H.mult[i][j]))
-            rhs: dict = {}
-            for a, b, c1 in di:
-                for a2, b2, c2 in dj:
-                    f = c1 * c2
-                    if use_beta:
-                        tw = H.beta.eval(H.grading[b], H.grading[a2])
-                        if not tw.is_zero():
-                            f = f * H.root(tw)
-                    if f.is_zero():
-                        continue
-                    for p, cp in H.mult[a][a2]:
-                        fp = f * cp
-                        if fp.is_zero():
-                            continue
-                        for q, cq in H.mult[b][b2]:
-                            v = fp * cq
-                            if v.is_zero():
-                                continue
-                            key = (p, q)
-                            w = rhs.get(key)
-                            w = v if w is None else w + v
-                            if w.is_zero():
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = w
+            rhs = H.tensor_product(deltas[i], deltas[j], braided)
             if not lc_equal(lhs, rhs):
                 ok, ce = False, (i, j)
                 break
@@ -555,8 +570,7 @@ def _convolve(H: StructBialgebra, f: list, g: list) -> list:
     for i in range(H.dim):
         acc: dict = {}
         for j, k, c in H.comult[i]:
-            prod = H.product_combo(f[j], g[k])
-            lc_add_scaled(acc, prod, c)
+            lc_add_scaled(acc, H.product_combo(f[j], g[k]).items(), c)
         out.append(acc)
     return out
 
@@ -565,7 +579,7 @@ def _unit_counit_map(H: StructBialgebra) -> list:
     out = []
     for i in range(H.dim):
         combo: dict = {}
-        lc_add_scaled(combo, H.unit, H.counit[i])
+        lc_add_scaled(combo, H.unit.items(), H.counit[i])
         out.append(combo)
     return out
 
@@ -592,54 +606,30 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     braided antipode laws are verified as well and a failure raises.
     """
     powers = [_unit_counit_map(H), _identity_map(H)]
-    basis: list = []  # (pivot, rowdict, comb: dict power-index -> Cyclo)
+    echelon = Echelon()
     relation = None
-    max_steps = H.dim * H.dim + 2
-    for m in range(max_steps):
+    for m in range(H.dim * H.dim + 2):
         while len(powers) <= m:
             powers.append(_convolve(H, powers[-1], powers[1]))
-        row = dict(_flatten(powers[m]))
-        comb = {m: H.one()}
-        for pivot, brow, bcomb in basis:
-            if pivot in row:
-                factor = row[pivot] * brow[pivot].inverse()
-                for k, c in brow.items():
-                    v = row.get(k)
-                    v = -(c * factor) if v is None else v - c * factor
-                    if v.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = v
-                for k, c in bcomb.items():
-                    v = comb.get(k)
-                    v = -(c * factor) if v is None else v - c * factor
-                    if v.is_zero():
-                        comb.pop(k, None)
-                    else:
-                        comb[k] = v
-        if not row:
-            relation = comb
+        relation = echelon.add(_flatten(powers[m]), {m: H.one()})
+        if relation is not None:
             break
-        pivot = min(row)
-        basis.append((pivot, row, comb))
     if relation is None:
         raise RuntimeError("convolution powers failed to close")
-    m = max(relation)
-    # relation: sum_k relation[k] * id^{*k} == 0 with relation[m] != 0
-    lead_inv = relation[m].inverse()
-    alphas = {k: -(c * lead_inv) for k, c in relation.items() if k != m}
+    # relation: sum_k relation[k] * id^{*k} == 0 with relation[m] == 1
+    alphas = {k: -c for k, c in relation.items() if k != m}
     alpha0 = alphas.get(0)
-    if alpha0 is None or alpha0.is_zero():
+    if alpha0 is None:
         return None
     inv0 = alpha0.inverse()
     S = [dict() for _ in range(H.dim)]
     # S = (1/alpha_0) (id^{*(m-1)} - sum_{k>=1} alpha_k id^{*(k-1)})
     for i in range(H.dim):
         acc: dict = {}
-        lc_add_scaled(acc, powers[m - 1][i], inv0)
+        lc_add_scaled(acc, powers[m - 1][i].items(), inv0)
         for k, a in alphas.items():
             if k >= 1:
-                lc_add_scaled(acc, powers[k - 1][i], -(a * inv0))
+                lc_add_scaled(acc, powers[k - 1][i].items(), -(a * inv0))
         S[i] = acc
     uc = _unit_counit_map(H)
     left = _convolve(H, S, _identity_map(H))
@@ -653,13 +643,6 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     return S
 
 
-def apply_map(S: list, combo: dict, H: StructBialgebra) -> dict:
-    out: dict = {}
-    for i, c in combo.items():
-        lc_add_scaled(out, S[i], c)
-    return out
-
-
 def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
     """S(xy) = beta(|x|,|y|) S(y) S(x) and the braided coproduct law."""
     if H.grading is None or H.beta is None:
@@ -667,11 +650,10 @@ def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
     n = H.dim
     for i in range(n):
         for j in range(n):
-            lhs = apply_map(S, dict(H.mult[i][j]), H)
+            lhs = lc_map(S, dict(H.mult[i][j]))
             factor = H.root(H.beta.eval(H.grading[i], H.grading[j]))
-            rhs_raw = H.product_combo(S[j], S[i])
             rhs: dict = {}
-            lc_add_scaled(rhs, rhs_raw, factor)
+            lc_add_scaled(rhs, H.product_combo(S[j], S[i]).items(), factor)
             if not lc_equal(lhs, rhs):
                 return False
     for i in range(n):
@@ -679,18 +661,7 @@ def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
         rhs: dict = {}
         for j, k, c in H.comult[i]:
             factor = c * H.root(H.beta.eval(H.grading[j], H.grading[k]))
-            for a, ca in S[k].items():
-                for b, cb in S[j].items():
-                    v = factor * ca * cb
-                    if v.is_zero():
-                        continue
-                    key = (a, b)
-                    w = rhs.get(key)
-                    w = v if w is None else w + v
-                    if w.is_zero():
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = w
+            lc_add_tensor(rhs, S[k].items(), S[j].items(), factor)
         if not lc_equal(lhs, rhs):
             return False
     return True
@@ -702,79 +673,28 @@ def antipode_matrix_invertible(H: StructBialgebra, S: list) -> bool:
 
 def matrix_rank(columns: list[dict]) -> int:
     """Rank of a set of sparse columns over the cyclotomic field."""
-    echelon: list[tuple[int, dict]] = []
+    echelon = Echelon()
     for col in columns:
-        col = dict(col)
-        for pivot, row in echelon:
-            if pivot in col:
-                factor = col[pivot] * row[pivot].inverse()
-                for k, c in row.items():
-                    v = col.get(k)
-                    v = -(c * factor) if v is None else v - c * factor
-                    if v.is_zero():
-                        col.pop(k, None)
-                    else:
-                        col[k] = v
-        if col:
-            echelon.append((min(col), col))
-    return len(echelon)
+        echelon.add(col)
+    return len(echelon.rows)
 
 
 def invert_columns(columns: list[dict], dim: int, one: Cyclo) -> list[dict]:
     """Inverse of the matrix whose j-th column is ``columns[j]`` (sparse).
 
-    Gauss-Jordan with exact arithmetic; raises on singular input.
-    Returns the inverse, again as a list of columns.
+    Gauss-Jordan with exact arithmetic; raises ZeroDivisionError on
+    singular input.  Returns the inverse, again as a list of columns.
     """
-    # augmented rows: row r of [A | I]
-    rows = [dict() for _ in range(dim)]
+    echelon = Echelon()
     for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows[i][j] = c
-    aug = [dict() for _ in range(dim)]
-    for i in range(dim):
-        aug[i][i] = one
-    pivot_of_col = {}
-    used_rows = set()
-    for col in range(dim):
-        pivot = None
-        for r in range(dim):
-            if r not in used_rows and col in rows[r]:
-                pivot = r
-                break
-        if pivot is None:
+        if echelon.add(col, {j: one}) is not None:
             raise ZeroDivisionError("matrix is singular")
-        used_rows.add(pivot)
-        pivot_of_col[col] = pivot
-        inv = rows[pivot][col].inverse()
-        rows[pivot] = {k: c * inv for k, c in rows[pivot].items()}
-        aug[pivot] = {k: c * inv for k, c in aug[pivot].items()}
-        for r in range(dim):
-            if r == pivot or col not in rows[r]:
-                continue
-            factor = rows[r][col]
-            for k, c in rows[pivot].items():
-                v = rows[r].get(k)
-                v = -(c * factor) if v is None else v - c * factor
-                if v.is_zero():
-                    rows[r].pop(k, None)
-                else:
-                    rows[r][k] = v
-            for k, c in aug[pivot].items():
-                v = aug[r].get(k)
-                v = -(c * factor) if v is None else v - c * factor
-                if v.is_zero():
-                    aug[r].pop(k, None)
-                else:
-                    aug[r][k] = v
-    # rows[pivot_of_col[c]] is now e_c; the inverse matrix has entries
-    # inv[c][k] = aug[pivot_of_col[c]][k]; return as columns
-    inv_cols = [dict() for _ in range(dim)]
-    for c in range(dim):
-        r = pivot_of_col[c]
-        for k, v in aug[r].items():
-            inv_cols[k][c] = v
-    return inv_cols
+    if len(echelon.rows) != dim:
+        raise ZeroDivisionError("matrix is singular")
+    # full rank: each row is e_pivot = sum_j tags[j] columns[j], so its
+    # tags are column ``pivot`` of the inverse
+    inverse = {pivot: tags for pivot, _, tags in echelon.rows}
+    return [inverse[c] for c in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +804,43 @@ def bosonization_antipode_formula(H: StructBialgebra, S: list) -> list:
 # ---------------------------------------------------------------------------
 
 
+def validated_action(dim: int, action: dict, group: FinAbGroup) -> list:
+    """The (character, matrix) pairs of a monomial action of the dual group.
+
+    ``action`` must map every element of the dual group to a ``dim``-sized
+    MonomialMatrix, and the matrices must pairwise commute; otherwise an
+    ActionError (a ValueError) is raised.
+    """
+    mats = []
+    for a in FinAbGroup(group.orders).elements():
+        if a not in action:
+            raise ActionError("action table must cover the whole dual group")
+        m = action[a]
+        if not isinstance(m, MonomialMatrix):
+            raise NonMonomialAction("action entries must be monomial matrices")
+        if m.dim != dim:
+            raise ActionError("action matrix size mismatch")
+        mats.append((a, m))
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if not mats[i][1].commutes_with(mats[j][1]):
+                raise NonCommutingAction("action matrices must commute")
+    return mats
+
+
+def projector_column(mats: list, group: FinAbGroup, g, j: int, N: int) -> dict:
+    """P_g e_j for the isotypic projector P_g = (1/|G|) sum_a a(g)^{-1} rho(a).
+
+    ``mats`` comes from ``validated_action``; N must be divisible by the
+    group exponent and by the orders of the matrix scales.
+    """
+    terms = ((m.perm[j], Cyclo.embed(m.scal[j] - Character(group, a.residues)(g), N))
+             for a, m in mats)
+    col: dict = {}
+    lc_add_scaled(col, terms, Cyclo.from_rational(Fraction(1, group.order), N))
+    return col
+
+
 def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
                     beta: Bicharacter | None = None) -> StructBialgebra:
     """Change basis so a genuine monomial dual-group action becomes a grading.
@@ -894,138 +851,45 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
     homogeneous basis; failure to decompose means the table was not an
     action and raises.
     """
-    from .groups import Character
-
-    dual = FinAbGroup(group.orders)
-    mats = []
-    for a in dual.elements():
-        if a not in action:
-            raise ActionError("action table must cover the whole dual group")
-        m = action[a]
-        if not isinstance(m, MonomialMatrix):
-            raise NonMonomialAction("action entries must be monomial matrices")
-        if m.dim != H.dim:
-            raise ActionError("action matrix size mismatch")
-        mats.append((a, m))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not mats[i][1].commutes_with(mats[j][1]):
-                raise NonCommutingAction("action matrices must commute")
+    mats = validated_action(H.dim, action, group)
     scal_orders = [s.den for _, m in mats for s in m.scal]
     N = math.lcm(H.conductor, group.exponent, *scal_orders)
     base = H.lifted(N)
-    inv_order = Fraction(1, group.order)
-    chosen_cols: list[dict] = []
-    chosen_degs: list = []
-    echelon: list[tuple[int, dict]] = []
+    T: list[dict] = []
+    degrees: list = []
+    echelon = Echelon()
     for g in group.elements():
-        # P_g columns
         for j in range(H.dim):
-            col: dict = {}
-            for a, m in mats:
-                val = Character(group, a.residues)(g)
-                coeff = Cyclo.embed(-val, N) if not val.is_zero() else Cyclo.one(N)
-                i, s = m.perm[j], m.scal[j]
-                entry = Cyclo.embed(s, N) * coeff
-                v = col.get(i)
-                v = entry if v is None else v + entry
-                if v.is_zero():
-                    col.pop(i, None)
-                else:
-                    col[i] = v
-            col = {k: c.scale(inv_order) for k, c in col.items()}
-            if not col:
-                continue
-            reduced = dict(col)
-            for pivot, row in echelon:
-                if pivot in reduced:
-                    factor = reduced[pivot] * row[pivot].inverse()
-                    for k, c in row.items():
-                        v = reduced.get(k)
-                        v = -(c * factor) if v is None else v - c * factor
-                        if v.is_zero():
-                            reduced.pop(k, None)
-                        else:
-                            reduced[k] = v
-            if reduced:
-                echelon.append((min(reduced), reduced))
-                chosen_cols.append(col)
-                chosen_degs.append(g)
-    if len(chosen_cols) != H.dim:
+            col = projector_column(mats, group, g, j, N)
+            if echelon.add(col) is None:
+                T.append(col)
+                degrees.append(g)
+    if len(T) != H.dim:
         raise ActionError(
-            f"projector images span dimension {len(chosen_cols)} != {H.dim}; "
+            f"projector images span dimension {len(T)} != {H.dim}; "
             "the table is not a group action")
     # every chosen column must be a genuine simultaneous eigenvector
-    for col, g in zip(chosen_cols, chosen_degs):
-        for a, m in mats:
-            val = Character(group, a.residues)(g)
-            image: dict = {}
-            for j, c in col.items():
-                key = m.perm[j]
-                entry = Cyclo.embed(m.scal[j], N) * c
-                v = image.get(key)
-                v = entry if v is None else v + entry
-                if v.is_zero():
-                    image.pop(key, None)
-                else:
-                    image[key] = v
-            expected = {k: Cyclo.embed(val, N) * c for k, c in col.items()}
-            if not lc_equal(image, expected):
+    for a, m in mats:
+        rho = monomial_to_columns(m, N)
+        for col, g in zip(T, degrees):
+            val = Cyclo.embed(Character(group, a.residues)(g), N)
+            if not lc_equal(lc_map(rho, col), {k: val * c for k, c in col.items()}):
                 raise ActionError(
                     "projector image is not an eigenvector; the table is not "
                     "a group action")
-    T = chosen_cols
     T_inv = invert_columns(T, H.dim, Cyclo.one(N))
-
-    def through_inverse(combo: dict) -> dict:
-        out: dict = {}
-        for i, c in combo.items():
-            lc_add_scaled(out, T_inv[i], c)
-        return out
-
-    mult = [[() for _ in range(H.dim)] for _ in range(H.dim)]
-    for a in range(H.dim):
-        for b in range(H.dim):
-            prod = base.product_combo(T[a], T[b])
-            new = through_inverse(prod)
-            mult[a][b] = tuple(sorted(new.items()))
+    mult = [[tuple(sorted(lc_map(T_inv, base.product_combo(T[a], T[b])).items()))
+             for b in range(H.dim)] for a in range(H.dim)]
     comult = []
     for a in range(H.dim):
-        acc: dict = {}
-        for i, ci in T[a].items():
-            for j, k, c in base.comult[i]:
-                v = acc.get((j, k))
-                w = c * ci
-                v = w if v is None else v + w
-                if v.is_zero():
-                    acc.pop((j, k), None)
-                else:
-                    acc[(j, k)] = v
         new: dict = {}
-        for (j, k), c in acc.items():
-            for p, cp in T_inv[j].items():
-                for q, cq in T_inv[k].items():
-                    v = c * cp * cq
-                    if v.is_zero():
-                        continue
-                    key = (p, q)
-                    w = new.get(key)
-                    w = v if w is None else w + v
-                    if w.is_zero():
-                        new.pop(key, None)
-                    else:
-                        new[key] = w
+        for (j, k), c in base.coproduct_combo(T[a]).items():
+            lc_add_tensor(new, T_inv[j].items(), T_inv[k].items(), c)
         comult.append(tuple((j, k, c) for (j, k), c in sorted(new.items())))
-    unit = through_inverse(base.unit)
-    counit = []
-    for a in range(H.dim):
-        total = Cyclo.zero(N)
-        for i, c in T[a].items():
-            total = total + base.counit[i] * c
-        counit.append(total)
     return StructBialgebra(dim=H.dim, conductor=N, mult=mult, comult=comult,
-                           unit=unit, counit=counit,
-                           grading=tuple(chosen_degs), group=group, beta=beta)
+                           unit=lc_map(T_inv, base.unit),
+                           counit=[base.counit_combo(col) for col in T],
+                           grading=tuple(degrees), group=group, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,47 +903,20 @@ def monomial_to_columns(m: MonomialMatrix, N: int) -> list[dict]:
 
 def is_bialgebra_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
     """Does e_j -> columns[j] define a bialgebra endomorphism of H?"""
-    def image(combo: dict) -> dict:
-        out: dict = {}
-        for i, c in combo.items():
-            lc_add_scaled(out, columns[i], c)
-        return out
-
-    if not lc_equal(image(H.unit), H.unit):
+    if not lc_equal(lc_map(columns, H.unit), H.unit):
         return False
     for i in range(H.dim):
         if not (H.counit_combo(columns[i]) - H.counit[i]).is_zero():
             return False
     for i in range(H.dim):
         for j in range(H.dim):
-            if not lc_equal(image(dict(H.mult[i][j])),
+            if not lc_equal(lc_map(columns, dict(H.mult[i][j])),
                             H.product_combo(columns[i], columns[j])):
                 return False
     for i in range(H.dim):
-        lhs: dict = {}
-        for fi, c in columns[i].items():
-            for j, k, c2 in H.comult[fi]:
-                v = lhs.get((j, k))
-                w = c * c2
-                v = w if v is None else v + w
-                if v.is_zero():
-                    lhs.pop((j, k), None)
-                else:
-                    lhs[(j, k)] = v
         rhs: dict = {}
         for j, k, c in H.comult[i]:
-            for p, cp in columns[j].items():
-                for q, cq in columns[k].items():
-                    v = c * cp * cq
-                    if v.is_zero():
-                        continue
-                    key = (p, q)
-                    w = rhs.get(key)
-                    w = v if w is None else w + v
-                    if w.is_zero():
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = w
-        if not lc_equal(lhs, rhs):
+            lc_add_tensor(rhs, columns[j].items(), columns[k].items(), c)
+        if not lc_equal(H.coproduct_combo(columns[i]), rhs):
             return False
     return True

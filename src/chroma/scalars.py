@@ -105,6 +105,8 @@ class Rational01:
     @classmethod
     def parse(cls, text: str) -> "Rational01":
         """Parse the "num/den" serialization (a bare integer is allowed)."""
+        if not isinstance(text, str):
+            raise ValueError(f"root {text!r} is not a \"num/den\" string")
         text = text.strip()
         if "/" in text:
             a, b = text.split("/", 1)

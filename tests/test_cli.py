@@ -274,10 +274,13 @@ def test_verify_malformed_structure_exit_2(mutate, tmp_path, capsys):
     ("triangular", lambda d: [1, 2]),
     ("verify", lambda d: _graded_structure(group={"orders": "x"})),
     ("verify", lambda d: _graded_structure(group={"orders": [1.5]})),
+    ("triangular", lambda d: {"group": {"orders": [3]}, "beta": [[1]]}),
+    ("check-datum", lambda d: dict(d, t=[5])),
 ], ids=["orders-string", "orders-float", "orders-bool", "orders-zero",
         "group-not-object", "datum-not-object", "triangular-orders-string",
         "triangular-not-object", "verify-grading-orders-string",
-        "verify-grading-orders-float"])
+        "verify-grading-orders-float", "triangular-beta-not-string",
+        "degree-not-list"])
 def test_malformed_group_exit_2(command, payload, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload(cases.rank2_c3_datum().to_json())))

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,10 +13,12 @@ from chroma.groups import Bicharacter, FinAbGroup
 from chroma.hopfcheck import (ActionError, MonomialMatrix, StructBialgebra,
                               antipode_matrix_invertible, bosonize,
                               bosonization_antipode_formula, check_axioms,
-                              check_flip, grade_by_action,
-                              is_bialgebra_morphism, lc_equal, lift_cyclo,
-                              solve_antipode, verify_color_antipode)
-from chroma.scalars import Cyclo, R01_HALF, R01_ZERO, Rational01
+                              check_flip, grade_by_action, invert_columns,
+                              is_bialgebra_morphism, lc_add_scaled, lc_equal,
+                              lc_map, lift_cyclo, matrix_rank, solve_antipode,
+                              verify_color_antipode)
+from chroma.scalars import (Cyclo, R01_HALF, R01_ZERO, Rational01,
+                            cyclotomic_polynomial)
 
 
 def cyclic_group_algebra(n):
@@ -226,3 +231,137 @@ def test_struct_bialgebra_json_round_trip():
     back = StructBialgebra.from_json(data)
     assert back.dim == Hg.dim and back.conductor == Hg.conductor
     assert check_axioms(back, "color")["all_ok"]
+
+
+# ---------------------------------------------------------------------------
+# exact outputs of paths no benchmark job reaches
+# ---------------------------------------------------------------------------
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _graded(G, beta, H, gens):
+    return grade_by_action(H, action_from_generator_images(G, gens), G, beta)
+
+
+# sha256 of grade_by_action(...).to_json() and of the sorted color-antipode
+# columns (None: the braided antipode laws fail and solve_antipode raises).
+# Any change to a coefficient, a basis order or a table order shows here.
+GRADED_DIGESTS = {
+    "c4": ("113444afaa7f3e9d7e383f6c010b66504a66c77d5a2067fba9d6c054ab17558d",
+           "e20eca06942c3ffa19182d9a728f52ec1ad3834ee169c4887f34e36686bce858"),
+    "c2c4": ("9f20eb772165f6ae8bb13c67b18b09c5ecf2de86d05fa1943238bc8ceb76a933",
+             "e20eca06942c3ffa19182d9a728f52ec1ad3834ee169c4887f34e36686bce858"),
+    "klein-trivial": ("d435ffbc403e033c029d213b6ea57fc78056405d9e0ddc04952d5bbf3c74d6b8",
+                      "5fd067328f77d75908ccaed4419f98a479fefc4919e6522973ffe3a4eba9ee4c"),
+    "klein-super": ("20ba72d3797fa729249e76cbbbeff6128ccfd1cc858ad6ea89657e6337ac4aa5",
+                    None),
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("c4", lambda: _graded(*cases.c4_color_group_case())),
+    ("c2c4", lambda: _graded(*cases.c2c4_color_group_case())),
+    ("klein-trivial", lambda: swap_graded_group_algebra(Bicharacter.trivial(FinAbGroup.of(2)))),
+    ("klein-super", lambda: swap_graded_group_algebra(Bicharacter(FinAbGroup.of(2), [[R01_HALF]]))),
+])
+def test_graded_structure_and_color_antipode_digests(name, build):
+    Hg = build()
+    graded, antipode = GRADED_DIGESTS[name]
+    assert _sha256(Hg.to_json()) == graded
+    if antipode is None:
+        with pytest.raises(AssertionError):
+            solve_antipode(Hg, "color")
+        return
+    S = solve_antipode(Hg, "color")
+    columns = [[[k, [str(f) for f in c.coeffs]] for k, c in sorted(col.items())]
+               for col in S]
+    assert _sha256(columns) == antipode
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel on seeded sparse matrices over Q(zeta_N)
+# ---------------------------------------------------------------------------
+
+def random_columns(rng: random.Random, N: int, rows: int, cols: int) -> list[dict]:
+    deg = len(cyclotomic_polynomial(N)) - 1
+    out = []
+    for _ in range(cols):
+        col = {}
+        for i in range(rows):
+            if rng.random() < 0.6:
+                c = Cyclo(N, [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                              for _ in range(deg)])
+                if not c.is_zero():
+                    col[i] = c
+        out.append(col)
+    return out
+
+
+def combination(*scaled) -> dict:
+    """sum of factor * column over the (column, factor) pairs."""
+    acc: dict = {}
+    for col, factor in scaled:
+        lc_add_scaled(acc, col.items(), factor)
+    return acc
+
+
+@pytest.mark.parametrize("N", [1, 3, 12, 21])
+def test_invert_columns_and_rank(N):
+    rng = random.Random(f"echelon:{N}")
+    n = 5
+    one = Cyclo.one(N)
+    # a sparse draw can be singular: take the first of 20 draws of full rank
+    A = next(A for A in (random_columns(rng, N, n, n) for _ in range(20))
+             if matrix_rank(A) == n)
+    inv = invert_columns(A, n, one)
+    for j in range(n):
+        # inv A e_j = e_j and A inv e_j = e_j
+        assert lc_equal(lc_map(inv, A[j]), {j: one})
+        assert lc_equal(lc_map(A, inv[j]), {j: one})
+    a, b, c = A[:3]
+    w = random_columns(rng, N, 1, 1)[0].get(0, one)
+    assert matrix_rank([a, b, c, b]) == 3                      # a repeated column
+    assert matrix_rank([a, b, combination((a, one), (b, w)), c]) == 3
+    assert matrix_rank([{}, a, a]) == 1
+    assert matrix_rank([]) == 0
+    singular = A[:-1] + [combination((A[0], w), (A[2], -one))]
+    assert matrix_rank(singular) == n - 1
+    with pytest.raises(ZeroDivisionError):
+        invert_columns(singular, n, one)
+    with pytest.raises(ZeroDivisionError):
+        invert_columns(A[:-1], n, one)
+
+
+@pytest.mark.parametrize("N", [1, 3, 12, 21])
+def test_matrix_rank_matches_sympy(N):
+    """The rank over Q(zeta_N) times deg Phi_N is the rational rank of the
+    matrix with each entry replaced by its multiplication matrix."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(N, x), x)
+    deg = phi.degree()
+
+    def mult_block(c: Cyclo) -> list[list]:
+        p = sympy.Poly(sum(sympy.Rational(f.numerator, f.denominator) * x ** k
+                           for k, f in enumerate(c.coeffs)), x)
+        cols = []
+        for k in range(deg):
+            r = (p * sympy.Poly(x ** k, x)).rem(phi).all_coeffs()[::-1]
+            cols.append(r + [0] * (deg - len(r)))
+        return [[cols[k][i] for k in range(deg)] for i in range(deg)]
+
+    rng = random.Random(f"echelon-sympy:{N}")
+    rows = 4
+    one = Cyclo.one(N)
+    zero_block = [[0] * deg for _ in range(deg)]
+    for cols in (random_columns(rng, N, rows, 3), random_columns(rng, N, rows, 5)):
+        w = random_columns(rng, N, 1, 1)[0].get(0, one)
+        cols = cols + [combination((cols[0], w), (cols[1], one))]
+        M = sympy.Matrix.vstack(*(
+            sympy.Matrix.hstack(*(sympy.Matrix(mult_block(col[i]) if i in col else zero_block)
+                                  for col in cols))
+            for i in range(rows)))
+        assert DomainMatrix.from_Matrix(M).to_field().rank() == deg * matrix_rank(cols)
