@@ -159,12 +159,7 @@ class Datum:
         group = FinAbGroup.from_json(data["group"])
         beta = Bicharacter.from_json(group, data["beta"])
         q = BraidingMatrix.from_json(data["q"])
-        t = data["t"]
-        if not isinstance(t, list) or not all(
-                isinstance(r, list) and len(r) == group.rank
-                and all(type(x) is int for x in r) for r in t):
-            raise ValueError(f"t must be a list of integer vectors of length {group.rank}")
-        return cls(q, group, beta, tuple(group.element(r) for r in t))
+        return cls(q, group, beta, group.elements_from_json(data["t"], "t"))
 
 
 def new_datum(q: BraidingMatrix, group: FinAbGroup, beta: Bicharacter, t) -> Datum:

@@ -52,6 +52,14 @@ class FinAbGroup:
     def element(self, residues) -> "Element":
         return Element(self, tuple(residues))
 
+    def elements_from_json(self, rows, what: str) -> tuple["Element", ...]:
+        """Elements from a JSON list of integer residue vectors."""
+        if not isinstance(rows, list) or not all(
+                isinstance(r, list) and len(r) == self.rank
+                and all(type(x) is int for x in r) for r in rows):
+            raise ValueError(f"{what} must be a list of integer vectors of length {self.rank}")
+        return tuple(self.element(r) for r in rows)
+
     def generator(self, i: int) -> "Element":
         res = [0] * self.rank
         res[i] = 1

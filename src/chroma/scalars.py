@@ -14,8 +14,8 @@ Two layers:
   one positive common denominator, with no common factor left between
   them (so zero is all-zero numerators over 1).  This form is unique,
   hence equality and hashing are structural and zero-testing is a scan
-  of the numerators.  Sums, products and root-of-unity embeddings run on
-  Python ints; only the inverse goes through ``Fraction``.
+  of the numerators.  Sums, products, root-of-unity embeddings and the
+  inverse (through the norm) run on Python ints.
 
 Roots of unity are represented additively by ``Rational01``: the reduced
 fraction k/N in [0, 1) stands for exp(2*pi*i*k/N).
@@ -251,6 +251,8 @@ _FACTOR_RE = re.compile(r"([a-z][a-z0-9]*)(?:\^(-?\d+))?\Z")
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar grammar; inverse of ``str(scalar)``."""
+    if not isinstance(text, str):
+        raise ParseError(f"scalar {text!r} is not a string", 0)
     pos = 0
     result = Scalar.one()
     seen = False
@@ -400,6 +402,21 @@ def _reduce_mod_phi(nums: list[int], N: int) -> list[int]:
     return nums
 
 
+def _substitute(c: "Cyclo", k: int, M: int) -> "Cyclo":
+    """c with zeta_N replaced by zeta_M^k, as an element of Q(zeta_M).
+
+    k = M/N embeds Q(zeta_N) into Q(zeta_M); M = N with k prime to N is
+    the Galois automorphism sigma_k.
+    """
+    table = _power_table(M)
+    nums = [0] * len(table[0])
+    for e, a in enumerate(c.nums):
+        if a:
+            for j, t in enumerate(table[k * e % M]):
+                nums[j] += a * t
+    return Cyclo._make(M, tuple(nums), c.den)
+
+
 def _conductor_mismatch(a: "Cyclo", b: "Cyclo") -> ValueError:
     return ValueError(f"conductor mismatch: {a.N} vs {b.N}")
 
@@ -521,24 +538,21 @@ class Cyclo:
                            self.den * q.denominator)
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse through the norm.
+
+        With P the product of the conjugates sigma_k(a), k in (Z/N)^x,
+        k != 1, the norm a P is rational, so a^-1 = P / (a P).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverting zero cyclotomic element")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.N)]
-        a = list(self.coeffs)
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        # extended euclid: s*a + t*phi = gcd; Phi_N irreducible so gcd is a unit
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd (a nonzero constant since len(r0) == 1)
-        assert len(r0) == 1 and r0[0] != 0, "cyclotomic polynomial not coprime"
-        inv_c = 1 / r0[0]
-        return Cyclo(self.N, (c * inv_c for c in s0))
+        N = self.N
+        conjugates = Cyclo.one(N)
+        for k in range(2, N):
+            if math.gcd(k, N) == 1:
+                conjugates = conjugates * _substitute(self, k, N)
+        norm = self * conjugates
+        assert not any(norm.nums[1:]), "the norm of a cyclotomic element is not rational"
+        return conjugates.scale(Fraction(norm.den, norm.nums[0]))
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":
         return self * other.inverse()
@@ -555,41 +569,3 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo({self.N}, {[str(c) for c in self.coeffs]})"
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - deg_d, 1)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] / lead
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, dj in enumerate(den):
-            num[i - deg_d + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out

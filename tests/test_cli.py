@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,7 @@ import cases
 from chroma.cli import main
 from chroma.datum import Datum
 from chroma.hopfcheck import StructBialgebra, check_axioms
-from chroma.extensions import SigmaCocycle, TauCocycle, build_bicrossed
+from chroma.extensions import FiniteGroup, SigmaCocycle, TauCocycle, build_bicrossed
 
 
 @pytest.fixture
@@ -241,6 +245,19 @@ def _set(path, value):
     return mutate
 
 
+def _c2_group_algebra(mult00=None, comult0=None, unit=None) -> dict:
+    """The group algebra of C2 at conductor 2, with entries replaced."""
+    F = FiniteGroup.cyclic(2)
+    payload = StructBialgebra.group_algebra(F.table, F.identity, conductor=2).to_json()
+    if mult00 is not None:
+        payload["mult"][0][0] = mult00
+    if comult0 is not None:
+        payload["comult"][0] = comult0
+    if unit is not None:
+        payload["unit"] = unit
+    return payload
+
+
 @pytest.mark.parametrize("mutate", [
     _set(("counit", 0), ["1/0"]),
     _set(("counit", 0), "1/0"),
@@ -249,9 +266,13 @@ def _set(path, value):
     _set(("dim",), lambda p: p["dim"] + 1),
     _set(("conductor",), "3"),
     lambda payload: [payload],
+    lambda payload: _c2_group_algebra(mult00=[[0, ["1"]], [1, ["1"]], [1, ["-1"]]]),
+    lambda payload: _c2_group_algebra(comult0=[[0, 0, ["1"]], [0, 0, ["0"]]]),
+    lambda payload: _c2_group_algebra(unit=[[0, ["1"]], [0, ["1"]]]),
 ], ids=["zero-denominator", "zero-denominator-root", "float-coefficient",
         "index-out-of-range", "dim-exceeds-tables", "string-conductor",
-        "not-an-object"])
+        "not-an-object", "mult-cell-repeats-index", "comult-entry-repeats-pair",
+        "unit-repeats-index"])
 def test_verify_malformed_structure_exit_2(mutate, tmp_path, capsys):
     mp = cases.squaring_matched_pair()
     payload = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp)).to_json()
@@ -276,11 +297,15 @@ def test_verify_malformed_structure_exit_2(mutate, tmp_path, capsys):
     ("verify", lambda d: _graded_structure(group={"orders": [1.5]})),
     ("triangular", lambda d: {"group": {"orders": [3]}, "beta": [[1]]}),
     ("check-datum", lambda d: dict(d, t=[5])),
+    ("check-datum", lambda d: dict(d, q=[[1, "1"], ["1", 1]])),
+    ("verify", lambda d: (lambda p: dict(p, grading=[5] + p["grading"][1:]))(
+        _graded_structure(group={"orders": [3]}))),
 ], ids=["orders-string", "orders-float", "orders-bool", "orders-zero",
         "group-not-object", "datum-not-object", "triangular-orders-string",
         "triangular-not-object", "verify-grading-orders-string",
         "verify-grading-orders-float", "triangular-beta-not-string",
-        "degree-not-list"])
+        "degree-not-list", "braiding-entry-not-string",
+        "verify-grading-entry-not-list"])
 def test_malformed_group_exit_2(command, payload, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload(cases.rank2_c3_datum().to_json())))
@@ -312,3 +337,25 @@ def test_internal_error_exit_3(rank2_file, monkeypatch, capsys):
     assert captured.err == ("internal error: twisted matrix does not satisfy "
                             "the identity\n")
     assert "Traceback" not in captured.err
+
+
+def test_exit_codes_of_a_real_process(tmp_path):
+    """``python -m chroma.cli verify`` exits 0, 1 and 2 without a traceback."""
+    mp = cases.squaring_matched_pair()
+    valid = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
+    sigma = SigmaCocycle.trivial(mp).mutated(1, 1, 1, cases.RH)
+    mutant = build_bicrossed(mp, sigma, TauCocycle.trivial(mp))
+    inputs = {"valid": (valid.to_json(), 0), "mutant": (mutant.to_json(), 1),
+              "malformed": (_c2_group_algebra(mult00=[[0, ["1"]], [0, ["1"]]]), 2)}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name, (payload, expected) in inputs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chroma.cli", "verify", "--input", str(path),
+             "--output", str(tmp_path / f"{name}.out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == expected, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr

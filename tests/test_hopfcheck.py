@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,7 +18,7 @@ from chroma.hopfcheck import (ActionError, MonomialMatrix, StructBialgebra,
                               check_flip, grade_by_action, invert_columns,
                               is_bialgebra_morphism, lc_add_scaled, lc_equal,
                               lc_map, lift_cyclo, matrix_rank, solve_antipode,
-                              verify_color_antipode)
+                              verify_color_antipode, _nonzero_keys, _terms)
 from chroma.scalars import (Cyclo, R01_HALF, R01_ZERO, Rational01,
                             cyclotomic_polynomial)
 
@@ -365,3 +367,271 @@ def test_matrix_rank_matches_sympy(N):
                                   for col in cols))
             for i in range(rows)))
         assert DomainMatrix.from_Matrix(M).to_field().rank() == deg * matrix_rank(cols)
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts of the axiom sweep and the morphism test
+# ---------------------------------------------------------------------------
+
+def _c3_dihedral_bicrossed():
+    """L = C3, Gamma = C2 acting by inversion: dim 6, conductor 1."""
+    L, Gamma = FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)
+    mp = MatchedPair(L, Gamma, [[(l * (-1) ** g) % 3 for g in range(2)] for l in range(3)],
+                     [[g for g in range(2)] for _ in range(3)])
+    return build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
+
+
+def _ring_family_bicrossed(family):
+    fam = family()
+    return build_bicrossed(fam.mp, fam.sigma, TauCocycle.trivial(fam.mp),
+                           fam.z, fam.group, fam.beta)
+
+
+def _klein_super():
+    return swap_graded_group_algebra(Bicharacter(FinAbGroup.of(2), [[R01_HALF]]))
+
+
+def _c4_graded():
+    return _graded(*cases.c4_color_group_case())
+
+
+SWEEP_STRUCTURES = {
+    "n1-bicrossed": (_c3_dihedral_bicrossed, "plain"),
+    "n2-klein-super-plain": (_klein_super, "plain"),
+    "n2-klein-super-color": (_klein_super, "color"),
+    "n3-ring-color": (lambda: _ring_family_bicrossed(cases.mod3_ring_family), "color"),
+    "n5-ring-color": (lambda: _ring_family_bicrossed(cases.mod5_ring_family), "color"),
+    "n12-bicrossed": (lambda: _c3_dihedral_bicrossed().lifted(12), "plain"),
+    "n12-c4-graded-color": (lambda: _c4_graded().lifted(12), "color"),
+    "n21-c3-group-algebra": (lambda: cyclic_group_algebra(3).lifted(21), "plain"),
+}
+
+
+def _random_coefficient(rng: random.Random, N: int) -> Cyclo:
+    """A nonzero element of Q(zeta_N): a root of unity, a rational multiple
+    of one, or a dense element."""
+    kind = rng.randrange(3)
+    root = Cyclo.embed(Rational01(rng.randrange(N), N), N)
+    if kind == 0:
+        return root
+    if kind == 1:
+        return root.scale(Fraction(rng.choice([-3, -2, -1, 2, 3]), rng.randrange(1, 4)))
+    deg = len(cyclotomic_polynomial(N)) - 1
+    c = Cyclo(N, [Fraction(rng.randrange(-2, 3), rng.randrange(1, 3)) for _ in range(deg)])
+    return c if not c.is_zero() else root
+
+
+def _mutated_terms(rng: random.Random, terms: list, width: int, dim: int, N: int) -> list:
+    """Change one coefficient or index of ``terms`` (index tuples of length
+    ``width`` followed by a Cyclo), or add a term; no index tuple repeats."""
+    terms = list(terms)
+    used = {t[:width] for t in terms}
+    fresh = [k for k in itertools.product(range(dim), repeat=width) if k not in used]
+    move = rng.randrange(3) if terms else 2
+    if move == 0:
+        p = rng.randrange(len(terms))
+        terms[p] = terms[p][:width] + (_random_coefficient(rng, N),)
+    elif move == 1 and fresh:
+        p = rng.randrange(len(terms))
+        terms[p] = rng.choice(fresh) + terms[p][width:]
+    elif fresh:
+        terms.append(rng.choice(fresh) + (_random_coefficient(rng, N),))
+    return terms
+
+
+def _mutant(H: StructBialgebra, rng: random.Random) -> StructBialgebra:
+    """A copy of H with one entry of one table changed."""
+    N, n = H.conductor, H.dim
+    table = rng.choice(["mult", "mult", "comult", "unit", "counit"])
+    if table == "mult":
+        i, j = rng.randrange(n), rng.randrange(n)
+        mult = [list(row) for row in H.mult]
+        mult[i][j] = tuple(_mutated_terms(rng, H.mult[i][j], 1, n, N))
+        return dataclasses.replace(H, mult=mult)
+    if table == "comult":
+        i = rng.randrange(n)
+        comult = list(H.comult)
+        comult[i] = tuple(_mutated_terms(rng, H.comult[i], 2, n, N))
+        return dataclasses.replace(H, comult=comult)
+    if table == "unit":
+        unit = dict(_mutated_terms(rng, sorted(H.unit.items()), 1, n, N))
+        return dataclasses.replace(H, unit=unit)
+    counit = list(H.counit)
+    counit[rng.randrange(n)] = _random_coefficient(rng, N)
+    return dataclasses.replace(H, counit=counit)
+
+
+def _power_map(n: int, k: int, N: int) -> list[dict]:
+    """Columns of e_j -> e_(kj) on the group algebra of C_n."""
+    return [{k * j % n: Cyclo.one(N)} for j in range(n)]
+
+
+def _with_identity(H: StructBialgebra) -> tuple:
+    return H, [{j: H.one()} for j in range(H.dim)]
+
+
+MORPHISM_CASES = {
+    "n1-c5-power": lambda: (cyclic_group_algebra(5), _power_map(5, 2, 1)),
+    "n1-bicrossed": lambda: _with_identity(_c3_dihedral_bicrossed()),
+    "n2-klein-super": lambda: _with_identity(_klein_super()),
+    "n3-ring": lambda: _with_identity(_ring_family_bicrossed(cases.mod3_ring_family)),
+    "n5-c5-power": lambda: (cyclic_group_algebra(5).lifted(5), _power_map(5, 3, 5)),
+    "n12-c6-power": lambda: (cyclic_group_algebra(6).lifted(12), _power_map(6, 5, 12)),
+    "n21-c3-power": lambda: (cyclic_group_algebra(3).lifted(21), _power_map(3, 2, 21)),
+}
+
+
+def _perturbed(rng: random.Random, columns: list[dict], N: int) -> list[dict]:
+    """``columns`` with one column scaled, swapped or extended, or with every
+    column j scaled by zeta_N^(jm)."""
+    columns = [dict(col) for col in columns]
+    n = len(columns)
+    j = rng.randrange(n)
+    move = rng.randrange(4)
+    if move == 0:
+        c = _random_coefficient(rng, N)
+        columns[j] = {k: v * c for k, v in columns[j].items()}
+    elif move == 1:
+        i = rng.randrange(n)
+        columns[i], columns[j] = columns[j], columns[i]
+    elif move == 2:
+        k = rng.randrange(n)
+        v = columns[j].get(k, Cyclo.zero(N)) + _random_coefficient(rng, N)
+        if v.is_zero():
+            columns[j].pop(k, None)
+        else:
+            columns[j][k] = v
+    else:
+        m = rng.randrange(1, N) if N > 1 else 0
+        columns = [{k: v * Cyclo.embed(Rational01(i * m, N), N) for k, v in col.items()}
+                   for i, col in enumerate(columns)]
+    return columns
+
+
+# sha256 of the check_axioms reports of eight seeded single-entry mutants,
+# counterexamples included, and of the is_bialgebra_morphism verdicts on a
+# map and ten seeded perturbations of it.
+SWEEP_DIGESTS = {
+    "n1-bicrossed":
+        "eb9efe236431930a5285af646c0dd17e6d2b3e17b95d121ff756ca5cf6c2ae2d",
+    "n12-bicrossed":
+        "f53417487998f4ae065a25b04886427eb01b548ba2d4be69936acca380e5448c",
+    "n12-c4-graded-color":
+        "9c71005b3208b6b8a01eddb8a58de1389d543b1c9b62163db4a45add8745ddee",
+    "n2-klein-super-color":
+        "062eff81631af967dc340924271d759bdadeb4a8bcf637dc5ed96404c6a08a53",
+    "n2-klein-super-plain":
+        "324445e75cce9c414e823bc80a64f68f0e93246f53e60d8a34d01c1bda644100",
+    "n21-c3-group-algebra":
+        "9417d6090f43a21fa01c30194a09d6af37b067b0e6adeb4a7913d733088bec44",
+    "n3-ring-color":
+        "faa38b7dd9e5215fd8bd00e5bbf7f5c5f8f69f16eef4e30d5d0d42de323571df",
+    "n5-ring-color":
+        "d1f38285e32013a07b9ae3eec8255005be3899cd2877d893d5d40c92fe55451d",
+}
+MORPHISM_DIGESTS = {
+    "n1-bicrossed":
+        "a56c2f8fadbe6c33d3bb172211d1fa85b4665df4877ac69aa81490c35a7cb0d0",
+    "n1-c5-power":
+        "4f2f32fd2d55144591ba4971941cb18deb0b3c38971a39c16ea896b4666d1b6e",
+    "n12-c6-power":
+        "fc6b65811278cfd9e7cd94b9cde8c48278878b84ae12fc329be0b0fa4e7c36f4",
+    "n2-klein-super":
+        "7138c55e8dc2a1178b6418907fd46b9f6aed5998fb43283fc538c22984b39b02",
+    "n21-c3-power":
+        "0d99f9cdaf48b7ac6ab25ad17146e2002ea425d720acd8251748be63622fc5bf",
+    "n3-ring":
+        "3734e8a8c3cad75ee3bab9e21fc44d8c231c9b4e495ecfbdacc65e266124f6ea",
+    "n5-c5-power":
+        "fc6b65811278cfd9e7cd94b9cde8c48278878b84ae12fc329be0b0fa4e7c36f4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_STRUCTURES))
+def test_check_axioms_mutant_reports_pinned(name):
+    build, mode = SWEEP_STRUCTURES[name]
+    H = build()
+    rng = random.Random(f"sweep:{name}")
+    reports = [check_axioms(H, mode)] + [check_axioms(_mutant(H, rng), mode)
+                                         for _ in range(8)]
+    assert reports[0]["all_ok"] == (name != "n2-klein-super-color")
+    assert _sha256(reports) == SWEEP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISM_CASES))
+def test_is_bialgebra_morphism_verdicts_pinned(name):
+    H, columns = MORPHISM_CASES[name]()
+    rng = random.Random(f"morphism:{name}")
+    verdicts = [is_bialgebra_morphism(H, columns)] + [
+        is_bialgebra_morphism(H, _perturbed(rng, columns, H.conductor))
+        for _ in range(10)]
+    assert verdicts[0]
+    assert _sha256(verdicts) == MORPHISM_DIGESTS[name]
+
+
+
+# ---------------------------------------------------------------------------
+# the exponent-term kernel against Cyclo arithmetic
+# ---------------------------------------------------------------------------
+
+def _cyclo_sum(terms, N: int) -> Cyclo:
+    """sum of r zeta_N^e over the (e, r) pairs, in Cyclo arithmetic."""
+    total = Cyclo.zero(N)
+    for e, r in terms:
+        total = total + Cyclo.embed(Rational01(e, N), N).scale(r)
+    return total
+
+
+NAMED_SUMS = {
+    1: [[], [(0, 1), (0, -1)], [(0, 2)], [(0, Fraction(1, 2)), (0, Fraction(-1, 3))]],
+    2: [[(0, 1), (1, 1)], [(0, 1), (1, 2)], [(0, 1), (1, -1)], [(1, 2), (0, 2)]],
+    3: [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 1)], [(0, 1), (1, 1), (2, 2)]],
+    4: [[(0, 1), (2, 1)], [(1, 1), (3, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)],
+        [(0, 1), (1, 1)]],
+    12: [[(0, 1), (6, 1)], [(0, 1), (5, 1)], [(0, 1), (6, -1)],
+         [(1, 1), (5, 1), (9, 1)], [(1, 1), (5, 1), (9, -1)]],
+    21: [[(0, 1), (7, 1), (14, 1)], [(0, 1), (7, 1), (13, 1)],
+         [(e, 1) for e in range(0, 21, 3)], [(e, 1) for e in range(1, 21, 3)][:-1]],
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 21])
+def test_exponent_zero_test_matches_cyclo(N):
+    """_nonzero_keys on exponent sums agrees with Cyclo.is_zero, key by key."""
+    rng = random.Random(f"zero-test:{N}")
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+    sums = list(NAMED_SUMS[N])
+    for _ in range(40):
+        # coset sums sum_t zeta^(a + tN/p) vanish; one extra term may not
+        terms = []
+        for p in primes:
+            for _ in range(rng.randrange(3)):
+                a, r = rng.randrange(N), Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                terms += [((a + t * N // p) % N, r) for t in range(p)]
+        if rng.random() < 0.5:
+            terms.append((rng.randrange(N), Fraction(rng.choice([-1, 1]), rng.randrange(1, 3))))
+        rng.shuffle(terms)
+        sums.append(terms)
+    acc: dict = {}
+    for key, terms in enumerate(sums):
+        single: dict = {}
+        for e, r in terms:
+            single[key, e] = single.get((key, e), 0) + r
+            acc[key, e] = acc.get((key, e), 0) + r
+        assert (not _nonzero_keys(single, N)) == _cyclo_sum(terms, N).is_zero(), terms
+    assert sorted(_nonzero_keys(acc, N)) == [
+        key for key, terms in enumerate(sums) if not _cyclo_sum(terms, N).is_zero()]
+    assert {_cyclo_sum(terms, N).is_zero() for terms in sums} == {True, False}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 21])
+def test_terms_sum_back_to_the_coefficient(N):
+    rng = random.Random(f"terms:{N}")
+    for k in range(N):
+        assert _terms(Cyclo.embed(Rational01(k, N), N), N) == ((k, 1),)
+    assert _terms(Cyclo.zero(N), N) == ()
+    for _ in range(20):
+        c = _random_coefficient(rng, N)
+        assert _cyclo_sum(_terms(c, N), N) == c
+    with pytest.raises(ValueError):
+        _terms(Cyclo.one(N), 2 * N)
