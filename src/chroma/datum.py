@@ -162,10 +162,6 @@ class Datum:
         return cls(q, group, beta, group.elements_from_json(data["t"], "t"))
 
 
-def new_datum(q: BraidingMatrix, group: FinAbGroup, beta: Bicharacter, t) -> Datum:
-    return Datum(q, group, beta, t)
-
-
 def datum_from_twisted(qt: ScalarMatrix, group: FinAbGroup,
                        beta: Bicharacter, t) -> Datum:
     """Build a datum from the twisted matrix (q recovered by untwisting)."""

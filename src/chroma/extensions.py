@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .groups import Bicharacter, Character, Element, FinAbGroup
 from .hopfcheck import (MonomialMatrix, NonCommutingAction, StructBialgebra,
-                        is_bialgebra_morphism, projector_column, validated_action)
+                        _morphism_check, projector_column, validated_action)
 from .scalars import Cyclo, R01_ZERO, Rational01
 from .zlinalg import solve_homogeneous_mod
 
@@ -590,6 +590,7 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int,
     out = []
     H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
     Hc = H.lifted(math.lcm(H.conductor, N)) if certify else H
+    is_morphism = _morphism_check(Hc) if certify else None
     for sol in sorted(solutions):
         ftilde = [[Rational01(sol[var(gam, l)], N) for l in L.elements()]
                   for gam in Gamma.elements()]
@@ -599,7 +600,7 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int,
         if certify:
             m = aut.matrix(mp)
             cols = [m.column(j, Hc.conductor) for j in range(m.dim)]
-            if not is_bialgebra_morphism(Hc, cols):
+            if not is_morphism(cols):
                 raise AssertionError("solver output failed certification")
         out.append(aut)
     return out

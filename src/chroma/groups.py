@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .scalars import Rational01, R01_ZERO
@@ -70,8 +71,9 @@ class FinAbGroup:
 
     def elements(self):
         """All elements, first coordinate varying fastest."""
+        make = Element._make
         for combo in itertools.product(*(range(o) for o in reversed(self.orders))):
-            yield Element(self, tuple(reversed(combo)))
+            yield make(self, combo[::-1])
 
     def index_of(self, g: "Element") -> int:
         idx = 0
@@ -108,6 +110,14 @@ class Element:
         object.__setattr__(
             self, "residues",
             tuple(int(r) % o for r, o in zip(self.residues, self.group.orders)))
+
+    @classmethod
+    def _make(cls, group: FinAbGroup, residues: tuple) -> "Element":
+        # residues already reduced mod the orders: skip the validation
+        self = object.__new__(cls)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "residues", residues)
+        return self
 
     def _check(self, other: "Element"):
         if self.group != other.group:
@@ -183,10 +193,6 @@ class Character:
         """The same data as an element of the (self-dual) parameter group."""
         return Element(self.group, self.residues)
 
-    @classmethod
-    def from_element(cls, a: Element) -> "Character":
-        return cls(a.group, a.residues)
-
 
 class Bicharacter:
     """A bimultiplicative map G x G -> roots of unity.
@@ -253,18 +259,27 @@ class Bicharacter:
         return Homomorphism(self.group, self.group,
                             tuple(self.chi(g).as_element() for g in self.group.generators()))
 
-    def chi_o_hom(self) -> "Homomorphism":
-        return Homomorphism(self.group, self.group,
-                            tuple(self.chi_o(g).as_element() for g in self.group.generators()))
-
     def radical(self) -> "Subgroup":
-        gens = self.group.generators()
+        """{g : beta(g, h) = 1 for all h}; its members, in enumeration
+        order, are also its generators."""
+        e = self._exponent
+        columns = tuple(zip(*self._ints))  # beta(g, g_j) = sum_i g_i ints[i][j] / e
         members = [g for g in self.group.elements()
-                   if all(self.eval(g, e).is_zero() for e in gens)]
-        return Subgroup.from_elements(self.group, members)
+                   if not any(sum(map(operator.mul, col, g.residues)) % e
+                              for col in columns)]
+        return Subgroup._of_members(self.group, members)
 
     def is_nondegenerate(self) -> bool:
-        return self.radical().order == 1
+        """chi: G -> G^ is injective, i.e. onto, without listing G.
+
+        chi(g) has residues sum_j C_ij g_j mod orders[i] with C_ij =
+        orders[i] * matrix[i][j]; it is onto iff the columns of
+        [C | diag(orders)] span Z^rank, i.e. every invariant factor is 1.
+        """
+        G, e = self.group, self._exponent
+        relations = [[o * b // e for b in row] + [o * (i == k) for k in range(G.rank)]
+                     for i, (o, row) in enumerate(zip(G.orders, self._ints))]
+        return all(d == 1 for d in smith_normal_form(relations).diagonal)
 
     def is_commutation_factor(self) -> bool:
         n = self.group.rank
@@ -323,6 +338,11 @@ class Subgroup:
     @classmethod
     def from_elements(cls, group: FinAbGroup, elements) -> "Subgroup":
         return cls.from_generators(group, tuple(elements))
+
+    @classmethod
+    def _of_members(cls, group: FinAbGroup, members) -> "Subgroup":
+        # ``members`` is already the whole subgroup: no closure needed
+        return cls(group, members, frozenset(g.residues for g in members))
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Subgroup":
@@ -391,7 +411,7 @@ class Homomorphism:
         return len({self(g).residues for g in self.src.elements()}) == self.dst.order
 
     def kernel(self) -> Subgroup:
-        return Subgroup.from_elements(
+        return Subgroup._of_members(
             self.src, [g for g in self.src.elements() if self(g).is_identity()])
 
 
@@ -399,12 +419,14 @@ def perp(sub: Subgroup) -> Subgroup:
     """Characters trivial on the subgroup, as a subgroup of the dual group."""
     G = sub.group
     dual = FinAbGroup(G.orders)
-    # testing on generators suffices since characters are homomorphisms
-    test_points = [Element(G, r) for r in
+    e = G.exponent
+    # testing on generators suffices since characters are homomorphisms;
+    # a(s) = sum_i a_i s_i (e / orders_i) / e
+    test_points = [tuple(s * (e // o) for s, o in zip(r, G.orders)) for r in
                    ([g.residues for g in sub.generators] or sorted(sub.element_set))]
     members = [a for a in dual.elements()
-               if all(Character(G, a.residues)(s).is_zero() for s in test_points)]
-    return Subgroup.from_elements(dual, members)
+               if not any(sum(map(operator.mul, a.residues, s)) % e for s in test_points)]
+    return Subgroup._of_members(dual, members)
 
 
 @dataclass
@@ -422,9 +444,8 @@ class QuotientMap:
         padded = [0] * src.rank
         for pos, r in zip(self._kept, x.residues):
             padded[pos] = r
-        res = tuple(sum(self._lift_matrix[i][k] * padded[k] for k in range(src.rank))
-                    for i in range(src.rank))
-        return Element(src, res)
+        return Element(src, tuple(sum(map(operator.mul, row, padded))
+                                  for row in self._lift_matrix))
 
 
 def quotient(G: FinAbGroup, sub: Subgroup) -> QuotientMap:

@@ -1038,29 +1038,38 @@ def is_bialgebra_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
 
     Each equation is one zero test of lhs - rhs in exponent terms.
     """
+    return _morphism_check(H)(columns)
+
+
+def _morphism_check(H: StructBialgebra):
+    """``is_bialgebra_morphism`` on H, with H's term tables built once."""
     n, N = H.dim, H.conductor
     mult, comult, unit, counit = _term_tables(H)
-    cols = [_combo_terms(col.items(), N) for col in columns]
 
-    def unital(acc):
-        _add_mapped(acc, unit, cols, 1, N)
-        _add_terms(acc, unit, 0, -1, N)
+    def check(columns: list[dict]) -> bool:
+        cols = [_combo_terms(col.items(), N) for col in columns]
 
-    def counital(acc, i):
-        _add_mapped(acc, cols[i], counit, 1, N)
-        _add_terms(acc, counit[i], 0, -1, N)
+        def unital(acc):
+            _add_mapped(acc, unit, cols, 1, N)
+            _add_terms(acc, unit, 0, -1, N)
 
-    def multiplicative(acc, i, j):
-        _add_mapped(acc, mult[i][j], cols, 1, N)
-        _add_product(acc, cols[i], cols[j], mult, -1, N)
+        def counital(acc, i):
+            _add_mapped(acc, cols[i], counit, 1, N)
+            _add_terms(acc, counit[i], 0, -1, N)
 
-    def comultiplicative(acc, i):
-        _add_mapped(acc, cols[i], comult, 1, N)
-        for (j, k), e, r in comult[i]:
-            _add_tensor(acc, cols[j], cols[k], e, -r, N)
+        def multiplicative(acc, i, j):
+            _add_mapped(acc, mult[i][j], cols, 1, N)
+            _add_product(acc, cols[i], cols[j], mult, -1, N)
 
-    return (_holds(unital, N)
-            and all(_holds(counital, N, i) for i in range(n))
-            and all(_holds(multiplicative, N, i, j)
-                    for i, j in itertools.product(range(n), repeat=2))
-            and all(_holds(comultiplicative, N, i) for i in range(n)))
+        def comultiplicative(acc, i):
+            _add_mapped(acc, cols[i], comult, 1, N)
+            for (j, k), e, r in comult[i]:
+                _add_tensor(acc, cols[j], cols[k], e, -r, N)
+
+        return (_holds(unital, N)
+                and all(_holds(counital, N, i) for i in range(n))
+                and all(_holds(multiplicative, N, i, j)
+                        for i, j in itertools.product(range(n), repeat=2))
+                and all(_holds(comultiplicative, N, i) for i in range(n)))
+
+    return check

@@ -10,6 +10,7 @@ data (A, K, gamma') that classifies the associated triangular structure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .groups import (Bicharacter, Element, FinAbGroup, QuotientMap,
@@ -45,11 +46,14 @@ def drinfeld_u(beta: Bicharacter) -> dict[Element, Rational01]:
     """u(g) = beta(g, g^{-1}); for a commutation factor this is beta(g, g)."""
     if not beta.is_commutation_factor():
         raise NotCommutationFactor("drinfeld element needs a commutation factor")
+    e, ints = beta._exponent, beta._ints
     out = {}
     for g in beta.group.elements():
-        v = beta.eval(g, g)
-        assert v in (R01_ZERO, R01_HALF)
-        out[g] = v
+        r = g.residues
+        v = sum(gi * sum(map(operator.mul, row, r)) for gi, row in zip(r, ints)) % e
+        if 2 * v not in (0, e):
+            raise AssertionError("u must take values in {1, -1}")
+        out[g] = R01_HALF if v else R01_ZERO
     return out
 
 
@@ -85,22 +89,49 @@ def scheunert_cocycle(beta_p: Bicharacter) -> CocycleTable:
     G = beta_p.group
     if not beta_p.is_commutation_factor():
         raise NotCommutationFactor("scheunert cocycle needs a commutation factor")
-    for e in G.generators():
-        if not beta_p.eval(e, e).is_zero():
-            raise ValueError("diagonal of the bicharacter must be trivial")
+    e, ints = beta_p._exponent, beta_p._ints
+    n = G.rank
+    if any(ints[i][i] % e for i in range(n)):
+        raise ValueError("diagonal of the bicharacter must be trivial")
+    residues = [x.residues for x in G.elements()]
+    roots = {0: R01_ZERO}   # exponent over e -> its Rational01, built once
     table = {}
-    B = beta_p.matrix
-    for x in G.elements():
-        for y in G.elements():
-            v = R01_ZERO
-            for i in range(G.rank):
-                if x.residues[i] == 0:
-                    continue
-                for j in range(i):
-                    if y.residues[j]:
-                        v = v + B[i][j].scale(x.residues[i] * y.residues[j])
-            table[(x.residues, y.residues)] = v
+    for x in residues:
+        # gamma(x, y) = sum_j row[j] y_j / e with row[j] = sum_{i>j} x_i B_ij
+        row = [sum(x[i] * ints[i][j] for i in range(j + 1, n)) for j in range(n)]
+        for y in residues:
+            v = sum(map(operator.mul, row, y)) % e
+            root = roots.get(v)
+            if root is None:
+                root = roots[v] = Rational01(v, e)
+            table[(x, y)] = root
     return CocycleTable(G, table)
+
+
+def _check_reduction(bk: Bicharacter, beta_p: Bicharacter, qm: QuotientMap) -> None:
+    """Self-checks of the reduction; a failure is an internal error.
+
+    beta_p(x, y) == bk(lift x, lift y) on all pairs of G', so beta_p is
+    well defined; beta_p(x, x) == 1; beta_p is nondegenerate.  One lift
+    per element of G', then integer sums over exp(G).
+    """
+    e, ep = bk._exponent, beta_p._exponent
+    scale = e // ep     # exp(G') divides exp(G)
+    Gp = beta_p.group
+    points = []         # (lift x ++ x, combined row form of x)
+    for x in Gp.elements():
+        xr, lift = x.residues, qm.lift(x).residues
+        row_p = [sum(map(operator.mul, col, xr)) for col in zip(*beta_p._ints)]
+        if sum(map(operator.mul, row_p, xr)) % ep:
+            raise AssertionError("reduced bicharacter must have trivial diagonal")
+        row = [sum(map(operator.mul, col, lift)) for col in zip(*bk._ints)]
+        points.append((lift + xr, row + [-scale * b for b in row_p]))
+    for _, row in points:
+        for y, _ in points:
+            if sum(map(operator.mul, row, y)) % e:
+                raise AssertionError("induced bicharacter is not well defined")
+    if not beta_p.is_nondegenerate():
+        raise AssertionError("reduced bicharacter must be nondegenerate")
 
 
 def reduce_commutation_factor(beta: Bicharacter) -> TriangularData:
@@ -114,22 +145,11 @@ def reduce_commutation_factor(beta: Bicharacter) -> TriangularData:
     rad = bk.radical()
     qm = quotient(G, rad)
     Gp = qm.quotient
-    # induced bicharacter on the quotient via lifts; well-definedness is
-    # guaranteed because the radical is in both kernels
-    matrix = []
+    # induced bicharacter on the quotient via lifts of its generators; it
+    # is well defined because the radical is in both kernels
     lifts = [qm.lift(e) for e in Gp.generators()]
-    for a in lifts:
-        matrix.append([bk.eval(a, b) for b in lifts])
-    beta_p = Bicharacter(Gp, matrix)
-    for x in Gp.elements():
-        for y in Gp.elements():
-            if beta_p.eval(x, y) != bk.eval(qm.lift(x), qm.lift(y)):
-                raise AssertionError("induced bicharacter is not well defined")
-    if not beta_p.is_nondegenerate():
-        raise AssertionError("reduced bicharacter must be nondegenerate")
-    for x in Gp.elements():
-        if not beta_p.eval(x, x).is_zero():
-            raise AssertionError("reduced bicharacter must have trivial diagonal")
+    beta_p = Bicharacter(Gp, [[bk.eval(a, b) for b in lifts] for a in lifts])
+    _check_reduction(bk, beta_p, qm)
     k_sub = perp(rad)
     gamma = scheunert_cocycle(beta_p)
     return TriangularData(group=G, u=u, kappa=kappa, quotient_map=qm,

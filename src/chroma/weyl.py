@@ -128,9 +128,6 @@ class OrbitGraph:
     edges: list[tuple[int, int, int]]  # (source index, vertex p, target index)
     truncated: bool = False
 
-    def node_index(self, E: Datum) -> int:
-        return self.nodes.index(E)
-
 
 def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
     """Breadth-first closure of a datum under all reflections.

@@ -27,6 +27,13 @@ class SmithForm:
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
 
 
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
@@ -36,9 +43,7 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
     A = [list(row) for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    U_inv = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    U, U_inv, V = _identity(m), _identity(m), _identity(n)
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
@@ -47,11 +52,16 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
             r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
-        # row_i += c * row_j ; U_inv gets the inverse op on columns
-        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        # row_i += c * row_j in place, touching only the nonzero entries of
+        # row_j; U_inv gets the inverse op on columns
+        for M in (A, U):
+            target = M[i]
+            for k, b in enumerate(M[j]):
+                if b:
+                    target[k] += c * b
         for r in U_inv:
-            r[j] -= c * r[i]
+            if r[i]:
+                r[j] -= c * r[i]
 
     def row_neg(i):
         A[i] = [-a for a in A[i]]
@@ -72,21 +82,16 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
         for row in V:
             row[i] += c * row[j]
 
-    def col_neg(i):
-        for row in A:
-            row[i] = -row[i]
-        for row in V:
-            row[i] = -row[i]
-
     t = 0
     while t < min(m, n):
         # find pivot: smallest nonzero absolute value in the remaining block
         pivot = None
         best = None
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
+                if row[j] and (best is None or abs(row[j]) < best):
+                    best = abs(row[j])
                     pivot = (i, j)
         if pivot is None:
             break

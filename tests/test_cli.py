@@ -359,3 +359,20 @@ def test_exit_codes_of_a_real_process(tmp_path):
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == expected, (name, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_huge_order_degenerate_datum_exits_2_quickly(tmp_path):
+    """Nondegeneracy comes from the Smith form, not from listing G: beta = 0
+    on Z/1000000007 is rejected (exit 2) well within the timeout."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": 1, "q": [["-1"]],
+                                "group": {"orders": [1000000007]},
+                                "beta": [["0/1"]], "t": [[0]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "check-datum", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: datum requires a nondegenerate bicharacter\n"

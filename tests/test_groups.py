@@ -10,6 +10,7 @@ from chroma.groups import (Bicharacter, Character, DomainError, Element,
 from chroma.scalars import Rational01
 
 import cases
+from test_triangular import commutation_factors, invariant_factor_groups
 
 
 def all_subgroups(G: FinAbGroup):
@@ -200,20 +201,19 @@ def per_term_character(beta, g, transpose):
     return Character(G, tuple(int(r) for r in res))
 
 
+def seeded_bicharacter(rng, G: FinAbGroup) -> Bicharacter:
+    """A random bicharacter, not necessarily skew-symmetric."""
+    return Bicharacter(G, [[Rational01(rng.randrange(math.gcd(oi, oj)), math.gcd(oi, oj))
+                            for oj in G.orders] for oi in G.orders])
+
+
 @pytest.mark.parametrize("orders", [(2, 4), (3, 9), (12, 12)])
 def test_eval_matches_per_term_sum(orders):
     rng = random.Random(sum(orders))
     G = FinAbGroup(orders)
     elems = list(G.elements())
     for _ in range(20):
-        rows = []
-        for oi in orders:
-            row = []
-            for oj in orders:
-                d = math.gcd(oi, oj)
-                row.append(Rational01(rng.randrange(d), d))
-            rows.append(row)
-        beta = Bicharacter(G, rows)
+        beta = seeded_bicharacter(rng, G)
         for _ in range(40):
             g, h = rng.choice(elems), rng.choice(elems)
             assert beta.eval(g, h) == per_term_eval(beta, g, h)
@@ -221,3 +221,58 @@ def test_eval_matches_per_term_sum(orders):
             assert beta.chi_o(g) == per_term_character(beta, g, True)
     zero = Bicharacter.trivial(G)
     assert zero.eval(elems[-1], elems[-1]) == Rational01(0, 1)
+
+
+SMALL_GROUPS = [(2,), (4,), (6,), (2, 2), (2, 4), (3, 9), (4, 4), (2, 2, 2), (2, 6, 6)]
+
+
+def group_id(orders) -> str:
+    return "x".join(map(str, orders))
+
+
+@pytest.mark.parametrize("orders", SMALL_GROUPS, ids=group_id)
+def test_radical_matches_brute_force(orders):
+    rng = random.Random(f"radical:{orders}")
+    G = FinAbGroup(orders)
+    elems = list(G.elements())
+    for _ in range(12):
+        beta = seeded_bicharacter(rng, G)
+        members = [g for g in elems if all(beta.eval(g, h).is_zero() for h in elems)]
+        rad = beta.radical()
+        # the members, in enumeration order, are the generators
+        assert rad.generators == tuple(members)
+        assert rad.element_set == frozenset(g.residues for g in members)
+        assert rad == Subgroup.from_elements(G, members)
+
+
+@pytest.mark.parametrize("orders", SMALL_GROUPS[:-1], ids=group_id)
+def test_perp_matches_brute_force(orders):
+    rng = random.Random(f"perp:{orders}")
+    G = FinAbGroup(orders)
+    elems = list(G.elements())
+    subgroups = all_subgroups(G) + [seeded_bicharacter(rng, G).radical()
+                                    for _ in range(4)]
+    for S in subgroups:
+        members = [a for a in elems
+                   if all(Character(G, a.residues)(s).is_zero() for s in S.elements())]
+        P = perp(S)
+        assert P.generators == tuple(members)
+        assert P.element_set == frozenset(a.residues for a in members)
+
+
+def enumerated_nondegenerate(beta: Bicharacter) -> bool:
+    G = beta.group
+    return not any(all(beta.eval(g, e).is_zero() for e in G.generators())
+                   for g in G.elements() if not g.is_identity())
+
+
+def test_nondegenerate_matches_enumeration():
+    for G in invariant_factor_groups(16):
+        for beta in commutation_factors(G):
+            assert beta.is_nondegenerate() == enumerated_nondegenerate(beta), beta.matrix
+    rng = random.Random("nondegenerate")
+    for orders in SMALL_GROUPS + [(3, 3, 3), (2, 4, 8), (12, 12)]:
+        G = FinAbGroup(orders)
+        for _ in range(20):
+            beta = seeded_bicharacter(rng, G)
+            assert beta.is_nondegenerate() == enumerated_nondegenerate(beta), beta.matrix

@@ -1,8 +1,13 @@
+import hashlib
 import itertools
+import json
+import math
+import random
 
 import pytest
 
-from chroma.groups import Bicharacter, FinAbGroup
+from chroma.cli import main
+from chroma.groups import Bicharacter, FinAbGroup, QuotientMap
 from chroma.scalars import R01_HALF, R01_ZERO, Rational01
 from chroma.triangular import (NotCommutationFactor, drinfeld_u,
                                emit_triangular, kappa_bicharacter,
@@ -39,7 +44,6 @@ def commutation_factors(G: FinAbGroup):
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     upper_choices = []
     for i, j in upper:
-        import math
         g = math.gcd(G.orders[i], G.orders[j])
         upper_choices.append([Rational01(k, g) for k in range(g)])
     for diag in itertools.product(*diag_choices):
@@ -156,3 +160,139 @@ def test_exhaustive_small_groups():
     for G in invariant_factor_groups(12):
         for beta in commutation_factors(G):
             check_pipeline(beta)
+
+
+# ---------------------------------------------------------------------------
+# the integer-exponent tables against per-term Rational01 oracles
+# ---------------------------------------------------------------------------
+
+
+def per_term_u(beta: Bicharacter) -> dict:
+    """u(g) = beta(g, g) summed term by term in Rational01."""
+    out = {}
+    for g in beta.group.elements():
+        v = R01_ZERO
+        for i, gi in enumerate(g.residues):
+            for j, gj in enumerate(g.residues):
+                v = v + beta.matrix[i][j].scale(gi * gj)
+        out[g.residues] = v
+    return out
+
+
+def per_term_gamma(beta_p: Bicharacter) -> dict:
+    """gamma(x, y) = sum_{i>j} x_i y_j B_ij, term by term in Rational01."""
+    G = beta_p.group
+    table = {}
+    for x in G.elements():
+        for y in G.elements():
+            v = R01_ZERO
+            for i in range(G.rank):
+                for j in range(i):
+                    if x.residues[i] and y.residues[j]:
+                        v = v + beta_p.matrix[i][j].scale(x.residues[i] * y.residues[j])
+            table[(x.residues, y.residues)] = v
+    return table
+
+
+def seeded_commutation_factor(rng, orders) -> Bicharacter:
+    """A random skew-symmetric bicharacter, diagonal in {0, 1/2}."""
+    G = FinAbGroup(tuple(orders))
+    n = G.rank
+    B = [[R01_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        if orders[i] % 2 == 0 and rng.random() < 0.5:
+            B[i][i] = R01_HALF
+        for j in range(i + 1, n):
+            g = math.gcd(orders[i], orders[j])
+            B[i][j] = Rational01(rng.randrange(g), g)
+            B[j][i] = -B[i][j]
+    return Bicharacter(G, B)
+
+
+def assert_tables_match_oracle(beta: Bicharacter):
+    data = reduce_commutation_factor(beta)
+    assert {g.residues: v for g, v in data.u.items()} == per_term_u(beta)
+    assert dict(data.gamma_prime.items()) == per_term_gamma(data.beta_prime)
+
+
+def test_integer_tables_match_per_term_oracle_exhaustive():
+    for G in invariant_factor_groups(16):
+        for beta in commutation_factors(G):
+            assert_tables_match_oracle(beta)
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 3, 3), (9, 9)], ids=["3x3x3x3", "9x9"])
+def test_integer_tables_match_per_term_oracle_seeded(orders):
+    rng = random.Random(f"tables:{orders}")
+    for _ in range(6):
+        assert_tables_match_oracle(seeded_commutation_factor(rng, orders))
+
+
+def test_mutant_lift_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # beta' is built from the lifts of the generators of G'; a lift that is
+    # wrong (off by an element outside the radical) only on (1, 1) must
+    # still trip the well-definedness self-check
+    G = FinAbGroup.of(2, 2)
+    beta = Bicharacter(G, [[R01_ZERO, R01_HALF], [R01_HALF, R01_ZERO]])
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"schema": 1, "group": G.to_json(),
+                                "beta": beta.to_json()}))
+    assert main(["triangular", "--input", str(path)]) == 0
+    capsys.readouterr()
+    true_lift = QuotientMap.lift
+
+    def mutant_lift(self, x):
+        lift = true_lift(self, x)
+        return lift * G.generator(0) if x.residues == (1, 1) else lift
+
+    monkeypatch.setattr(QuotientMap, "lift", mutant_lift)
+    assert main(["triangular", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: induced bicharacter is not well defined\n"
+
+
+# sha256 of `chroma triangular` reports on seeded factors with a given
+# |G'|, recorded before the reduction moved to integer exponents
+REPORT_DIGESTS = {
+    ((2, 2, 2, 2), 16):
+        "575be7dcadf22e346a4fa10655374bede120bd459c349c85e3e8843bdeb883c2",
+    ((4, 4, 4), 16):
+        "6004cbf518796d07b4e9cd18cca905c4811b7094c18a1790a856870c34472886",
+    ((8, 8), 64):
+        "4c5b4a52b7364c8b0562a5b21ec406a35d17e9dc02f458913e32e1e9422a857c",
+    ((2, 2, 4, 4), 64):
+        "110292b876ac26173e4af8f9cf3fb84763cb061ab5954cb0b732f7f4da6033c6",
+    ((3, 3, 3, 3), 81):
+        "8eade23fe7809e943efea8e1777ea793c9448cfb05f8d94a2c5af708b25942cb",
+    ((9, 9), 81):
+        "f3c8d555f932a7f36c425d6e26b5393ad60e81b8ee1bb2367e4e7966a2b8442f",
+}
+
+
+def reduced_order(beta: Bicharacter) -> int:
+    bk = beta * kappa_bicharacter(drinfeld_u(beta), beta.group)
+    return beta.group.order // bk.radical().order
+
+
+def pinned_report_input(orders, g_prime_order) -> dict:
+    rng = random.Random(f"report:{orders}:{g_prime_order}")
+    beta = seeded_commutation_factor(rng, orders)
+    while reduced_order(beta) != g_prime_order:
+        beta = seeded_commutation_factor(rng, orders)
+    return {"schema": 1, "group": beta.group.to_json(), "beta": beta.to_json()}
+
+
+def triangular_report_digest(tmp_path, payload) -> str:
+    src, out = tmp_path / "beta.json", tmp_path / "report.json"
+    src.write_text(json.dumps(payload))
+    assert main(["triangular", "--input", str(src), "--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("orders,g_prime_order", list(REPORT_DIGESTS),
+                         ids=["x".join(map(str, o)) + f"-r{r}" for o, r in REPORT_DIGESTS])
+def test_report_digest_pinned(tmp_path, orders, g_prime_order):
+    payload = pinned_report_input(orders, g_prime_order)
+    assert triangular_report_digest(tmp_path, payload) == \
+        REPORT_DIGESTS[(orders, g_prime_order)]
