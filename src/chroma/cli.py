@@ -15,7 +15,7 @@ import sys
 from . import dynkin, doubles, extensions, hopfcheck, triangular, weyl
 from .datum import Datum
 from .groups import Bicharacter, FinAbGroup
-from .scalars import ParseError
+from .scalars import Rational01
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -142,23 +142,12 @@ def _parse_matched_pair(data: dict) -> extensions.MatchedPair:
     return extensions.MatchedPair(L, Gamma, data["lact"], data["ract"])
 
 
-def _parse_cocycles(mp, data):
-    if "sigma" in data:
-        sigma = extensions.SigmaCocycle(
-            [[[_rat(v) for v in row] for row in plane] for plane in data["sigma"]])
-    else:
-        sigma = extensions.SigmaCocycle.trivial(mp)
-    if "tau" in data:
-        tau = extensions.TauCocycle(
-            [[[_rat(v) for v in row] for row in plane] for plane in data["tau"]])
-    else:
-        tau = extensions.TauCocycle.trivial(mp)
-    return sigma, tau
-
-
-def _rat(text):
-    from .scalars import Rational01
-    return Rational01.parse(text)
+def _parse_cocycle(kind, mp, data, key):
+    """``data[key]`` as a table of roots of unity, or the trivial cocycle."""
+    if key not in data:
+        return kind.trivial(mp)
+    return kind([[[Rational01.parse(v) for v in row] for row in plane]
+                 for plane in data[key]])
 
 
 def _cmd_check_extension(args) -> int:
@@ -166,7 +155,8 @@ def _cmd_check_extension(args) -> int:
     if "ring" in data:
         return _check_ring_extension(data, args)
     mp = _parse_matched_pair(data)
-    sigma, tau = _parse_cocycles(mp, data)
+    sigma = _parse_cocycle(extensions.SigmaCocycle, mp, data, "sigma")
+    tau = _parse_cocycle(extensions.TauCocycle, mp, data, "tau")
     checks = {
         "matched_pair": extensions.validate_matched_pair(mp),
         "sigma_cocycle": sigma.validate(mp),
@@ -213,16 +203,17 @@ def _check_ring_extension(data: dict, args) -> int:
     Gamma = extensions.FiniteGroup.from_json(data["Gamma"])
     fam = extensions.ring_family(
         R, Gamma, data["nu"], data["psi"], data["phi"],
-        [_rat(v) for v in data["eta"]], [_rat(v) for v in data["theta"]])
+        [Rational01.parse(v) for v in data["eta"]],
+        [Rational01.parse(v) for v in data["theta"]])
     mp = fam.mp
-    tau = extensions.TauCocycle.trivial(mp)
+    tau = _parse_cocycle(extensions.TauCocycle, mp, data, "tau")
+    split = fam.split
     if "tau" in data:
-        tau = extensions.TauCocycle(
-            [[[_rat(v) for v in row] for row in plane] for plane in data["tau"]])
-    ztilde = [[fam.z.degree(l, g) for l in range(mp.L.n)]
-              for g in range(mp.Gamma.n)]
-    split = extensions.check_split_color_extension(
-        mp, fam.sigma, tau, ztilde, fam.group, fam.beta)
+        # ring_family checked the split conditions with trivial tau only
+        ztilde = [[fam.z.degree(l, g) for l in range(mp.L.n)]
+                  for g in range(mp.Gamma.n)]
+        split = extensions.check_split_color_extension(
+            mp, fam.sigma, tau, ztilde, fam.group, fam.beta)
     H = extensions.build_bicrossed(mp, fam.sigma, tau, z=fam.z,
                                    group=fam.group, beta=fam.beta)
     axioms = hopfcheck.check_axioms(H, "color")
@@ -326,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AssertionError as exc:

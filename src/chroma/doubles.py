@@ -5,8 +5,8 @@ The doubles themselves are infinite dimensional and never materialized;
 what is computable is the presentation data (relation coefficients,
 coproduct rules, pairing values on generators), the enumeration of
 retractions onto the group algebra, and the finite color criteria.
-The retraction counts are taken from the element pool (|G|^theta
-choices of images) without enumerating the retractions themselves.
+The retraction counts are taken from |G| (|G|^theta choices of images)
+without enumerating the retractions or the group.
 """
 
 from __future__ import annotations
@@ -128,16 +128,15 @@ def presentation_digest(E: Datum) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def _retraction_pool(E: Datum) -> list[Element]:
-    # the candidate images of each K_i: every element of G
+def _require_nondegenerate(E: Datum) -> None:
     if not E.beta.is_nondegenerate():
         raise DegenerateBeta("retraction enumeration needs nondegenerate beta")
-    return list(E.group.elements())
 
 
 def retractions(E: Datum) -> list[Retraction]:
     """All group homomorphisms from the free part to G (|G|^theta of them)."""
-    pool = _retraction_pool(E)
+    _require_nondegenerate(E)
+    pool = list(E.group.elements())  # the candidate images of each K_i
     return [Retraction(images) for images in itertools.product(pool, repeat=E.theta)]
 
 
@@ -170,13 +169,30 @@ def is_color_coinvariants(r: Retraction) -> bool:
 def color_retraction_count(E: Datum) -> tuple[int, int]:
     """(number of retractions, number giving a color Hopf algebra).
 
-    Counted from the element pool, not enumerated: a retraction picks
-    each of its theta images from the pool independently, and it gives a
-    color Hopf algebra iff every image is the identity.
+    Counted, not enumerated: a retraction picks each of its theta images
+    from G independently, and it gives a color Hopf algebra iff every
+    image is the one identity of G.
     """
-    pool = _retraction_pool(E)
-    identities = sum(1 for g in pool if g.is_identity())
-    return len(pool) ** E.theta, identities ** E.theta
+    _require_nondegenerate(E)
+    return E.group.order ** E.theta, 1
+
+
+def _square_root(target: Element) -> list[int] | None:
+    """Residues of the first g in ``G.elements()`` order with g * g == target.
+
+    Coordinatewise 2x = c (mod o): for odd o the unique root is c(o+1)/2;
+    for even o the roots are c/2 and c/2 + o/2 when c is even, else none.
+    The first element listed takes the least root in every coordinate.
+    """
+    root = []
+    for c, o in zip(target.residues, target.group.orders):
+        if o % 2:
+            root.append(c * (o + 1) // 2 % o)
+        elif c % 2:
+            return None
+        else:
+            root.append(c // 2)
+    return root
 
 
 def single_copy_color_check(E: Datum) -> dict:
@@ -196,21 +212,14 @@ def single_copy_color_check(E: Datum) -> dict:
         report["color"] = None
         return report
     witness = []
-    exists = True
     for i in range(theta):
-        target = E.t[i] ** (-2)
-        found = None
-        for g in E.group.elements():
-            if g * g == target:
-                found = g
-                break
-        if found is None:
-            exists = False
+        root = _square_root(E.t[i] ** (-2))
+        if root is None:
             witness = None
             break
-        witness.append(found)
-    report["retraction_exists"] = exists
-    if exists:
-        report["witness"] = [list(g.residues) for g in witness]
+        witness.append(root)
+    report["retraction_exists"] = witness is not None
+    if witness is not None:
+        report["witness"] = witness
     report["color"] = all((E.t[i] * E.t[i]).is_identity() for i in range(theta))
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .datum import BraidingMatrix, Datum
 from .groups import FinAbGroup
-from .scalars import Scalar, parse_scalar
+from .scalars import parse_scalar
 
 
 class SizeLimit(ValueError):
@@ -100,7 +100,7 @@ def isomorphic(d1: Diagram, d2: Diagram) -> bool:
         for i, j, label in d1.edges:
             a, b = perm[i], perm[j]
             key = (a, b) if a < b else (b, a)
-            if key not in edges2 or not _labels_equal(edges2[key], label):
+            if key not in edges2 or edges2[key] != label:
                 ok = False
                 break
             mapped[key] = True
@@ -114,12 +114,6 @@ def _vertex_key(vertex):
     return (str(label), degree.residues if degree is not None else None)
 
 
-def _labels_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -129,10 +123,6 @@ def _degree_glyphs(group: FinAbGroup) -> dict | None:
     if group.order > 4:
         return None
     return {g.residues: GLYPHS[i] for i, g in enumerate(group.elements())}
-
-
-def _pretty_scalar(s: Scalar) -> str:
-    return str(s)
 
 
 def emit_text(d: Diagram, group: FinAbGroup | None = None) -> str:
@@ -148,13 +138,13 @@ def emit_text(d: Diagram, group: FinAbGroup | None = None) -> str:
     def vertex_str(i):
         label, degree = d.vertices[i]
         if d.kind == "generalized":
-            return f"{GLYPHS[0]}^{_pretty_scalar(label)}"
+            return f"{GLYPHS[0]}^{label}"
         if glyphs is not None:
-            return f"{glyphs[degree.residues]}^{_pretty_scalar(label)}"
-        return f"[{','.join(map(str, degree.residues))}]^{_pretty_scalar(label)}"
+            return f"{glyphs[degree.residues]}^{label}"
+        return f"[{','.join(map(str, degree.residues))}]^{label}"
 
     def edge_str(label):
-        return "——" if label is None else f"—{_pretty_scalar(label)}—"
+        return "——" if label is None else f"—{label}—"
 
     lines = []
     if glyphs is not None:
@@ -177,7 +167,7 @@ def emit_text(d: Diagram, group: FinAbGroup | None = None) -> str:
         lines.append("vertices: " + " ".join(
             f"{i + 1}:{vertex_str(i)}" for i in range(d.size)))
         lines.append("edges: " + (" ".join(
-            f"{i + 1}-{j + 1}:{'(unlabeled)' if label is None else _pretty_scalar(label)}"
+            f"{i + 1}-{j + 1}:{'(unlabeled)' if label is None else str(label)}"
             for i, j, label in d.edges) or "(none)"))
     return "\n".join(lines) + "\n"
 
@@ -210,6 +200,10 @@ def _as_path(d: Diagram) -> list[int] | None:
     return path
 
 
+DOT_PALETTE = ("white", "gray85", "gray70", "gray55", "gray40",
+               "gray25", "cadetblue1", "khaki1")
+
+
 def emit_dot(d: Diagram) -> str:
     """Deterministic Graphviz output; undirected edges, degree styling."""
     lines = ["graph dynkin {", "  node [shape=circle];"]
@@ -217,20 +211,16 @@ def emit_dot(d: Diagram) -> str:
     if d.kind == "colored":
         unique = sorted({v[1].residues for v in d.vertices})
         degree_class = {res: idx for idx, res in enumerate(unique)}
-        palette = ["white", "gray85", "gray70", "gray55", "gray40",
-                   "gray25", "cadetblue1", "khaki1"]
         for res, idx in degree_class.items():
-            color = palette[idx % len(palette)]
+            color = DOT_PALETTE[idx % len(DOT_PALETTE)]
             lines.append(f'  /* degree ({",".join(map(str, res))}) -> class {idx} '
                          f'fill {color} */')
     for i, (label, degree) in enumerate(d.vertices):
         attrs = [f'label="{label}"']
         if degree is not None:
             idx = degree_class[degree.residues]
-            palette = ["white", "gray85", "gray70", "gray55", "gray40",
-                       "gray25", "cadetblue1", "khaki1"]
             attrs.append('style=filled')
-            attrs.append(f'fillcolor="{palette[idx % len(palette)]}"')
+            attrs.append(f'fillcolor="{DOT_PALETTE[idx % len(DOT_PALETTE)]}"')
             attrs.append(f'tooltip="deg=({",".join(map(str, degree.residues))})"')
         lines.append(f"  v{i} [{' '.join(attrs)}];")
     for i, j, label in d.edges:

@@ -363,7 +363,7 @@ def kac_condition(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle) -> bool
 # ---------------------------------------------------------------------------
 
 
-def _bicrossed_conductor(mp, sigma, tau, group=None, extra=()):
+def _bicrossed_conductor(sigma, tau, group=None):
     dens = [1]
     for plane in sigma.table:
         for row in plane:
@@ -373,7 +373,6 @@ def _bicrossed_conductor(mp, sigma, tau, group=None, extra=()):
             dens.extend(v.den for v in row)
     if group is not None:
         dens.append(group.exponent)
-    dens.extend(extra)
     return math.lcm(*dens)
 
 
@@ -392,20 +391,17 @@ def build_bicrossed(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
     suite to detect a non-Hopf outcome.
     """
     L, Gamma = mp.L, mp.Gamma
-    N = _bicrossed_conductor(mp, sigma, tau, group)
+    N = _bicrossed_conductor(sigma, tau, group)
     dim = L.n * Gamma.n
-
-    def idx(l, g):
-        return l * Gamma.n + g
-
     mult = [[() for _ in range(dim)] for _ in range(dim)]
     for l in L.elements():
         for g in Gamma.elements():
-            row = idx(l, g)
+            row = basis_index(mp, l, g)
             target_t = mp.la(l, g)
             for h in Gamma.elements():
                 coeff = Cyclo.embed(sigma.value(l, g, h), N)
-                mult[row][idx(target_t, h)] = ((idx(l, Gamma.mul(g, h)), coeff),)
+                mult[row][basis_index(mp, target_t, h)] = \
+                    ((basis_index(mp, l, Gamma.mul(g, h)), coeff),)
     comult = []
     for l in L.elements():
         for g in Gamma.elements():
@@ -413,10 +409,11 @@ def build_bicrossed(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
             for u in L.elements():
                 rest = L.mul(L.inv[u], l)
                 coeff = Cyclo.embed(tau.value(g, u, rest), N)
-                entry.append((idx(u, mp.ra(rest, g)), idx(rest, g), coeff))
+                entry.append((basis_index(mp, u, mp.ra(rest, g)),
+                              basis_index(mp, rest, g), coeff))
             comult.append(tuple(entry))
     one = Cyclo.one(N)
-    unit = {idx(l, Gamma.identity): one for l in L.elements()}
+    unit = {basis_index(mp, l, Gamma.identity): one for l in L.elements()}
     counit = [one if l == L.identity else Cyclo.zero(N)
               for l in L.elements() for _ in Gamma.elements()]
     grading = None
@@ -529,14 +526,13 @@ def all_automorphisms(group: FiniteGroup, limit: int = 12) -> list[GroupAut]:
     return out
 
 
-def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int,
-                  certify: bool = True, limit: int = 100000) -> list[ExtAutomorphism]:
+def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[ExtAutomorphism]:
     """All extension automorphisms over (g, h) with values in mu_N.
 
     The four ftilde conditions are linear in the exponents mod N; the
-    solution lattice is enumerated through the Smith form.  With
-    ``certify`` each result is checked to be a bialgebra automorphism of
-    the trivial-cocycle bicrossed product.
+    solution lattice is enumerated through the Smith form.  Each result is
+    checked to be a bialgebra automorphism of the trivial-cocycle
+    bicrossed product.
     """
     L, Gamma = mp.L, mp.Gamma
     if N < 1:
@@ -586,22 +582,21 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int,
                 row[var(gam, t)] -= 1
                 if any(row):
                     rows.append(row)
-    solutions = solve_homogeneous_mod(rows, N, limit=limit)
+    solutions = solve_homogeneous_mod(rows, N)
     out = []
     H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
-    Hc = H.lifted(math.lcm(H.conductor, N)) if certify else H
-    is_morphism = _morphism_check(Hc) if certify else None
+    Hc = H.lifted(math.lcm(H.conductor, N))
+    is_morphism = _morphism_check(Hc)
     for sol in sorted(solutions):
         ftilde = [[Rational01(sol[var(gam, l)], N) for l in L.elements()]
                   for gam in Gamma.elements()]
         aut = ExtAutomorphism(g, h, ftilde)
         if not aut.validate(mp):
             raise AssertionError("solver produced an invalid automorphism")
-        if certify:
-            m = aut.matrix(mp)
-            cols = [m.column(j, Hc.conductor) for j in range(m.dim)]
-            if not is_morphism(cols):
-                raise AssertionError("solver output failed certification")
+        m = aut.matrix(mp)
+        cols = [m.column(j, Hc.conductor) for j in range(m.dim)]
+        if not is_morphism(cols):
+            raise AssertionError("solver output failed certification")
         out.append(aut)
     return out
 
@@ -895,12 +890,12 @@ def check_split_color_extension(mp: MatchedPair, sigma: SigmaCocycle,
 class FiniteRing:
     """A finite unital ring on an additive group in invariant-factor form.
 
-    Elements are indexed like the elements of FinAbGroup(orders); the
-    multiplication table is validated for associativity, unit, and
-    distributivity.
+    Elements are indexed like the elements of FinAbGroup(orders), and
+    ``additive`` is the Cayley table of that group; the multiplication
+    table is validated for associativity, unit, and distributivity.
     """
 
-    __slots__ = ("add_group", "mul_table", "one", "zero")
+    __slots__ = ("add_group", "additive", "mul_table", "one", "zero")
 
     def __init__(self, orders, mul_table):
         self.add_group = FinAbGroup(tuple(orders))
@@ -908,10 +903,9 @@ class FiniteRing:
         self.mul_table = tuple(tuple(row) for row in mul_table)
         if len(self.mul_table) != n or any(len(r) != n for r in self.mul_table):
             raise ValueError("multiplication table has the wrong shape")
-        elems = list(self.add_group.elements())
+        self.additive = FiniteGroup.from_fin_ab(self.add_group)
+        add = self.additive.table
         self.zero = 0
-        index = {g.residues: i for i, g in enumerate(elems)}
-        add = [[index[(a * b).residues] for b in elems] for a in elems]
         one = None
         for e in range(n):
             if all(self.mul_table[e][x] == x == self.mul_table[x][e] for x in range(n)):
@@ -937,17 +931,6 @@ class FiniteRing:
     def n(self) -> int:
         return self.add_group.order
 
-    def element(self, i: int) -> Element:
-        return list(self.add_group.elements())[i]
-
-    def index(self, g: Element) -> int:
-        return self.add_group.index_of(g)
-
-    def add(self, a: int, b: int) -> int:
-        ga = self.element(a)
-        gb = self.element(b)
-        return self.index(ga * gb)
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
@@ -971,6 +954,7 @@ class RingFamilyData:
     beta: Bicharacter
     z: ZMap
     group: FinAbGroup
+    split: dict
 
 
 def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
@@ -988,13 +972,13 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
 
     over the additive group of R, and checks the split-extension sigma
     compatibility so the output feeds straight into the colorability
-    machinery.
+    machinery; that report is kept as ``split``.
     """
     G = R.add_group
     n = R.n
     elems = list(G.elements())
-    index = {g.residues: i for i, g in enumerate(elems)}
-    add = [[index[(a * b).residues] for b in elems] for a in elems]
+    L = R.additive
+    add = L.table
 
     units = set(R.units())
     for g in Gamma.elements():
@@ -1031,7 +1015,6 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
                     raise ValueError("theta violates trace symmetry")
 
     # matched pair: trivial |>, l <| g = l nu(g)
-    L = FiniteGroup([[add[a][b] for b in range(n)] for a in range(n)])
     lact = [[R.mul(l, nu[g]) for g in Gamma.elements()] for l in range(n)]
     ract = [[g for g in Gamma.elements()] for _ in range(n)]
     mp = MatchedPair(L, Gamma, lact, ract)
@@ -1061,7 +1044,7 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
     for a in gens:
         row = []
         for b in gens:
-            row.append(theta[R.mul(index[a.residues], index[b.residues])].scale(2))
+            row.append(theta[R.mul(G.index_of(a), G.index_of(b))].scale(2))
         matrix.append(row)
     beta = Bicharacter(G, matrix)
     for x in range(n):
@@ -1079,4 +1062,4 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
     if not (split["ztilde_homomorphisms"] and split["ztilde_cocycle"]
             and split["sigma_compatibility"]):
         raise AssertionError("ring data violates the split compatibility")
-    return RingFamilyData(mp=mp, sigma=sigma, beta=beta, z=z, group=G)
+    return RingFamilyData(mp=mp, sigma=sigma, beta=beta, z=z, group=G, split=split)

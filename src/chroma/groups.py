@@ -433,19 +433,14 @@ def perp(sub: Subgroup) -> Subgroup:
 class QuotientMap:
     quotient: FinAbGroup
     project: Homomorphism
-    _lift_matrix: list[list[int]]
-    _kept: list[int]
+    _lift_rows: list[list[int]]
 
     def lift(self, x: Element) -> Element:
         """A preimage of x under the projection (not a homomorphism)."""
         if x.group != self.quotient:
             raise DomainError("lift applied to foreign element")
-        src = self.project.src
-        padded = [0] * src.rank
-        for pos, r in zip(self._kept, x.residues):
-            padded[pos] = r
-        return Element(src, tuple(sum(map(operator.mul, row, padded))
-                                  for row in self._lift_matrix))
+        return Element(self.project.src, tuple(sum(map(operator.mul, row, x.residues))
+                                               for row in self._lift_rows))
 
 
 def quotient(G: FinAbGroup, sub: Subgroup) -> QuotientMap:
@@ -455,7 +450,7 @@ def quotient(G: FinAbGroup, sub: Subgroup) -> QuotientMap:
     n = G.rank
     if n == 0:
         q = FinAbGroup(())
-        return QuotientMap(q, Homomorphism(G, q, ()), [], [])
+        return QuotientMap(q, Homomorphism(G, q, ()), [])
     gens = [list(g.residues) for g in sub.generators]
     if not gens and sub.order > 1:
         gens = [list(r) for r in sorted(sub.element_set)]
@@ -472,4 +467,9 @@ def quotient(G: FinAbGroup, sub: Subgroup) -> QuotientMap:
         res = tuple(snf.U[i][j] % diag[i] if diag[i] else snf.U[i][j] for i in kept)
         images.append(Element(Q, res))
     proj = Homomorphism(G, Q, tuple(images))
-    return QuotientMap(Q, proj, snf.U_inv, kept)
+    # M V = U^-1 D and M has full row rank, so column i of M V is d_i != 0
+    # times column i of U^-1: the lift of generator i of Q
+    V = snf.V
+    lift_rows = [[sum(a * V[k][i] for k, a in enumerate(row) if a) // diag[i]
+                  for i in kept] for row in M]
+    return QuotientMap(Q, proj, lift_rows)

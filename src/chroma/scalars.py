@@ -360,7 +360,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            assert all(c == 0 for c in rem)
+            if any(rem):
+                raise AssertionError(f"dividing by Phi_{d} left a remainder")
     return tuple(poly)
 
 
@@ -551,7 +552,8 @@ class Cyclo:
             if math.gcd(k, N) == 1:
                 conjugates = conjugates * _substitute(self, k, N)
         norm = self * conjugates
-        assert not any(norm.nums[1:]), "the norm of a cyclotomic element is not rational"
+        if any(norm.nums[1:]):
+            raise AssertionError("the norm of a cyclotomic element is not rational")
         return conjugates.scale(Fraction(norm.den, norm.nums[0]))
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":

@@ -7,20 +7,18 @@ exponent systems that come out of cocycle conditions modulo N.
 from __future__ import annotations
 
 import itertools
+import math
+
+SOLUTION_LIMIT = 100000
 
 
 class SmithForm:
-    """U * A * V == D with U, V unimodular and D diagonal, d_i | d_{i+1}.
+    """U * A * V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
 
-    ``U_inv`` is maintained alongside so group quotients get an integral
-    section for free.
-    """
-
-    def __init__(self, D, U, V, U_inv):
+    def __init__(self, D, U, V):
         self.D = D
         self.U = U
         self.V = V
-        self.U_inv = U_inv
 
     @property
     def diagonal(self) -> list[int]:
@@ -37,37 +35,29 @@ def _identity(n: int) -> list[list[int]]:
 def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
-    Returns D (m x n), U (m x m), V (n x n), U_inv with U A V = D and
+    Returns D (m x n), U (m x m) and V (n x n) with U A V = D and
     nonnegative diagonal entries in divisibility order.
     """
     A = [list(row) for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U, U_inv, V = _identity(m), _identity(m), _identity(n)
+    U, V = _identity(m), _identity(n)
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-        for r in U_inv:  # U_inv <- U_inv * swap
-            r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
-        # row_i += c * row_j in place, touching only the nonzero entries of
-        # row_j; U_inv gets the inverse op on columns
+        # row_i += c * row_j in place, touching only the nonzero entries of row_j
         for M in (A, U):
             target = M[i]
             for k, b in enumerate(M[j]):
                 if b:
                     target[k] += c * b
-        for r in U_inv:
-            if r[i]:
-                r[j] -= c * r[i]
 
     def row_neg(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
-        for r in U_inv:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for row in A:
@@ -128,18 +118,16 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
             row_add(t, bad, 1)
             continue
         t += 1
-    return SmithForm(A, U, V, U_inv)
+    return SmithForm(A, U, V)
 
 
-def solve_homogeneous_mod(matrix: list[list[int]], modulus: int,
-                          limit: int | None = None) -> list[tuple[int, ...]]:
+def solve_homogeneous_mod(matrix: list[list[int]], modulus: int) -> list[tuple[int, ...]]:
     """All x in (Z/modulus)^n with matrix @ x == 0 (mod modulus).
 
     Enumerates via the Smith form; raises if the solution count exceeds
-    ``limit`` (a guard against accidental explosions).
+    ``SOLUTION_LIMIT`` (a guard against accidental explosions).  V is
+    unimodular, so distinct choices give distinct solutions.
     """
-    import math
-
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if n == 0:
@@ -156,22 +144,9 @@ def solve_homogeneous_mod(matrix: list[list[int]], modulus: int,
             g = modulus  # d == 0 and modulus | 0: free coordinate
         step = modulus // g
         choice_sets.append([step * w for w in range(g)])
-    count = 1
-    for cs in choice_sets:
-        count *= len(cs)
-    if limit is not None and count > limit:
-        raise ValueError(f"solution space too large: {count} > {limit}")
+    count = math.prod(len(cs) for cs in choice_sets)
+    if count > SOLUTION_LIMIT:
+        raise ValueError(f"solution space too large: {count} > {SOLUTION_LIMIT}")
     V = snf.V
-    out = []
-    for z in itertools.product(*choice_sets):
-        x = tuple(sum(V[i][k] * z[k] for k in range(n)) % modulus for i in range(n))
-        out.append(x)
-    # dedupe while keeping deterministic order (V is unimodular so solutions
-    # are already distinct, but keep the guard cheap and explicit)
-    seen = set()
-    uniq = []
-    for x in out:
-        if x not in seen:
-            seen.add(x)
-            uniq.append(x)
-    return uniq
+    return [tuple(sum(V[i][k] * z[k] for k in range(n)) % modulus for i in range(n))
+            for z in itertools.product(*choice_sets)]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -376,3 +377,28 @@ def test_huge_order_degenerate_datum_exits_2_quickly(tmp_path):
         capture_output=True, text=True, env=env, timeout=20)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: datum requires a nondegenerate bicharacter\n"
+
+
+def test_check_double_huge_group_exits_0(tmp_path):
+    """|G| = 1000000007 with a nondegenerate beta: the counts come from |G| and
+    the witness from a congruence, so no list of G is made."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": 1, "q": [["-1"]],
+                                "group": {"orders": [1000000007]},
+                                "beta": [["1/1000000007"]], "t": [[5]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cap_address_space():  # 1 GiB, in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "check-double", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["retractions"] == 1000000007
+    assert report["color_retractions"] == 1
+    assert report["single_copy"]["witness"] == [[1000000002]]

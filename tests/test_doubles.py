@@ -10,6 +10,7 @@ from chroma.doubles import (Retraction, color_retraction_count,
                             retractions, single_copy_color_check)
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.scalars import Rational01, Scalar
+from test_triangular import invariant_factor_groups
 
 
 def rank1_trivial_datum():
@@ -144,3 +145,22 @@ def test_retraction_count_keeps_beta_check():
     E.beta = Bicharacter.trivial(G)
     with pytest.raises(DegenerateBeta):
         color_retraction_count(E)
+
+
+def test_single_copy_witness_matches_search():
+    """The coordinatewise square root is the first g in G.elements() with
+    g * g == t^-2, for every t in every group of order <= 16."""
+    q = Scalar.variable("q")
+    pairs = 0
+    for G in invariant_factor_groups(16):
+        beta = Bicharacter(G, [[Rational01(int(i == j), o) for j in range(G.rank)]
+                               for i, o in enumerate(G.orders)])
+        for t in G.elements():
+            rep = single_copy_color_check(Datum(BraidingMatrix([[q]]), G, beta, (t,)))
+            target = t ** (-2)
+            root = next((g for g in G.elements() if g * g == target), None)
+            assert rep["retraction_exists"] is (root is not None)
+            assert rep.get("witness") == (None if root is None else [list(root.residues)])
+            pairs += 1
+    assert pairs == 241
+

@@ -345,6 +345,16 @@ def test_split_check_ring_family():
     assert report["ok"], report
 
 
+@pytest.mark.parametrize("make", [cases.mod3_ring_family, cases.mod5_ring_family],
+                         ids=["mod3", "mod5"])
+def test_ring_family_keeps_its_split_report(make):
+    fam = make()
+    mp = fam.mp
+    ztilde = [[fam.z.degree(l, g) for l in range(mp.L.n)] for g in range(mp.Gamma.n)]
+    assert fam.split == check_split_color_extension(
+        mp, fam.sigma, TauCocycle.trivial(mp), ztilde, fam.group, fam.beta)
+
+
 def test_split_check_detects_broken_tau():
     fam = cases.mod3_ring_family()
     # a coboundary-valued tau on gamma that violates the 1-cocycle law

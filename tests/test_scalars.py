@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,22 @@ def test_float_sanity_oracle():
             c = a * b + a - b
             za, zb = complex_value(a), complex_value(b)
             assert abs(complex_value(c) - (za * zb + za - zb)) < 1e-9
+
+
+def test_inverse_self_check_survives_optimize():
+    """The norm check in Cyclo.inverse raises AssertionError under python -O
+    too, so a broken conjugate still reaches the CLI's exit 3."""
+    script = (
+        "import chroma.scalars as s\n"
+        "s._substitute = lambda c, k, M: s.Cyclo.one(M)\n"
+        "try:\n"
+        "    s.Cyclo.embed(s.Rational01(1, 3), 3).inverse()\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the norm of a cyclotomic element is not rational\n"
