@@ -121,6 +121,14 @@ class Datum:
         self._derive(q, source.group, source.beta, t)
         return self
 
+    @classmethod
+    def _of_parts(cls, q: BraidingMatrix, group: FinAbGroup, beta: Bicharacter,
+                  t: tuple, qt: ScalarMatrix, xi: tuple) -> "Datum":
+        # every field already derived, on the group and beta of a validated datum
+        self = object.__new__(cls)
+        self.q, self.group, self.beta, self.t, self.qt, self.xi = q, group, beta, t, qt, xi
+        return self
+
     def _derive(self, q, group, beta, t) -> None:
         self.q = q
         self.group = group

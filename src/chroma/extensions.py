@@ -122,9 +122,22 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data) -> "FiniteGroup":
+        """``{"cyclic": n}`` with an integer n >= 1, or ``{"table": rows}``."""
+        if not isinstance(data, dict):
+            raise ValueError("group must be a JSON object")
         if "cyclic" in data:
-            return cls.cyclic(data["cyclic"])
-        return cls(data["table"])
+            n = data["cyclic"]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"cyclic group order {n!r} is not an integer")
+            if n < 1:
+                raise ValueError(f"cyclic group order {n} must be >= 1")
+            return cls.cyclic(n)
+        table = data["table"]
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(type(x) is int and 0 <= x < len(table)
+                                              for x in row) for row in table):
+            raise ValueError("group table must be a list of rows of element indices")
+        return cls(table)
 
 
 class GroupAut:

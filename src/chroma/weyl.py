@@ -5,14 +5,19 @@ The Cartan entry a_pj is the least n >= 0 killing
 reflectable when every a_pj is finite.  Reflections are involutive, and
 the twisted matrix of a reflected datum satisfies the same transformation
 rule as the braiding matrix itself, which ``reflect_datum`` re-checks.
+Orbits are searched and re-checked on integer keys (``_OrbitKernel``),
+which enforce that identity on every reflection; ``reflect_datum`` stays
+the monomial reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
+from .groups import Element
 from .scalars import Rational01, Scalar, order_of, solve_power
 
 
@@ -129,51 +134,238 @@ class OrbitGraph:
     truncated: bool = False
 
 
+class _OrbitKernel:
+    """A reflection orbit on integer tuples.
+
+    Along an orbit theta, G, beta and the variable names never change, and
+    every root of unity stays in mu_D, D = lcm(the root orders, exp G).  A
+    node is one tuple of ints: planes of theta^2 entries (row-major) --
+    the root numerators of q over D, then one exponent plane per variable
+    name, in name order -- followed by the theta degree residue vectors.
+    The root numerators of qt ride along as a payload outside the key.
+    Keys are equal exactly when the data are equal.
+    """
+
+    def __init__(self, nodes):
+        # D and the names cover every datum in ``nodes``, which are all the
+        # data this kernel will encode
+        E = nodes[0]
+        theta, G = E.theta, E.group
+        self.theta, self.group, self.beta = theta, G, E.beta
+        self.D = D = math.lcm(G.exponent, *(
+            s.root.den for node in nodes for m in (node.q, node.qt)
+            for row in m.entries for s in row))
+        self.names = tuple(sorted({name for node in nodes for row in node.q.entries
+                                   for s in row for name, _ in s.exps}))
+        scale = D // E.beta._exponent
+        self.beta_ints = [[scale * b for b in row] for row in E.beta._ints]
+        # key layout: the root plane at 0, the exponent planes, the degrees
+        self.size = size = theta * theta
+        t0 = size * (len(self.names) + 1)
+        self.exp_planes = range(size, t0, size)
+        self.t_slices = [slice(t0 + i * G.rank, t0 + (i + 1) * G.rank)
+                         for i in range(theta)]
+        self.diagonal = [range(i * theta + i, t0, size) for i in range(theta)]
+        self._beta_planes = {}  # degrees -> beta(t_i, t_j) over D, row-major
+        self._scalars = {}      # (root numerator, exponents) -> Scalar
+        self._elements = {}     # residues -> (Element, its character)
+
+    def encode(self, E: Datum):
+        """(key, payload) of E; None when E has another size, group or
+        beta, or when its qt and q differ in their variable parts."""
+        if (E.theta, E.group, E.beta) != (self.theta, self.group, self.beta):
+            return None
+        D, names = self.D, self.names
+        roots, payload, exps = [], [], []
+        for q_row, qt_row in zip(E.q.entries, E.qt.entries):
+            for s, st in zip(q_row, qt_row):
+                if s.exps != st.exps:
+                    return None
+                roots.append(s.root.num * (D // s.root.den))
+                payload.append(st.root.num * (D // st.root.den))
+                exps.append(dict(s.exps))
+        key = roots + [e.get(name, 0) for name in names for e in exps]
+        for x in E.t:
+            key.extend(x.residues)
+        return tuple(key), tuple(payload)
+
+    def cartan_row(self, key: tuple, p: int) -> list[int] | None:
+        """``cartan_row`` on a key: q_pp has finite order D / gcd(r_pp, D)
+        iff its exponents vanish, and q_pp^n = (q_pj q_jp)^-1 is a linear
+        congruence in n (or pins n down through the exponents)."""
+        theta, D, planes = self.theta, self.D, self.exp_planes
+        pp = p * theta + p
+        r_pp = key[pp]
+        e_pp = [key[off + pp] for off in planes]
+        finite = not any(e_pp)
+        if finite:
+            g = math.gcd(r_pp, D)
+            order = D // g
+            unit = pow(r_pp // g, -1, order) if order > 1 else 0
+        row = []
+        for j in range(theta):
+            if j == p:
+                row.append(2)
+                continue
+            pj, jp = p * theta + j, j * theta + p
+            b_r = -(key[pj] + key[jp]) % D
+            e_b = [-(key[off + pj] + key[off + jp]) for off in planes]
+            if finite:
+                # the least n with q_pp^n = (q_pj q_jp)^-1, else order - 1
+                if any(e_b) or b_r % g:
+                    row.append(1 - order)
+                else:
+                    row.append(-(b_r // g * unit % order))
+                continue
+            n = None
+            for av, bv in zip(e_pp, e_b):
+                if not av:
+                    if bv:
+                        return None
+                    continue
+                if bv % av or bv // av < 0 or n not in (None, bv // av):
+                    return None
+                n = bv // av
+            if n * r_pp % D != b_r:
+                return None
+            row.append(-n)
+        return row
+
+    def reflect(self, key: tuple, payload: tuple, p: int):
+        """(key, payload) of the reflection at p; None when p is not
+        reflectable or a reflected diagonal entry is 1.  The twisted roots
+        must transform by the same rule as q: that identity is enforced."""
+        a = self.cartan_row(key, p)
+        if a is None:
+            return None
+        theta, D = self.theta, self.D
+        new = [r % D for r in _reflect_plane(key, 0, theta, p, a)]
+        for off in self.exp_planes:
+            new += _reflect_plane(key, off, theta, p, a)
+        if any(not any(new[k] for k in ks) for ks in self.diagonal):
+            return None
+        t_p = key[self.t_slices[p]]
+        for ai, sl in zip(a, self.t_slices):
+            new += [(x - ai * y) % o for x, y, o in zip(key[sl], t_p, self.group.orders)]
+        new = tuple(new)
+        new_payload = tuple(r % D for r in _reflect_plane(payload, 0, theta, p, a))
+        want = self.twist(new)
+        if new_payload != want:
+            k = next(k for k, (x, y) in enumerate(zip(new_payload, want)) if x != y)
+            raise AssertionError(
+                f"twisted matrix does not satisfy the reflection identity "
+                f"at ({k // theta},{k % theta})")
+        return new, new_payload
+
+    def twist(self, key: tuple) -> tuple:
+        """Root numerators of qt_ij = beta(t_i, t_j)^-1 q_ij over D."""
+        t = key[self.t_slices[0].start:]
+        b = self._beta_planes.get(t)
+        if b is None:
+            ts = [key[sl] for sl in self.t_slices]
+            rows = [[sum(map(operator.mul, ti, col)) for col in zip(*self.beta_ints)]
+                    for ti in ts]
+            b = [sum(map(operator.mul, row, tj)) for row in rows for tj in ts]
+            self._beta_planes[t] = b
+        D = self.D
+        return tuple((r - x) % D for r, x in zip(key, b))
+
+    def datum(self, key: tuple, payload: tuple) -> Datum:
+        """The datum of a key, its twisted matrix taken from the payload."""
+        theta, names, D = self.theta, self.names, self.D
+        scalars, elements = self._scalars, self._elements
+
+        def scalar(r, k):
+            exps = tuple(key[off + k] for off in self.exp_planes)
+            s = scalars.get((r, exps))
+            if s is None:
+                s = scalars[r, exps] = Scalar._make(
+                    Rational01(r, D), tuple((n, e) for n, e in zip(names, exps) if e))
+            return s
+
+        rows = [range(i * theta, (i + 1) * theta) for i in range(theta)]
+        q = BraidingMatrix([[scalar(key[k], k) for k in row] for row in rows])
+        qt = ScalarMatrix([[scalar(payload[k], k) for k in row] for row in rows])
+        t, xi = [], []
+        for sl in self.t_slices:
+            res = key[sl]
+            hit = elements.get(res)
+            if hit is None:
+                x = Element._make(self.group, res)
+                hit = elements[res] = (x, self.beta.chi(x))
+            t.append(hit[0])
+            xi.append(hit[1])
+        return Datum._of_parts(q, self.group, self.beta, tuple(t), qt, tuple(xi))
+
+
+def _reflect_plane(m: tuple, off: int, theta: int, p: int, a: list[int]) -> list[int]:
+    """x_ij - a_i x_pj - a_j x_ip + a_i a_j x_pp over one theta^2 plane of m."""
+    rows = [m[b:b + theta] for b in range(off, off + theta * theta, theta)]
+    row_p = rows[p]
+    x_pp = row_p[p]
+    return [x - ai * y - aj * u
+            for row, ai in zip(rows, a) for u in (row[p] - ai * x_pp,)
+            for x, y, aj in zip(row, row_p, a)]
+
+
 def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
     """Breadth-first closure of a datum under all reflections.
 
     Node identity is exact datum equality.  Vertices with an infinite
     Cartan entry, or whose reflection has a diagonal entry 1, are
     skipped.  When the closure would exceed ``max_nodes`` the graph is
-    returned with ``truncated=True``.
+    returned with ``truncated=True``.  The search runs on the integer keys
+    of ``_OrbitKernel``; one ``Datum`` is built per node found.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    nodes = [E]
-    index = {E: 0}
+    kernel = _OrbitKernel([E])
+    key, payload = kernel.encode(E)
+    keys, payloads = [key], [payload]
+    index = {key: 0}
     edges = []
     truncated = False
     frontier = [0]
     while frontier:
         next_frontier = []
         for src in frontier:
-            current = nodes[src]
-            for p in range(current.theta):
-                try:
-                    reflected = reflect_datum(current, p)
-                except (NotReflectable, DiagonalOne):
+            key, payload = keys[src], payloads[src]
+            for p in range(E.theta):
+                reflected = kernel.reflect(key, payload, p)
+                if reflected is None:
                     continue
-                if reflected in index:
-                    tgt = index[reflected]
-                else:
-                    if len(nodes) >= max_nodes:
+                tgt = index.get(reflected[0])
+                if tgt is None:
+                    if len(keys) >= max_nodes:
                         truncated = True
                         continue
-                    tgt = len(nodes)
-                    nodes.append(reflected)
-                    index[reflected] = tgt
+                    tgt = index[reflected[0]] = len(keys)
+                    keys.append(reflected[0])
+                    payloads.append(reflected[1])
                     next_frontier.append(tgt)
                 edges.append((src, p, tgt))
         frontier = next_frontier
+    nodes = [E] + [kernel.datum(k, pl) for k, pl in zip(keys[1:], payloads[1:])]
     return OrbitGraph(nodes=nodes, edges=edges, truncated=truncated)
 
 
 def check_consistent_coloring(orbit: OrbitGraph) -> bool:
-    """Re-verify that every stored edge is an exact reflection."""
+    """Re-verify that every stored edge is an exact reflection.
+
+    The public nodes are encoded afresh, so a node altered after the
+    search is caught; a node on another group or beta fails outright.
+    """
+    if not orbit.nodes:
+        return not orbit.edges
+    kernel = _OrbitKernel(orbit.nodes)
+    encoded = [kernel.encode(node) for node in orbit.nodes]
+    if None in encoded:
+        return False
     for src, p, tgt in orbit.edges:
         try:
-            if reflect_datum(orbit.nodes[src], p) != orbit.nodes[tgt]:
-                return False
-        except (NotReflectable, DiagonalOne, AssertionError):
+            reflected = kernel.reflect(*encoded[src], p)
+        except AssertionError:
+            return False
+        if reflected is None or reflected[0] != encoded[tgt][0]:
             return False
     return True

@@ -5,6 +5,8 @@ Each constructor returns a fresh object so tests can mutate copies freely.
 
 from __future__ import annotations
 
+import math
+
 from chroma.datum import BraidingMatrix, Datum, ScalarMatrix, datum_from_twisted
 from chroma.extensions import (ExtAutomorphism, FiniteGroup, FiniteRing,
                                GroupAut, MatchedPair, SigmaCocycle, TauCocycle,
@@ -50,6 +52,37 @@ def rank2_c3_symmetric_datum() -> Datum:
     q = Scalar.variable("q")
     qt = ScalarMatrix([[Scalar.one(), q.inverse()], [q.inverse(), q * q]])
     return datum_from_twisted(qt, G, c3_beta(), (G.generator(0), G.identity()))
+
+
+def random_small_datum(rng) -> Datum:
+    """A seeded datum of rank 2-4 over a group of order <= 8, entries
+    roots of order <= 4 times powers of q, most diagonals pure roots."""
+    shapes = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 2, 2)]
+    orders = rng.choice(shapes)
+    G = FinAbGroup(orders)
+    B = [[R0] * G.rank for _ in range(G.rank)]
+    for i, o in enumerate(orders):
+        unit = rng.choice([k for k in range(1, o + 1) if math.gcd(k, o) == 1])
+        B[i][i] = Rational01(unit, o)
+    beta = Bicharacter(G, B)
+    assert beta.is_nondegenerate()
+    theta = rng.randrange(2, 5)
+    roots = [R0, RH, Rational01(1, 3), Rational01(1, 4), Rational01(2, 3)]
+    elems = list(G.elements())
+    entries = []
+    for i in range(theta):
+        row = []
+        for j in range(theta):
+            row.append(Scalar(rng.choice(roots), {"q": rng.randrange(-2, 3)}))
+        entries.append(row)
+    for i in range(theta):
+        if rng.random() < 0.7:
+            entries[i][i] = Scalar(rng.choice([RH, Rational01(1, 3),
+                                               Rational01(1, 4)]))
+        if entries[i][i].is_one():
+            entries[i][i] = Scalar.minus_one()
+    t = tuple(rng.choice(elems) for _ in range(theta))
+    return Datum(BraidingMatrix(entries), G, beta, t)
 
 
 # ---------------------------------------------------------------------------

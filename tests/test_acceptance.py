@@ -105,35 +105,6 @@ def test_criterion_02_rank2_family():
 # ---------------------------------------------------------------------------
 
 
-def random_small_datum(rng) -> Datum:
-    shapes = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 2, 2)]
-    orders = rng.choice(shapes)
-    G = FinAbGroup(orders)
-    B = [[R01_ZERO] * G.rank for _ in range(G.rank)]
-    for i, o in enumerate(orders):
-        unit = rng.choice([k for k in range(1, o + 1) if __import__("math").gcd(k, o) == 1])
-        B[i][i] = Rational01(unit, o)
-    beta = Bicharacter(G, B)
-    assert beta.is_nondegenerate()
-    theta = rng.randrange(2, 5)
-    roots = [R01_ZERO, R01_HALF, Rational01(1, 3), Rational01(1, 4), Rational01(2, 3)]
-    elems = list(G.elements())
-    entries = []
-    for i in range(theta):
-        row = []
-        for j in range(theta):
-            row.append(Scalar(rng.choice(roots), {"q": rng.randrange(-2, 3)}))
-        entries.append(row)
-    for i in range(theta):
-        if rng.random() < 0.7:
-            entries[i][i] = Scalar(rng.choice([R01_HALF, Rational01(1, 3),
-                                               Rational01(1, 4)]))
-        if entries[i][i].is_one():
-            entries[i][i] = Scalar.minus_one()
-    t = tuple(rng.choice(elems) for _ in range(theta))
-    return Datum(BraidingMatrix(entries), G, beta, t)
-
-
 @criterion(3, "reflection involution")
 def test_criterion_03_involution():
     # reflect_datum re-derives the twisted transformation identity on every
@@ -148,7 +119,7 @@ def test_criterion_03_involution():
     rng = random.Random(20260808)
     produced = 0
     while produced < 50:
-        E = random_small_datum(rng)
+        E = cases.random_small_datum(rng)
         produced += 1
         for p in reflectable_vertices(E):
             assert reflect_datum(reflect_datum(E, p), p) == E

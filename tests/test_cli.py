@@ -182,6 +182,29 @@ def test_aut_ext_command(tmp_path, capsys):
     assert len(data["solutions"]) == 7
 
 
+@pytest.mark.parametrize("L, message", [
+    ({"cyclic": "x"}, "cyclic group order 'x' is not an integer"),
+    ([1, 2], "group must be a JSON object"),
+    ({"cyclic": 0}, "cyclic group order 0 must be >= 1"),
+    ({"cyclic": -3}, "cyclic group order -3 must be >= 1"),
+    ({"cyclic": True}, "cyclic group order True is not an integer"),
+    ({"cyclic": 2.5}, "cyclic group order 2.5 is not an integer"),
+    ({"table": [[0, 1, 2], [1, 5, 0], [2, 0, 1]]},
+     "group table must be a list of rows of element indices"),
+], ids=["string", "list", "zero", "negative", "bool", "float", "out_of_range"])
+def test_aut_ext_malformed_group_exits_2(L, message, tmp_path, capsys):
+    payload = {"L": L, "Gamma": {"cyclic": 2},
+               "lact": [[0, 0], [1, 1]], "ract": [[0, 1], [0, 1]]}
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(payload))
+    code = main(["aut-ext", "--input", str(path), "--root-bound", "2",
+                 "--enumerate-aut"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_aut_ext_enumerate_flag(tmp_path, capsys):
     payload = {
         "L": {"cyclic": 2},
@@ -327,10 +350,10 @@ def _graded_structure(group):
 def test_internal_error_exit_3(rank2_file, monkeypatch, capsys):
     import chroma.weyl
 
-    def broken(E, p):
+    def broken(self, key, payload, p):
         raise AssertionError("twisted matrix does not satisfy\nthe identity")
 
-    monkeypatch.setattr(chroma.weyl, "reflect_datum", broken)
+    monkeypatch.setattr(chroma.weyl._OrbitKernel, "reflect", broken)
     code = main(["orbit", "--input", rank2_file])
     captured = capsys.readouterr()
     assert code == 3
@@ -338,6 +361,25 @@ def test_internal_error_exit_3(rank2_file, monkeypatch, capsys):
     assert captured.err == ("internal error: twisted matrix does not satisfy "
                             "the identity\n")
     assert "Traceback" not in captured.err
+
+
+def test_orbit_identity_check_survives_optimize(rank2_file):
+    """The orbit kernel's twisted-matrix identity raises AssertionError
+    under python -O too: a kernel whose twist ignores beta exits 3."""
+    script = ("import sys\n"
+              "import chroma.weyl as w\n"
+              "from chroma.cli import main\n"
+              "w._OrbitKernel.twist = lambda self, key: key[:self.size]\n"
+              "sys.exit(main(['orbit', '--input', sys.argv[1]]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, rank2_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("internal error: twisted matrix does not satisfy the "
+                           "reflection identity at (0,0)\n")
 
 
 def test_exit_codes_of_a_real_process(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -124,34 +125,71 @@ def check_pipeline(beta: Bicharacter):
     """Full verification for one commutation factor: the reduction data,
     the antisymmetrization identity on all pairs of the quotient, the
     2-cocycle law on all triples, and u being a homomorphism."""
-    G = beta.group
+    check_reduction_data(reduce_commutation_factor(beta))
+
+
+def check_reduction_data(data):
+    """The checks of ``check_pipeline`` on integers: u, gamma' and beta'
+    become numerators over one D = lcm(exp G, exp G', every denominator in
+    them), converted once, and every identity is compared mod D.  beta'
+    is evaluated from its generator matrix, not through ``eval``."""
+    G, Gp = data.group, data.g_prime
+    gamma = dict(data.gamma_prime.items())
+    matrix = data.beta_prime.matrix
+    D = math.lcm(G.exponent, Gp.exponent,
+                 *(r.den for r in (*data.u.values(), *gamma.values())),
+                 *(b.den for row in matrix for b in row))
+
+    def ints(roots):
+        return [r.num * (D // r.den) for r in roots]
+
+    def index_sums(group):
+        """Elements by index, and the index of the sum of each pair."""
+        elems = [x.residues for x in group.elements()]
+        index = {x: k for k, x in enumerate(elems)}
+        return elems, [[index[tuple((a + b) % o for a, b, o in zip(x, y, group.orders))]
+                        for y in elems] for x in elems]
+
+    elems, sums = index_sums(G)
+    u = ints(data.u[G.element(x)] for x in elems)
+    for ux, row in zip(u, sums):
+        assert not any((ux + uy - u[k]) % D for uy, k in zip(u, row)), \
+            "u must be a homomorphism"
+    elems, sums = index_sums(Gp)
+    table = [ints(gamma[(x, y)] for y in elems) for x in elems]
+    B = [ints(row) for row in matrix]
+    for x, row, col in zip(elems, table, zip(*table)):
+        xB = [sum(map(operator.mul, x, b)) for b in zip(*B)]
+        assert not any((t_xy - t_yx - sum(map(operator.mul, xB, y))) % D
+                       for y, t_xy, t_yx in zip(elems, row, col)), \
+            "antisymmetrization must recover beta'"
+    for row_x, sums_x in zip(table, sums):
+        for t_xy, row_xy, row_y, sums_y in zip(row_x, (table[k] for k in sums_x), table, sums):
+            # gamma(x, y) gamma(xy, z) = gamma(y, z) gamma(x, yz) for all z
+            assert not any((t_xy + a - b - row_x[k]) % D
+                           for a, b, k in zip(row_xy, row_y, sums_y)), "2-cocycle identity"
+    ident = elems.index(Gp.identity().residues)
+    assert not any(table[ident]) and not any(row[ident] for row in table)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3, 3), (2, 4)], ids=["2x2", "3x3", "2x4"])
+def test_check_catches_each_changed_gamma_entry(orders):
+    # the integer checks must still see a single wrong cocycle value,
+    # wherever it sits in the table
+    G = FinAbGroup(orders)
+    g = math.gcd(*orders)
+    beta = Bicharacter(G, [[R01_ZERO, Rational01(1, g)], [Rational01(-1, g), R01_ZERO]])
     data = reduce_commutation_factor(beta)
-    u = data.u
-    for g in G.elements():
-        for h in G.elements():
-            assert u[g] + u[h] == u[g * h], "u must be a homomorphism"
-    Gp = data.g_prime
-    gp = data.gamma_prime
-    table = {k: v for k, v in gp.items()}
-    orders = Gp.orders
-
-    def add(x, y):
-        return tuple((a + b) % o for a, b, o in zip(x, y, orders))
-
-    residues = [x.residues for x in Gp.elements()]
-    for x in residues:
-        for y in residues:
-            assert (table[(x, y)] - table[(y, x)]) == \
-                Bicharacter.eval(data.beta_prime, Gp.element(x), Gp.element(y))
-    for x in residues:
-        for y in residues:
-            for z in residues:
-                lhs = table[(x, y)] + table[(add(x, y), z)]
-                rhs = table[(y, z)] + table[(x, add(y, z))]
-                assert lhs == rhs, "2-cocycle identity"
-    ident = Gp.identity().residues
-    for x in residues:
-        assert table[(ident, x)].is_zero() and table[(x, ident)].is_zero()
+    check_reduction_data(data)
+    table = data.gamma_prime._table
+    step = Rational01(1, data.g_prime.exponent)
+    assert len(table) == data.g_prime.order ** 2 > 1
+    for pair, value in list(table.items()):
+        table[pair] = value + step
+        with pytest.raises(AssertionError):
+            check_reduction_data(data)
+        table[pair] = value
+    check_reduction_data(data)
 
 
 def test_exhaustive_small_groups():

@@ -3,11 +3,11 @@ import random
 import pytest
 
 import cases
-from chroma.datum import BraidingMatrix, Datum, DiagonalOne
+from chroma.datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.scalars import Cyclo, Rational01, Scalar
-from chroma.weyl import (NotReflectable, cartan_entry, cartan_row,
-                         check_consistent_coloring, reflect_datum,
+from chroma.weyl import (NotReflectable, _OrbitKernel, cartan_entry,
+                         cartan_row, check_consistent_coloring, reflect_datum,
                          reflect_matrix, reflectable_vertices, weyl_orbit)
 
 
@@ -226,3 +226,140 @@ def test_reflection_matches_multiplicative_formula():
             fresh = Datum(E1.q, G, beta, E1.t)
             assert (fresh, fresh.qt, fresh.xi) == (E1, E1.qt, E1.xi)
     assert reflected > 300
+
+
+# -- whole orbits: the integer kernel against a BFS on reflect_datum ---------
+
+
+def scalar_orbit(E, max_nodes):
+    """The breadth-first orbit, built from ``reflect_datum`` and ``Datum``
+    equality alone: the same order, edges and truncation rule."""
+    nodes, index, edges, truncated = [E], {E: 0}, [], False
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for src in frontier:
+            for p in range(E.theta):
+                try:
+                    reflected = reflect_datum(nodes[src], p)
+                except (NotReflectable, DiagonalOne):
+                    continue
+                if reflected not in index:
+                    if len(nodes) >= max_nodes:
+                        truncated = True
+                        continue
+                    index[reflected] = len(nodes)
+                    nodes.append(reflected)
+                    next_frontier.append(index[reflected])
+                edges.append((src, p, index[reflected]))
+        frontier = next_frontier
+    return nodes, edges, truncated
+
+
+def assert_orbit_matches_oracle(E, max_nodes):
+    orb = weyl_orbit(E, max_nodes=max_nodes)
+    nodes, edges, truncated = scalar_orbit(E, max_nodes)
+    assert orb.nodes == nodes
+    assert orb.edges == edges
+    assert orb.truncated == truncated
+    for node in orb.nodes:
+        fresh = Datum(node.q, node.group, node.beta, node.t)
+        assert (node.qt, node.xi) == (fresh.qt, fresh.xi)
+    assert check_consistent_coloring(orb)
+    return truncated
+
+
+@pytest.mark.parametrize("make", [cases.rank2_c3_datum, cases.rank4_klein_datum])
+@pytest.mark.parametrize("max_nodes", [1024, 5, 40])
+def test_orbit_matches_scalar_bfs(make, max_nodes):
+    assert_orbit_matches_oracle(make(), max_nodes)
+
+
+def test_random_orbits_match_scalar_bfs():
+    # the seeded data of acceptance criterion 3; five of these orbits are
+    # infinite, so the uncapped comparison runs on the finite ones
+    rng = random.Random(20260808)
+    finite = 0
+    for _ in range(50):
+        E = cases.random_small_datum(rng)
+        assert_orbit_matches_oracle(E, 5)
+        if not assert_orbit_matches_oracle(E, 40):
+            assert_orbit_matches_oracle(E, 1024)
+            finite += 1
+    assert finite == 45
+
+
+def kernel_cartan_rows(E):
+    kernel = _OrbitKernel([E])
+    key, _ = kernel.encode(E)
+    return [kernel.cartan_row(key, p) for p in range(E.theta)]
+
+
+def test_kernel_cartan_rows_match():
+    # the 300 random matrices of test_reflection_matches_multiplicative_formula
+    rng = random.Random(20261018)
+    groups = [(FinAbGroup.of(12), [[Rational01(5, 12)]]),
+              (FinAbGroup.of(3, 4), [[Rational01(1, 3), Rational01(0, 1)],
+                                     [Rational01(0, 1), Rational01(3, 4)]])]
+    kinds = set()
+    for trial in range(300):
+        theta = rng.randint(2, 4)
+        q = random_braiding_matrix(rng, theta)
+        G, rows = groups[trial % 2]
+        t = tuple(G.element([rng.randrange(o) for o in G.orders])
+                  for _ in range(theta))
+        got = kernel_cartan_rows(Datum(q, G, Bicharacter(G, rows), t))
+        for p in range(theta):
+            want = cartan_row(q, p)
+            assert got[p] == want
+            kinds.add((want is None, bool(q[p, p].exps)))
+    # finite rows with pure-root and with variable diagonals, and infinite rows
+    assert kinds == {(False, False), (False, True), (True, True)}
+
+
+def test_kernel_cartan_rows_match_small_exponents():
+    # the matrices of test_cartan_against_brute_force: one variable with
+    # exponents in -2..2, so q_pp^n = (q_pj q_jp)^-1 often needs n < 0
+    rng = random.Random(13)
+    pool_roots = [Rational01(0, 1), Rational01(1, 2), Rational01(1, 3),
+                  Rational01(1, 4), Rational01(2, 3)]
+    G = FinAbGroup.of(3)
+    infinite = 0
+    for _ in range(300):
+        entries = [[Scalar(rng.choice(pool_roots), {"q": rng.randrange(-2, 3)})
+                    for j in range(2)] for i in range(2)]
+        for i in range(2):
+            if entries[i][i].is_one():
+                entries[i][i] = Scalar.minus_one()
+        q = BraidingMatrix(entries)
+        E = Datum(q, G, cases.c3_beta(), (G.generator(0), G.identity()))
+        rows = kernel_cartan_rows(E)
+        assert rows == [cartan_row(q, 0), cartan_row(q, 1)]
+        infinite += rows.count(None)
+    assert infinite > 100
+
+
+def test_consistency_rejects_foreign_group_or_beta():
+    # q, qt and the degree residues stay as they are, so only the group or
+    # beta of the node differs from the root node's
+    C6 = FinAbGroup.of(6)
+    for group, beta in ((None, [[Rational01(2, 3)]]), (C6, [[Rational01(1, 6)]])):
+        orb = weyl_orbit(cases.rank2_c3_datum())
+        node = orb.nodes[-1]
+        G = group or node.group
+        orb.nodes[-1] = Datum._of_parts(
+            node.q, G, Bicharacter(G, beta),
+            tuple(G.element(x.residues) for x in node.t), node.qt, node.xi)
+        assert not check_consistent_coloring(orb)
+
+
+def test_consistency_detects_corrupted_twisted_matrix():
+    # re-encoding reads the public qt: a wrong root, or a variable part
+    # that differs from q's, fails the check
+    for bad in (Scalar.zeta(3, 1), Scalar.variable("q")):
+        orb = weyl_orbit(cases.rank2_c3_datum())
+        node = orb.nodes[1]
+        rows = [list(r) for r in node.qt.entries]
+        rows[0][1] = rows[0][1] * bad
+        node.qt = ScalarMatrix(rows)
+        assert not check_consistent_coloring(orb)
