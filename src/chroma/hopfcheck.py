@@ -652,39 +652,19 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     record("unit_comultiplicative", _holds(unit_comultiplicative, N))
     sweep("coproduct_multiplicative", pairs, coproduct_multiplicative)
 
-    # grading compatibility
+    # grading compatibility: the first violation, in sweep order
     if H.grading is not None:
-        ok, ce = True, None
-        for i in range(n):
-            for j in range(n):
-                target = H.grading[i] * H.grading[j]
-                for k, _ in H.mult[i][j]:
-                    if H.grading[k] != target:
-                        ok, ce = False, ("mult", i, j, k)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            for i in range(n):
-                for j, k, _ in H.comult[i]:
-                    if H.grading[j] * H.grading[k] != H.grading[i]:
-                        ok, ce = False, ("comult", i, j, k)
-                        break
-                if not ok:
-                    break
-        if ok:
-            for i, c in H.unit.items():
-                if not H.grading[i].is_identity():
-                    ok, ce = False, ("unit", i)
-                    break
-        if ok:
-            for i in range(n):
-                if not H.counit[i].is_zero() and not H.grading[i].is_identity():
-                    ok, ce = False, ("counit", i)
-                    break
-        record("grading", ok, ce)
+        deg = H.grading
+        violations = itertools.chain(
+            (("mult", i, j, k) for i, j in pairs for k, _ in H.mult[i][j]
+             if deg[k] != deg[i] * deg[j]),
+            (("comult", i, j, k) for i in range(n) for j, k, _ in H.comult[i]
+             if deg[j] * deg[k] != deg[i]),
+            (("unit", i) for i in H.unit if not deg[i].is_identity()),
+            (("counit", i) for i in range(n)
+             if not H.counit[i].is_zero() and not deg[i].is_identity()))
+        ce = next(violations, None)
+        record("grading", ce is None, ce)
 
     report["all_ok"] = all(v["ok"] for k, v in report.items() if k != "all_ok")
     return report

@@ -205,6 +205,35 @@ def test_aut_ext_malformed_group_exits_2(L, message, tmp_path, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["aut-ext", "check-extension"])
+@pytest.mark.parametrize("key, table", [
+    ("lact", [[0, 0], [1, 9]]),
+    ("lact", [[0, "a"], [1, 1]]),
+    ("lact", [[0, 0], [1, True]]),
+    ("lact", 5),
+    ("lact", [0, 1]),
+    ("ract", [[0, 1], [0, 9]]),
+    ("ract", [[0, "a"], [0, 1]]),
+    ("ract", [[0, 1], [False, 1]]),
+    ("ract", 5),
+    ("ract", [0, 1]),
+], ids=["lact-out-of-range", "lact-string", "lact-bool", "lact-int", "lact-flat",
+        "ract-out-of-range", "ract-string", "ract-bool", "ract-int", "ract-flat"])
+def test_malformed_action_table_exits_2(command, key, table, tmp_path, capsys):
+    payload = {"L": {"cyclic": 2}, "Gamma": {"cyclic": 2},
+               "lact": [[0, 0], [1, 1]], "ract": [[0, 1], [0, 1]], key: table}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    extra = ["--root-bound", "2", "--enumerate-aut"] if command == "aut-ext" else []
+    code = main([command, "--input", str(path), *extra])
+    captured = capsys.readouterr()
+    group = "L" if key == "lact" else "Gamma"
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {key} must be an array of arrays of {group} "
+                            "indices below 2\n")
+
+
 def test_aut_ext_enumerate_flag(tmp_path, capsys):
     payload = {
         "L": {"cyclic": 2},

@@ -558,6 +558,66 @@ def test_check_axioms_mutant_reports_pinned(name):
     assert _sha256(reports) == SWEEP_DIGESTS[name]
 
 
+def _regraded(H: StructBialgebra, kind: str) -> StructBialgebra:
+    """A copy of the graded H aimed at one kind of grading violation: the
+    degree of basis element 1 shifted ("mult"), the degrees of the last two
+    basis elements swapped ("comult"), or the counit ("counit") or both the
+    unit and the counit ("unit", which is checked first) moved onto the
+    first basis element of nontrivial degree.  Unit and counit need the
+    move: on these structures every grading of the (co)multiplication puts
+    them in degree 1."""
+    deg = list(H.grading)
+    if kind == "mult":
+        deg[1] = deg[1] * H.group.generator(0)
+        return dataclasses.replace(H, grading=tuple(deg))
+    if kind == "comult":
+        deg[-2], deg[-1] = deg[-1], deg[-2]
+        return dataclasses.replace(H, grading=tuple(deg))
+    j = next(i for i, g in enumerate(deg) if not g.is_identity())
+    counit = list(H.counit)
+    counit[j] = H.one()
+    if kind == "unit":
+        return dataclasses.replace(H, unit={j: H.one()}, counit=counit)
+    return dataclasses.replace(H, counit=counit)
+
+
+# the first grading violation of each re-graded copy, by (structure, aim)
+GRADING_COUNTEREXAMPLES = {
+    ("n12-c4-graded-color", "mult"): ("mult", 1, 1, 0),
+    ("n12-c4-graded-color", "comult"): ("comult", 2, 2, 2),
+    ("n12-c4-graded-color", "unit"): ("unit", 3),
+    ("n12-c4-graded-color", "counit"): ("counit", 3),
+    ("n2-klein-super-color", "mult"): ("mult", 1, 2, 2),
+    ("n2-klein-super-color", "comult"): ("comult", 2, 2, 2),
+    ("n2-klein-super-color", "unit"): ("unit", 3),
+    ("n2-klein-super-color", "counit"): ("counit", 3),
+    ("n2-klein-super-plain", "mult"): ("mult", 1, 2, 2),
+    ("n2-klein-super-plain", "comult"): ("comult", 2, 2, 2),
+    ("n2-klein-super-plain", "unit"): ("unit", 3),
+    ("n2-klein-super-plain", "counit"): ("counit", 3),
+    ("n3-ring-color", "mult"): ("mult", 1, 1, 0),
+    ("n3-ring-color", "comult"): ("mult", 3, 4, 3),
+    ("n3-ring-color", "unit"): ("unit", 3),
+    ("n3-ring-color", "counit"): ("counit", 3),
+    ("n5-ring-color", "mult"): ("mult", 1, 1, 2),
+    ("n5-ring-color", "comult"): ("mult", 6, 18, 4),
+    ("n5-ring-color", "unit"): ("unit", 5),
+    ("n5-ring-color", "counit"): ("counit", 5),
+}
+
+
+def test_grading_counterexamples_pinned():
+    built = {name: (build(), mode) for name, (build, mode) in SWEEP_STRUCTURES.items()}
+    assert {name for name, _ in GRADING_COUNTEREXAMPLES} == {
+        name for name, (H, _) in built.items() if H.grading is not None}
+    for (name, kind), expected in GRADING_COUNTEREXAMPLES.items():
+        H, mode = built[name]
+        report = check_axioms(_regraded(H, kind), mode)
+        assert report["grading"] == {"ok": False, "counterexample": expected}, (name, kind)
+    assert {ce[0] for ce in GRADING_COUNTEREXAMPLES.values()} == {
+        "mult", "comult", "unit", "counit"}
+
+
 @pytest.mark.parametrize("name", sorted(MORPHISM_CASES))
 def test_is_bialgebra_morphism_verdicts_pinned(name):
     H, columns = MORPHISM_CASES[name]()
