@@ -18,18 +18,6 @@ from .groups import Bicharacter, FinAbGroup
 from .scalars import Rational01
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(report: dict, output: str | None) -> None:
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", output)
-
-
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -38,102 +26,77 @@ def _load(path: str) -> dict:
     return data
 
 
+def _load_datum(path: str) -> Datum:
+    return Datum.from_json(_load(path))
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the exit code)
+# subcommand handlers: each takes the loaded input and the parsed arguments
+# and returns (report, exit code); a dict report is emitted as JSON, with
+# the schema and command added by ``main``
 # ---------------------------------------------------------------------------
 
 
-def _cmd_orbit(args) -> int:
-    E = Datum.from_json(_load(args.input))
+def _cmd_orbit(E: Datum, args):
     orbit = weyl.weyl_orbit(E, max_nodes=args.max_nodes)
-    report = {
-        "schema": 1,
-        "command": "orbit",
+    consistent = weyl.check_consistent_coloring(orbit)
+    return {
         "nodes": [node.to_json() for node in orbit.nodes],
         "edges": [list(e) for e in orbit.edges],
         "truncated": orbit.truncated,
-        "consistent": weyl.check_consistent_coloring(orbit),
-    }
-    _emit_json(report, args.output)
-    return 0 if report["consistent"] else 1
+        "consistent": consistent,
+    }, 0 if consistent else 1
 
 
-def _cmd_diagram(args) -> int:
-    E = Datum.from_json(_load(args.input))
+def _cmd_diagram(E: Datum, args):
     gen = dynkin.generalized_diagram(E.q)
     col = dynkin.colored_diagram(E)
     if args.format == "json":
-        report = {
-            "schema": 1,
-            "command": "diagram",
-            "generalized": dynkin.diagram_to_json(gen),
-            "colored": dynkin.diagram_to_json(col),
-        }
-        _emit_json(report, args.output)
-    elif args.format == "dot":
-        _emit(dynkin.emit_dot(gen) + dynkin.emit_dot(col), args.output)
-    else:
-        text = ("generalized: " + dynkin.emit_text(gen)
-                + "colored:\n" + dynkin.emit_text(col, E.group))
-        _emit(text, args.output)
-    return 0
+        return {"generalized": dynkin.diagram_to_json(gen),
+                "colored": dynkin.diagram_to_json(col)}, 0
+    if args.format == "dot":
+        return dynkin.emit_dot(gen) + dynkin.emit_dot(col), 0
+    return ("generalized: " + dynkin.emit_text(gen)
+            + "colored:\n" + dynkin.emit_text(col, E.group)), 0
 
 
-def _cmd_check_datum(args) -> int:
-    E = Datum.from_json(_load(args.input))
-    report = {
-        "schema": 1,
-        "command": "check-datum",
+def _cmd_check_datum(E: Datum, args):
+    return {
         "theta": E.theta,
         "beta_nondegenerate": True,  # construction would have failed otherwise
         "q": E.q.to_json(),
         "q_twisted": E.qt.to_json(),
         "xi": [list(x.residues) for x in E.xi],
         "reflectable_vertices": weyl.reflectable_vertices(E),
-    }
-    _emit_json(report, args.output)
-    return 0
+    }, 0
 
 
-def _cmd_check_double(args) -> int:
-    E = Datum.from_json(_load(args.input))
+def _cmd_check_double(E: Datum, args):
     total, colored = doubles.color_retraction_count(E)
-    report = {
-        "schema": 1,
-        "command": "check-double",
+    return {
         "presentation_digest": doubles.presentation_digest(E),
         "retractions": total,
         "color_retractions": colored,
         "single_copy": doubles.single_copy_color_check(E),
-    }
-    _emit_json(report, args.output)
-    return 0
+    }, 0
 
 
-def _cmd_triangular(args) -> int:
-    data = _load(args.input)
+def _cmd_triangular(data: dict, args):
     group = FinAbGroup.from_json(data["group"])
     beta = Bicharacter.from_json(group, data["beta"])
-    result = triangular.reduce_commutation_factor(beta)
-    _emit_json({"schema": 1, "command": "triangular",
-                **triangular.emit_triangular(result)}, args.output)
-    return 0
+    return triangular.emit_triangular(triangular.reduce_commutation_factor(beta)), 0
 
 
-def _cmd_verify(args) -> int:
-    data = _load(args.input)
+def _cmd_verify(data: dict, args):
     H = hopfcheck.StructBialgebra.from_json(data)
     mode = data.get("mode", "plain")
     report = hopfcheck.check_axioms(H, mode)
-    out = {"schema": 1, "command": "verify", "mode": mode, "axioms": {
-        k: v for k, v in report.items() if k != "all_ok"}}
+    out = {"mode": mode, "axioms": {k: v for k, v in report.items() if k != "all_ok"}}
     ok = report["all_ok"]
     if ok:
         S = hopfcheck.solve_antipode(H, mode)
-        out["antipode_exists"] = S is not None
-        ok = ok and S is not None
-    _emit_json(out, args.output)
-    return 0 if ok else 1
+        out["antipode_exists"] = ok = S is not None
+    return out, 0 if ok else 1
 
 
 def _parse_matched_pair(data: dict) -> extensions.MatchedPair:
@@ -143,17 +106,25 @@ def _parse_matched_pair(data: dict) -> extensions.MatchedPair:
 
 
 def _parse_cocycle(kind, mp, data, key):
-    """``data[key]`` as a table of roots of unity, or the trivial cocycle."""
+    """``data[key]`` as a table of roots of unity shaped like the trivial
+    cocycle, or the trivial cocycle."""
+    trivial = kind.trivial(mp)
     if key not in data:
-        return kind.trivial(mp)
+        return trivial
+    a, b = len(trivial.table), len(trivial.table[0])
+    table = data[key]
+    if not (isinstance(table, list) and len(table) == a and all(
+            isinstance(plane, list) and len(plane) == b
+            and all(isinstance(row, list) and len(row) == b for row in plane)
+            for plane in table)):
+        raise ValueError(f"{key} must be an array of shape {a} x {b} x {b}")
     return kind([[[Rational01.parse(v) for v in row] for row in plane]
-                 for plane in data[key]])
+                 for plane in table])
 
 
-def _cmd_check_extension(args) -> int:
-    data = _load(args.input)
+def _cmd_check_extension(data: dict, args):
     if "ring" in data:
-        return _check_ring_extension(data, args)
+        return _check_ring_extension(data)
     mp = _parse_matched_pair(data)
     sigma = _parse_cocycle(extensions.SigmaCocycle, mp, data, "sigma")
     tau = _parse_cocycle(extensions.TauCocycle, mp, data, "tau")
@@ -161,16 +132,14 @@ def _cmd_check_extension(args) -> int:
         "matched_pair": extensions.validate_matched_pair(mp),
         "sigma_cocycle": sigma.validate(mp),
         "tau_cocycle": tau.validate(mp),
+        "kac_condition": extensions.kac_condition(mp, sigma, tau),
     }
-    checks["kac_condition"] = extensions.kac_condition(mp, sigma, tau)
-    report = {"schema": 1, "command": "check-extension",
-              "dim": mp.L.n * mp.Gamma.n}
-    group = beta = None
+    report = {"dim": mp.L.n * mp.Gamma.n, "checks": checks}
+    group = beta = z = None
     if "group" in data:
         group = FinAbGroup.from_json(data["group"])
         if "beta" in data:
             beta = Bicharacter.from_json(group, data["beta"])
-    z = None
     if "z" in data and group is not None:
         z = extensions.ZMap(mp, group,
                             [[group.element(r) for r in row] for row in data["z"]])
@@ -179,24 +148,20 @@ def _cmd_check_extension(args) -> int:
             checks["color_compatibility"] = extensions.color_compatibility(
                 mp, sigma, tau, z, beta)
     H = extensions.build_bicrossed(mp, sigma, tau, z=z, group=group, beta=beta)
-    axioms = hopfcheck.check_axioms(H, "plain")
-    checks["hopf_axioms"] = axioms["all_ok"]
+    checks["hopf_axioms"] = hopfcheck.check_axioms(H, "plain")["all_ok"]
     if "action" in data and group is not None and beta is not None:
         dual = FinAbGroup(group.orders)
-        action = {}
-        for entry in data["action"]:
-            a = dual.element(entry["element"])
-            action[a] = hopfcheck.MonomialMatrix.from_json(entry["matrix"])
+        action = {dual.element(entry["element"]):
+                  hopfcheck.MonomialMatrix.from_json(entry["matrix"])
+                  for entry in data["action"]}
         sup = extensions.support(H, action, group)
         report["support"] = [list(g.residues) for g in sorted(
             sup, key=lambda e: e.residues)]
         report["is_color"] = extensions.is_color(H, action, group, beta)
-    report["checks"] = checks
-    _emit_json(report, args.output)
-    return 0 if all(checks.values()) else 1
+    return report, 0 if all(checks.values()) else 1
 
 
-def _check_ring_extension(data: dict, args) -> int:
+def _check_ring_extension(data: dict):
     """Build sigma/beta/z from finite-ring data and verify colorability."""
     ring = data["ring"]
     R = extensions.FiniteRing(tuple(ring["orders"]), ring["mul"])
@@ -217,45 +182,38 @@ def _check_ring_extension(data: dict, args) -> int:
     H = extensions.build_bicrossed(mp, fam.sigma, tau, z=fam.z,
                                    group=fam.group, beta=fam.beta)
     axioms = hopfcheck.check_axioms(H, "color")
-    checks = dict(split)
-    checks.pop("ok")
+    checks = {k: v for k, v in split.items() if k != "ok"}
     checks["color_axioms"] = axioms["all_ok"]
-    report = {
-        "schema": 1,
-        "command": "check-extension",
+    return {
         "dim": H.dim,
         "beta": fam.beta.to_json(),
         "checks": checks,
         "agrees_with_split_prediction": split["ok"] == axioms["all_ok"],
-    }
-    _emit_json(report, args.output)
-    return 0 if all(checks.values()) else 1
+    }, 0 if all(checks.values()) else 1
 
 
-def _cmd_aut_ext(args) -> int:
-    data = _load(args.input)
+def _automorphism(group: extensions.FiniteGroup, images, key: str) -> extensions.GroupAut:
+    """``images`` checked as an array of group.n int indices, then validated."""
+    message = f"{key} must be an array of {group.n} indices below {group.n}"
+    row = extensions._index_table([images], message, group.n)[0]
+    if len(row) != group.n:
+        raise ValueError(message)
+    return extensions.GroupAut(group, row)
+
+
+def _cmd_aut_ext(data: dict, args):
     mp = _parse_matched_pair(data)
-    N = args.root_bound or data.get("root_bound") or \
-        extensions.default_root_bound(mp)
-    results = []
+    N = args.root_bound or extensions.default_root_bound(mp)
     if args.enumerate_aut:
         pairs = [(g, h) for g in extensions.all_automorphisms(mp.L)
                  for h in extensions.all_automorphisms(mp.Gamma)]
     else:
-        g = extensions.GroupAut(mp.L, data["g"])
-        h = extensions.GroupAut(mp.Gamma, data["h"])
-        pairs = [(g, h)]
-    for g, h in pairs:
-        sols = extensions.aut_ext_solve(mp, g, h, N)
-        for aut in sols:
-            results.append({
-                "g": list(aut.g.images),
-                "h": list(aut.h.images),
-                "ftilde": [[str(v) for v in row] for row in aut.ftilde],
-            })
-    _emit_json({"schema": 1, "command": "aut-ext", "root_bound": N,
-                "solutions": results}, args.output)
-    return 0
+        pairs = [(_automorphism(mp.L, data["g"], "g"),
+                  _automorphism(mp.Gamma, data["h"], "h"))]
+    results = [{"g": list(aut.g.images), "h": list(aut.h.images),
+                "ftilde": [[str(v) for v in row] for row in aut.ftilde]}
+               for g, h in pairs for aut in extensions.aut_ext_solve(mp, g, h, N)]
+    return {"root_bound": N, "solutions": results}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +231,25 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="output path (default: stdout)")
+        p.set_defaults(load=_load)
 
     p = sub.add_parser("orbit", help="reflection orbit of a datum")
     common(p)
     p.add_argument("--max-nodes", type=int, default=1024)
-    p.set_defaults(func=_cmd_orbit)
+    p.set_defaults(func=_cmd_orbit, load=_load_datum)
 
     p = sub.add_parser("diagram", help="generalized and colored diagrams")
     common(p)
     p.add_argument("--format", choices=("json", "dot", "text"), default="text")
-    p.set_defaults(func=_cmd_diagram)
+    p.set_defaults(func=_cmd_diagram, load=_load_datum)
 
     p = sub.add_parser("check-datum", help="validate a datum and derive its data")
     common(p)
-    p.set_defaults(func=_cmd_check_datum)
+    p.set_defaults(func=_cmd_check_datum, load=_load_datum)
 
     p = sub.add_parser("check-double", help="double presentation and color predicates")
     common(p)
-    p.set_defaults(func=_cmd_check_double)
+    p.set_defaults(func=_cmd_check_double, load=_load_datum)
 
     p = sub.add_parser("triangular", help="reduce a commutation factor")
     common(p)
@@ -313,10 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args.load(args.input), args)
+        if isinstance(report, dict):
+            report = json.dumps({"schema": 1, "command": args.command, **report},
+                                sort_keys=True, indent=2) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
+        return code
     except (KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

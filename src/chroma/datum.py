@@ -111,15 +111,9 @@ class Datum:
                 raise DimensionMismatch("degree from the wrong group")
         if not beta.is_nondegenerate():
             raise DegenerateBeta("datum requires a nondegenerate bicharacter")
-        self._derive(q, group, beta, t)
-
-    @classmethod
-    def _reflected(cls, source: "Datum", q: BraidingMatrix, t: tuple) -> "Datum":
-        # q and t replaced on the group and beta of an already validated datum
-        # (beta, hence its nondegeneracy, never changes along an orbit)
-        self = object.__new__(cls)
-        self._derive(q, source.group, source.beta, t)
-        return self
+        self.q, self.group, self.beta, self.t = q, group, beta, t
+        self.qt = twist_matrix(q, t, beta)
+        self.xi = tuple(beta.chi(x) for x in t)
 
     @classmethod
     def _of_parts(cls, q: BraidingMatrix, group: FinAbGroup, beta: Bicharacter,
@@ -128,14 +122,6 @@ class Datum:
         self = object.__new__(cls)
         self.q, self.group, self.beta, self.t, self.qt, self.xi = q, group, beta, t, qt, xi
         return self
-
-    def _derive(self, q, group, beta, t) -> None:
-        self.q = q
-        self.group = group
-        self.beta = beta
-        self.t = t
-        self.qt = twist_matrix(q, t, beta)
-        self.xi = tuple(beta.chi(x) for x in t)
 
     @property
     def theta(self) -> int:

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .groups import Bicharacter, Character, Element, FinAbGroup
+from .groups import Bicharacter, Character, Element, FinAbGroup, Subgroup, perp
 from .hopfcheck import (MonomialMatrix, NonCommutingAction, StructBialgebra,
                         _morphism_check, projector_column, validated_action)
 from .scalars import Cyclo, R01_ZERO, Rational01
@@ -133,9 +133,6 @@ class FiniteGroup:
     def __hash__(self):
         return hash(self.table)
 
-    def to_json(self) -> dict:
-        return {"table": [list(r) for r in self.table]}
-
     @classmethod
     def from_json(cls, data) -> "FiniteGroup":
         """``{"cyclic": n}`` with an integer n >= 1, or ``{"table": rows}``."""
@@ -152,6 +149,13 @@ class FiniteGroup:
                                 "group table must be a list of rows of element indices"))
 
 
+def _is_homomorphism(group: FiniteGroup, images) -> bool:
+    """images[ab] == images[a] images[b] for all a, b."""
+    n, mul = group.n, group.mul
+    return all(images[mul(a, b)] == mul(images[a], images[b])
+               for a in range(n) for b in range(n))
+
+
 class GroupAut:
     """A group automorphism as an image table, validated on creation."""
 
@@ -162,10 +166,8 @@ class GroupAut:
         self.images = tuple(images)
         if sorted(self.images) != list(range(group.n)):
             raise ValueError("not a bijection")
-        for a in range(group.n):
-            for b in range(group.n):
-                if self.images[group.mul(a, b)] != group.mul(self.images[a], self.images[b]):
-                    raise ValueError("not a homomorphism")
+        if not _is_homomorphism(group, self.images):
+            raise ValueError("not a homomorphism")
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -547,25 +549,16 @@ def default_root_bound(mp: MatchedPair) -> int:
     return math.lcm(mp.L.exponent, mp.Gamma.exponent, mp.L.n)
 
 
-def all_automorphisms(group: FiniteGroup, limit: int = 12) -> list[GroupAut]:
+AUT_ENUM_LIMIT = 12  # the largest group order ``all_automorphisms`` accepts
+
+
+def all_automorphisms(group: FiniteGroup) -> list[GroupAut]:
     """Every automorphism of a small group, brute-forced over image tables."""
-    if group.n > limit:
-        raise ValueError(f"automorphism enumeration is limited to order {limit}")
-    out = []
-    for images in itertools.permutations(range(group.n)):
-        if images[group.identity] != group.identity:
-            continue
-        ok = True
-        for a in range(group.n):
-            for b in range(group.n):
-                if images[group.mul(a, b)] != group.mul(images[a], images[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(GroupAut(group, images))
-    return out
+    if group.n > AUT_ENUM_LIMIT:
+        raise ValueError(f"automorphism enumeration is limited to order {AUT_ENUM_LIMIT}")
+    e = group.identity
+    return [GroupAut(group, images) for images in itertools.permutations(range(group.n))
+            if images[e] == e and _is_homomorphism(group, images)]
 
 
 def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[ExtAutomorphism]:
@@ -711,8 +704,7 @@ def check_color_matched_pair(mp: MatchedPair, rho: dict, group: FinAbGroup,
     for (u, eta) in pairs:
         Gue = g_fix[(u, eta)]
         # characters of A trivial on G^u_eta
-        perp_set = [a for a in elems
-                    if all(Character(group, a.residues)(g).is_zero() for g in Gue)]
+        perp_set = perp(Subgroup._of_members(group, Gue)).generators
         chi_ue = {}
         for g in Gue:
             a = chi_of[g.residues]

@@ -149,8 +149,8 @@ class Character:
     """A character of ``group`` under the canonical pairing.
 
     chi(g) is the root of unity with exponent sum(residues[i]*g[i]/orders[i]).
-    Characters multiply by adding their residue vectors, so the dual group
-    is again ``FinAbGroup(orders)``.
+    The dual group is again ``FinAbGroup(orders)``; arithmetic on
+    characters is done on its elements (``as_element``).
     """
 
     group: FinAbGroup
@@ -174,17 +174,6 @@ class Character:
             num = num * o + r * x * den
             den *= o
         return Rational01(num, den)
-
-    def __mul__(self, other: "Character") -> "Character":
-        if self.group != other.group:
-            raise DomainError("characters of different groups")
-        return Character(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
-
-    def inverse(self) -> "Character":
-        return Character(self.group, tuple(-r for r in self.residues))
-
-    def __pow__(self, k: int) -> "Character":
-        return Character(self.group, tuple(r * k for r in self.residues))
 
     def is_trivial(self) -> bool:
         return all(r == 0 for r in self.residues)

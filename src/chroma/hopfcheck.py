@@ -159,12 +159,6 @@ def lc_map(columns: list, combo: dict) -> dict:
     return out
 
 
-def lc_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
-
-
 class Echelon:
     """Incremental Gauss-Jordan elimination of sparse vectors over Q(zeta_N).
 
@@ -745,7 +739,7 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     left = _convolve(H, S, _identity_map(H))
     right = _convolve(H, _identity_map(H), S)
     for i in range(H.dim):
-        if not lc_equal(left[i], uc[i]) or not lc_equal(right[i], uc[i]):
+        if left[i] != uc[i] or right[i] != uc[i]:
             return None
     if mode == "color":
         if not verify_color_antipode(H, S):
@@ -766,7 +760,7 @@ def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
             factor = H.root(H.beta.eval(H.grading[i], H.grading[j]))
             rhs: dict = {}
             lc_add_scaled(rhs, H.product_combo(S[j], S[i]).items(), factor)
-            if not lc_equal(lhs, rhs):
+            if lhs != rhs:
                 return False
     for i in range(n):
         lhs = H.coproduct_combo(S[i])
@@ -774,7 +768,7 @@ def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
         for j, k, c in H.comult[i]:
             factor = c * H.root(H.beta.eval(H.grading[j], H.grading[k]))
             lc_add_tensor(rhs, S[k].items(), S[j].items(), factor)
-        if not lc_equal(lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 
@@ -832,6 +826,18 @@ def check_flip(H: StructBialgebra) -> bool:
     return True
 
 
+def _smash_basis(H: StructBialgebra):
+    """(conductor, elements of G, index) of the basis x_i # e_g of H # kG,
+    with index(i, g) = i*|G| + the position of g in G's enumeration."""
+    if H.grading is None or H.beta is None or H.group is None:
+        raise ValueError("bosonization needs grading and braiding data")
+    G = H.group
+    elements = list(G.elements())
+    ng = len(elements)
+    return (math.lcm(H.conductor, G.exponent), elements,
+            lambda i, g: i * ng + G.index_of(g))
+
+
 def bosonize(H: StructBialgebra) -> StructBialgebra:
     """The smash product H # kG of a color bialgebra with its grading group.
 
@@ -839,19 +845,9 @@ def bosonize(H: StructBialgebra) -> StructBialgebra:
     beta(g, |y|) and the coproduct shifts the group leg by the degree of
     the right tensorand.  The output is a plain (ungraded) bialgebra.
     """
-    if H.grading is None or H.beta is None or H.group is None:
-        raise ValueError("bosonization needs grading and braiding data")
-    G = H.group
-    N = math.lcm(H.conductor, G.exponent)
+    N, elements, idx = _smash_basis(H)
     base = H.lifted(N)
-    elements = list(G.elements())
-    g_index = {g.residues: idx for idx, g in enumerate(elements)}
-    ng = len(elements)
-    dim = base.dim * ng
-
-    def idx(i, g):
-        return i * ng + g_index[g.residues]
-
+    dim = base.dim * len(elements)
     mult = [[() for _ in range(dim)] for _ in range(dim)]
     for i in range(base.dim):
         for gi in elements:
@@ -871,7 +867,7 @@ def bosonize(H: StructBialgebra) -> StructBialgebra:
                 left_g = base.grading[k] * g
                 entry.append((idx(j, left_g), idx(k, g), c))
             comult.append(tuple(entry))
-    identity = G.identity()
+    identity = H.group.identity()
     unit = {idx(i, identity): c for i, c in base.unit.items()}
     counit = [base.counit[i] for i in range(base.dim) for _ in elements]
     return StructBialgebra(dim=dim, conductor=N, mult=mult, comult=comult,
@@ -884,18 +880,8 @@ def bosonization_antipode_formula(H: StructBialgebra, S: list) -> list:
     S(x # e_g) = beta(g^{-1} |x|^{-1}, |x|) S(x) # e_{g^{-1} |x|^{-1}}
     for homogeneous x; S must preserve degrees, which is checked.
     """
-    if H.grading is None or H.beta is None or H.group is None:
-        raise ValueError("needs grading and braiding data")
-    G = H.group
-    N = math.lcm(H.conductor, G.exponent)
-    elements = list(G.elements())
-    g_index = {g.residues: idx for idx, g in enumerate(elements)}
-    ng = len(elements)
-
-    def idx(i, g):
-        return i * ng + g_index[g.residues]
-
-    out = [dict() for _ in range(H.dim * ng)]
+    N, elements, idx = _smash_basis(H)
+    out = [dict() for _ in range(H.dim * len(elements))]
     for i in range(H.dim):
         deg = H.grading[i]
         for k in S[i]:
@@ -985,7 +971,7 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
         rho = monomial_to_columns(m, N)
         for col, g in zip(T, degrees):
             val = Cyclo.embed(Character(group, a.residues)(g), N)
-            if not lc_equal(lc_map(rho, col), {k: val * c for k, c in col.items()}):
+            if lc_map(rho, col) != {k: val * c for k, c in col.items()}:
                 raise ActionError(
                     "projector image is not an eigenvector; the table is not "
                     "a group action")

@@ -60,10 +60,6 @@ class Rational01:
         self.num = num // g
         self.den = den // g
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Rational01":
-        return cls(f.numerator, f.denominator)
-
     def __add__(self, other: "Rational01") -> "Rational01":
         return Rational01(self.num * other.den + other.num * self.den,
                           self.den * other.den)
@@ -85,9 +81,6 @@ class Rational01:
     def order(self) -> int:
         """Multiplicative order of the root of unity."""
         return self.den
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Rational01)
@@ -183,19 +176,11 @@ class Scalar:
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b = self.exps, other.exps
-        if not b:
-            exps = a
-        elif not a:
-            exps = b
-        else:
-            merged = dict(a)
-            for name, e in b:
-                merged[name] = merged.get(name, 0) + e
-            exps = tuple(sorted((n, e) for n, e in merged.items() if e))
-        r, s = self.root, other.root
-        root = r if not s.num else s if not r.num else r + s
-        return Scalar._make(root, exps)
+        merged = dict(self.exps)
+        for name, e in other.exps:
+            merged[name] = merged.get(name, 0) + e
+        return Scalar._make(self.root + other.root,
+                            tuple(sorted((n, e) for n, e in merged.items() if e)))
 
     def inverse(self) -> "Scalar":
         return Scalar._make(-self.root, tuple((n, -e) for n, e in self.exps))
@@ -293,37 +278,38 @@ def order_of(a: Scalar) -> int | None:
     return a.root.den
 
 
-def solve_power(a: Scalar, b: Scalar) -> int | None:
+def least_power(D: int, r_a: int, r_b: int, e_a=(), e_b=()) -> int | None:
     """Least n >= 0 with a**n == b, or None when no such n exists.
 
-    Variable exponents pin n down over the integers; the root parts add
-    the congruence n*root(a) == root(b) (mod 1).
+    a = zeta_D^r_a * prod(v**e_a) and b likewise, the exponent vectors
+    aligned by variable.  The exponents pin n down over the integers when
+    a has any; otherwise n*r_a == r_b (mod D) is solved with one modular
+    inverse, modulo the order D / gcd(r_a, D) of a.
     """
-    n_from_vars: int | None = None
-    names = {n for n, _ in a.exps} | {n for n, _ in b.exps}
-    for name in names:
-        av, bv = a.exponent_of(name), b.exponent_of(name)
-        if av == 0:
-            if bv != 0:
+    n = None
+    for av, bv in zip(e_a, e_b):
+        if not av:
+            if bv:
                 return None
             continue
-        if bv % av != 0:
+        if bv % av or bv // av < 0 or n not in (None, bv // av):
             return None
         n = bv // av
-        if n < 0:
-            return None
-        if n_from_vars is not None and n != n_from_vars:
-            return None
-        n_from_vars = n
-    if n_from_vars is not None:
-        return n_from_vars if a.root.scale(n_from_vars) == b.root else None
-    # pure roots of unity: scan one period of the cyclic group <root(a)>
-    if b.exps:
+    if n is not None:
+        return n if (n * r_a - r_b) % D == 0 else None
+    g = math.gcd(r_a, D)
+    if r_b % g:
         return None
-    for n in range(a.root.den):
-        if a.root.scale(n) == b.root:
-            return n
-    return None
+    order = D // g
+    return r_b // g * pow(r_a // g, -1, order) % order
+
+
+def solve_power(a: Scalar, b: Scalar) -> int | None:
+    """Least n >= 0 with a**n == b, or None when no such n exists."""
+    D = math.lcm(a.root.den, b.root.den)
+    names = sorted({n for n, _ in a.exps} | {n for n, _ in b.exps})
+    return least_power(D, a.root.num * (D // a.root.den), b.root.num * (D // b.root.den),
+                       [a.exponent_of(n) for n in names], [b.exponent_of(n) for n in names])
 
 
 # ---------------------------------------------------------------------------

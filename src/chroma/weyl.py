@@ -16,9 +16,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
+from .datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix, twist_matrix
 from .groups import Element
-from .scalars import Rational01, Scalar, order_of, solve_power
+from .scalars import Rational01, Scalar, least_power, order_of, solve_power
 
 
 class NotReflectable(ValueError):
@@ -99,15 +99,17 @@ def reflect_datum(E: Datum, p: int) -> Datum:
         raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
     q_new = BraidingMatrix(_reflect_entries(E.q, p, a))
     t_new = tuple(E.t[i] * (E.t[p] ** (-a[i])) for i in range(E.theta))
-    result = Datum._reflected(E, q_new, t_new)
+    qt_new = twist_matrix(q_new, t_new, E.beta)
     expected = _reflect_entries(E.qt, p, a)
-    for i, (got_row, want_row) in enumerate(zip(result.qt.entries, expected)):
+    for i, (got_row, want_row) in enumerate(zip(qt_new.entries, expected)):
         for j, (got, want) in enumerate(zip(got_row, want_row)):
             if got != want:
                 raise AssertionError(
                     f"twisted matrix does not satisfy the reflection identity "
                     f"at ({i},{j})")
-    return result
+    # beta, hence its nondegeneracy, never changes under a reflection
+    return Datum._of_parts(q_new, E.group, E.beta, t_new, qt_new,
+                           tuple(E.beta.chi(x) for x in t_new))
 
 
 def reflectable_vertices(E: Datum) -> list[int]:
@@ -191,43 +193,25 @@ class _OrbitKernel:
 
     def cartan_row(self, key: tuple, p: int) -> list[int] | None:
         """``cartan_row`` on a key: q_pp has finite order D / gcd(r_pp, D)
-        iff its exponents vanish, and q_pp^n = (q_pj q_jp)^-1 is a linear
-        congruence in n (or pins n down through the exponents)."""
+        iff its exponents vanish, and q_pp^n = (q_pj q_jp)^-1 is solved by
+        ``least_power`` on the key's integers."""
         theta, D, planes = self.theta, self.D, self.exp_planes
         pp = p * theta + p
         r_pp = key[pp]
         e_pp = [key[off + pp] for off in planes]
         finite = not any(e_pp)
-        if finite:
-            g = math.gcd(r_pp, D)
-            order = D // g
-            unit = pow(r_pp // g, -1, order) if order > 1 else 0
         row = []
         for j in range(theta):
             if j == p:
                 row.append(2)
                 continue
             pj, jp = p * theta + j, j * theta + p
-            b_r = -(key[pj] + key[jp]) % D
-            e_b = [-(key[off + pj] + key[off + jp]) for off in planes]
-            if finite:
-                # the least n with q_pp^n = (q_pj q_jp)^-1, else order - 1
-                if any(e_b) or b_r % g:
-                    row.append(1 - order)
-                else:
-                    row.append(-(b_r // g * unit % order))
-                continue
-            n = None
-            for av, bv in zip(e_pp, e_b):
-                if not av:
-                    if bv:
-                        return None
-                    continue
-                if bv % av or bv // av < 0 or n not in (None, bv // av):
+            n = least_power(D, r_pp, -(key[pj] + key[jp]) % D, e_pp,
+                            [-(key[off + pj] + key[off + jp]) for off in planes])
+            if n is None:
+                if not finite:
                     return None
-                n = bv // av
-            if n * r_pp % D != b_r:
-                return None
+                n = D // math.gcd(r_pp, D) - 1
             row.append(-n)
         return row
 

@@ -140,8 +140,6 @@ def solve_homogeneous_mod(matrix: list[list[int]], modulus: int) -> list[tuple[i
     choice_sets = []
     for d in diag:
         g = math.gcd(d, modulus)
-        if g == 0:
-            g = modulus  # d == 0 and modulus | 0: free coordinate
         step = modulus // g
         choice_sets.append([step * w for w in range(g)])
     count = math.prod(len(cs) for cs in choice_sets)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -473,3 +474,117 @@ def test_check_double_huge_group_exits_0(tmp_path):
     assert report["retractions"] == 1000000007
     assert report["color_retractions"] == 1
     assert report["single_copy"]["witness"] == [[1000000002]]
+
+
+def _c2_pair(**entries) -> dict:
+    return dict({"L": {"cyclic": 2}, "Gamma": {"cyclic": 2},
+                 "lact": [[0, 0], [1, 1]], "ract": [[0, 1], [0, 1]]}, **entries)
+
+
+def _run_malformed(command, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "--input", str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, images", [
+    ("g", 5), ("g", ["a", 1]), ("g", [0, True]), ("g", [0]), ("g", [0, 1, 1]),
+    ("g", [0, 2]), ("h", 5), ("h", ["a", 1]), ("h", [0]), ("h", [0, -1]),
+], ids=["g-int", "g-string", "g-bool", "g-short", "g-long", "g-out-of-range",
+        "h-int", "h-string", "h-short", "h-negative"])
+def test_malformed_automorphism_images_exit_2(key, images, tmp_path, capsys):
+    payload = _c2_pair(g=[0, 1], h=[0, 1])
+    payload[key] = images
+    code, captured = _run_malformed("aut-ext", payload, tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be an array of 2 indices below 2\n"
+
+
+@pytest.mark.parametrize("key, table", [
+    ("tau", 7),
+    ("sigma", [[["0/1"]]]),
+    ("sigma", [["0/1", "0/1"], ["0/1", "0/1"]]),
+    ("sigma", [[["0/1", "0/1"], ["0/1", "0/1"]]]),
+    ("tau", [[["0/1", "0/1"], ["0/1"]], [["0/1", "0/1"], ["0/1", "0/1"]]]),
+    ("tau", "0/1"),
+], ids=["tau-int", "sigma-1x1x1", "sigma-2d", "sigma-one-plane", "tau-short-row",
+        "tau-string"])
+def test_malformed_cocycle_table_exits_2(key, table, tmp_path, capsys):
+    code, captured = _run_malformed("check-extension", _c2_pair(**{key: table}),
+                                    tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be an array of shape 2 x 2 x 2\n"
+
+
+def _ring_payload(**entries) -> dict:
+    return dict({"ring": {"orders": [3], "mul": [[(a * b) % 3 for b in range(3)]
+                                                 for a in range(3)]},
+                 "Gamma": {"cyclic": 2}, "nu": [1, 2], "psi": [0, 1],
+                 "phi": [[0, 0], [0, 0]], "eta": ["0/1", "0/1", "0/1"],
+                 "theta": ["0/1", "2/3", "1/3"]}, **entries)
+
+
+def _ring_family_pair(with_grading: bool) -> dict:
+    """The mod-3 ring family's matched pair with its sigma, and trivial tau,
+    as explicit tables; with its z, group and beta when asked."""
+    fam = cases.mod3_ring_family()
+    mp = fam.mp
+    payload = {"L": {"table": [list(r) for r in mp.L.table]},
+               "Gamma": {"cyclic": mp.Gamma.n},
+               "lact": [list(r) for r in mp.lact], "ract": [list(r) for r in mp.ract],
+               "sigma": [[[str(v) for v in row] for row in plane]
+                         for plane in fam.sigma.table],
+               "tau": [[[str(v) for v in row] for row in plane]
+                       for plane in TauCocycle.trivial(mp).table]}
+    if with_grading:
+        payload.update(z=[[list(fam.z.degree(l, g).residues) for g in range(mp.Gamma.n)]
+                          for l in range(mp.L.n)],
+                       group=fam.group.to_json(), beta=fam.beta.to_json())
+    return payload
+
+
+_TAU_MUTANT = [[["0/1"] * 3 for _ in range(3)] for _ in range(2)]
+_TAU_MUTANT[1][1][2] = "1/3"
+
+
+# report sha256 and exit code of each case, recorded before the report
+# envelope ("schema", "command") was moved into ``main``.  The ring
+# family's sigma is a color cocycle, so the plain Kac condition and Hopf
+# axioms fail (exit 1) while ``color_compatibility`` holds.
+@pytest.mark.parametrize("argv, payload, digest, expected", [
+    (["check-extension"], lambda: _ring_family_pair(False),
+     "f4d81050adcaf067aaf63b43e9fe36d753bf382fb3480f3a893d22e7d43c0faf", 1),
+    (["check-extension"], lambda: _ring_family_pair(True),
+     "a9472856af02051e98429ad7f59cbd3ecd40341e771f30d6258cf2e66df78618", 1),
+    (["check-extension"], lambda: _ring_payload(tau=_TAU_MUTANT),
+     "efaa682a4f0691bea505b875e5067f771cbd367f0c3f7d9dd7e7a92328627ee1", 1),
+    (["diagram", "--format", "dot"], lambda: cases.rank2_c3_datum().to_json(),
+     "442df6d2a515a54f7dbcfc4e7af3f64a44cf768467cb9a8c7176a19eb0f22d48", 0),
+], ids=["explicit-sigma-tau", "z-group-beta", "ring-own-tau", "diagram-dot"])
+def test_report_digest_pinned(argv, payload, digest, expected, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload()))
+    out = tmp_path / "report.out"
+    assert main([*argv, "--input", str(path), "--output", str(out)]) == expected
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_solver_probe_exits_0_quickly(tmp_path):
+    """q_00 = zeta(1000000007,1) and q_01 q_10 = -1: the Cartan entry is
+    1 - 1000000007, found with one modular inverse, not a scan of the period."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"q": [["zeta(1000000007,1)", "-1"],
+                                      ["1", "zeta(1000000007,1)"]],
+                                "group": {"orders": [1]}, "beta": [["0/1"]],
+                                "t": [[0], [0]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "check-datum", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reflectable_vertices"] == [0, 1]

@@ -16,7 +16,7 @@ from chroma.hopfcheck import (ActionError, MonomialMatrix, StructBialgebra,
                               antipode_matrix_invertible, bosonize,
                               bosonization_antipode_formula, check_axioms,
                               check_flip, grade_by_action, invert_columns,
-                              is_bialgebra_morphism, lc_add_scaled, lc_equal,
+                              is_bialgebra_morphism, lc_add_scaled,
                               lc_map, lift_cyclo, matrix_rank, solve_antipode,
                               verify_color_antipode, _nonzero_keys, _terms)
 from chroma.scalars import (Cyclo, R01_HALF, R01_ZERO, Rational01,
@@ -172,7 +172,7 @@ def test_bosonize_color_group_algebra():
     SB = solve_antipode(HB)
     assert SB is not None
     formula = bosonization_antipode_formula(Hg, S)
-    assert all(lc_equal(SB[j], formula[j]) for j in range(HB.dim))
+    assert all(SB[j] == formula[j] for j in range(HB.dim))
 
 
 def test_bosonize_trivial_grading_is_tensor_product():
@@ -204,7 +204,7 @@ def test_antipode_unique_both_sides():
     from chroma.hopfcheck import _convolve, _identity_map, _unit_counit_map
     uc = _unit_counit_map(H)
     left = _convolve(H, S, _identity_map(H))
-    assert all(lc_equal(left[i], uc[i]) for i in range(H.dim))
+    assert all(left[i] == uc[i] for i in range(H.dim))
 
 
 def test_is_bialgebra_morphism_detects_failure():
@@ -320,8 +320,8 @@ def test_invert_columns_and_rank(N):
     inv = invert_columns(A, n, one)
     for j in range(n):
         # inv A e_j = e_j and A inv e_j = e_j
-        assert lc_equal(lc_map(inv, A[j]), {j: one})
-        assert lc_equal(lc_map(A, inv[j]), {j: one})
+        assert lc_map(inv, A[j]) == {j: one}
+        assert lc_map(A, inv[j]) == {j: one}
     a, b, c = A[:3]
     w = random_columns(rng, N, 1, 1)[0].get(0, one)
     assert matrix_rank([a, b, c, b]) == 3                      # a repeated column

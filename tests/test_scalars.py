@@ -115,6 +115,43 @@ def test_solve_power_against_brute_force():
             assert got is None or got > 200
 
 
+def test_solve_power_on_all_pure_roots_of_order_at_most_60():
+    """Every pair (a, b) of roots of unity of order <= 60 against one scan of
+    a's period: the first n at which a^n hits b, or None when it never does."""
+    roots = [Scalar.zeta(n, k) for n in range(1, 61) for k in range(n)
+             if math.gcd(k, n) == 1]
+    for a in roots:
+        first = {}
+        acc = Scalar.one()
+        for n in range(a.root.den):
+            first.setdefault(acc, n)
+            acc = acc * a
+        assert acc.is_one()
+        for b in roots:
+            assert solve_power(a, b) == first.get(b)
+
+
+def test_solve_power_on_random_monomials():
+    q, r = Scalar.variable("q"), Scalar.variable("r")
+    assert solve_power(q * r, (q ** 2) * (r ** 3)) is None  # the variables disagree
+    rng = random.Random(60)
+    names = ("p", "q", "r")
+    for _ in range(500):
+        den = rng.randrange(1, 61)
+        a = Scalar(Rational01(rng.randrange(den), den),
+                   {v: rng.randrange(-3, 4) for v in names if rng.random() < 0.4})
+        if rng.random() < 0.5:
+            b = a ** rng.randrange(0, 60)
+        else:
+            den = rng.randrange(1, 61)
+            b = Scalar(Rational01(rng.randrange(den), den),
+                       {v: rng.randrange(-6, 7) for v in names if rng.random() < 0.4})
+        # every solution is below brute_solve_power's bound of 200: a pure
+        # root repeats within its order (<= 60), and a variable exponent
+        # pins n to the k < 60 of b = a**k or to at most 6
+        assert solve_power(a, b) == brute_solve_power(a, b)
+
+
 def test_order_consistency():
     rng = random.Random(3)
     for _ in range(100):
