@@ -163,13 +163,10 @@ def _cmd_check_extension(data: dict, args):
 
 def _check_ring_extension(data: dict):
     """Build sigma/beta/z from finite-ring data and verify colorability."""
-    ring = data["ring"]
-    R = extensions.FiniteRing(tuple(ring["orders"]), ring["mul"])
+    R = extensions.FiniteRing.from_json(data["ring"])
     Gamma = extensions.FiniteGroup.from_json(data["Gamma"])
-    fam = extensions.ring_family(
-        R, Gamma, data["nu"], data["psi"], data["phi"],
-        [Rational01.parse(v) for v in data["eta"]],
-        [Rational01.parse(v) for v in data["theta"]])
+    fam = extensions.ring_family(R, Gamma, data["nu"], data["psi"], data["phi"],
+                                 _roots(data, "eta"), _roots(data, "theta"))
     mp = fam.mp
     tau = _parse_cocycle(extensions.TauCocycle, mp, data, "tau")
     split = fam.split
@@ -192,12 +189,19 @@ def _check_ring_extension(data: dict):
     }, 0 if all(checks.values()) else 1
 
 
+def _roots(data: dict, key: str) -> list:
+    """``data[key]`` as a list of roots of unity."""
+    values = data[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be an array of roots")
+    return [Rational01.parse(v) for v in values]
+
+
 def _automorphism(group: extensions.FiniteGroup, images, key: str) -> extensions.GroupAut:
     """``images`` checked as an array of group.n int indices, then validated."""
-    message = f"{key} must be an array of {group.n} indices below {group.n}"
-    row = extensions._index_table([images], message, group.n)[0]
-    if len(row) != group.n:
-        raise ValueError(message)
+    n = group.n
+    (row,) = extensions._index_table([images], f"{key} must be an array of {n} "
+                                     f"indices below {n}", n, (1, n))
     return extensions.GroupAut(group, row)
 
 

@@ -45,15 +45,19 @@ def _two_sided_identity(table, message: str) -> int:
     return e
 
 
-def _index_table(table, message: str, size: int | None = None) -> tuple:
+def _index_table(table, message: str, size: int | None = None,
+                 shape: tuple | None = None) -> tuple:
     """``table`` as a tuple of rows of int indices below ``size`` (default:
-    its row count); anything else, bools included, raises ValueError."""
+    its row count), of ``shape`` (rows, columns) when given; anything else,
+    bools included, raises ValueError."""
     if not isinstance(table, (list, tuple)):
         raise ValueError(message)
     size = len(table) if size is None else size
     if not all(isinstance(row, (list, tuple))
                and all(type(x) is int and 0 <= x < size for x in row)
                for row in table):
+        raise ValueError(message)
+    if shape and (len(table) != shape[0] or any(len(row) != shape[1] for row in table)):
         raise ValueError(message)
     return tuple(tuple(row) for row in table)
 
@@ -485,14 +489,8 @@ class ExtAutomorphism:
         if not _respects_actions(mp, self.g, self.h):
             return False
         D = math.lcm(*(v.den for row in f for v in row))
-        x = [v.num * (D // v.den) for row in f for v in row]
-        for eq in _ftilde_equations(mp, self.g, self.h):
-            total = 0
-            for v, c in eq:
-                total += c * x[v]
-            if total % D:
-                return False
-        return True
+        return _solves(_ftilde_equations(mp, self.g, self.h),
+                       [v.num * (D // v.den) for row in f for v in row], D)
 
     def matrix(self, mp: MatchedPair) -> MonomialMatrix:
         L, Gamma = mp.L, mp.Gamma
@@ -544,6 +542,11 @@ def _ftilde_equations(mp: MatchedPair, g: GroupAut, h: GroupAut) -> list:
                for gam in G for l in E for t in E])
 
 
+def _solves(equations: list, x: list, D: int) -> bool:
+    """Whether the exponents x over D satisfy every ``_ftilde_equations`` row."""
+    return all(sum(c * x[v] for v, c in eq) % D == 0 for eq in equations)
+
+
 def default_root_bound(mp: MatchedPair) -> int:
     """lcm(exp L, exp Gamma, |L|): covers every example family we know of."""
     return math.lcm(mp.L.exponent, mp.Gamma.exponent, mp.L.n)
@@ -579,8 +582,9 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
             "may be incomplete", BoundTooSmall)
     if not _respects_actions(mp, g, h):
         return []
+    equations = _ftilde_equations(mp, g, h)
     rows = []
-    for eq in _ftilde_equations(mp, g, h):
+    for eq in equations:
         row = [0] * (Gamma.n * L.n)
         for v, c in eq:
             row[v] += c
@@ -592,11 +596,11 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
     Hc = H.lifted(math.lcm(H.conductor, N))
     is_morphism = _morphism_check(Hc)
     for sol in sorted(solutions):
+        if not _solves(equations, sol, N):
+            raise AssertionError("solver produced an invalid automorphism")
         ftilde = [[Rational01(sol[gam * L.n + l], N) for l in L.elements()]
                   for gam in Gamma.elements()]
         aut = ExtAutomorphism(g, h, ftilde)
-        if not aut.validate(mp):
-            raise AssertionError("solver produced an invalid automorphism")
         m = aut.matrix(mp)
         cols = [m.column(j, Hc.conductor) for j in range(m.dim)]
         if not is_morphism(cols):
@@ -847,9 +851,9 @@ class FiniteRing:
     def __init__(self, orders, mul_table):
         self.add_group = FinAbGroup(tuple(orders))
         n = self.add_group.order
-        self.mul_table = tuple(tuple(row) for row in mul_table)
-        if len(self.mul_table) != n or any(len(r) != n for r in self.mul_table):
-            raise ValueError("multiplication table has the wrong shape")
+        self.mul_table = _index_table(
+            mul_table, f"ring mul must be an array of shape {n} x {n} of "
+                       f"element indices below {n}", n, (n, n))
         self.additive = FiniteGroup.from_fin_ab(self.add_group)
         add = self.additive.table
         self.zero = 0
@@ -886,6 +890,13 @@ class FiniteRing:
     def integers_mod(cls, n: int) -> "FiniteRing":
         return cls((n,), [[(a * b) % n for b in range(n)] for a in range(n)])
 
+    @classmethod
+    def from_json(cls, data) -> "FiniteRing":
+        """``{"orders": [...], "mul": rows}``, the orders checked as a group's."""
+        if not isinstance(data, dict):
+            raise ValueError("ring must be a JSON object")
+        return cls(FinAbGroup.from_json(data).orders, data["mul"])
+
 
 @dataclass
 class RingFamilyData:
@@ -915,7 +926,16 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
     machinery; that report is kept as ``split``.
     """
     G = R.add_group
-    n = R.n
+    n, m = R.n, Gamma.n
+    (nu,) = _index_table([nu], f"nu must be an array of {m} ring element indices "
+                               f"below {n}", n, (1, m))
+    (psi,) = _index_table([psi], f"psi must be an array of {m} ring element indices "
+                                 f"below {n}", n, (1, m))
+    phi = _index_table(phi, f"phi must be an array of shape {m} x {m} of ring "
+                            f"element indices below {n}", n, (m, m))
+    for name, values in (("eta", eta), ("theta", theta)):
+        if len(values) != n:
+            raise ValueError(f"{name} must have one root per ring element ({n})")
     elems = list(G.elements())
     L = R.additive
     add = L.table

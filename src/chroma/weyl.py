@@ -4,10 +4,11 @@ The Cartan entry a_pj is the least n >= 0 killing
 (1 + q_pp + ... + q_pp^n)(1 - q_pp^n q_pj q_jp), negated; a vertex p is
 reflectable when every a_pj is finite.  Reflections are involutive, and
 the twisted matrix of a reflected datum satisfies the same transformation
-rule as the braiding matrix itself, which ``reflect_datum`` re-checks.
-Orbits are searched and re-checked on integer keys (``_OrbitKernel``),
-which enforce that identity on every reflection; ``reflect_datum`` stays
-the monomial reference.
+rule as the braiding matrix itself, which every reflection re-checks.
+One integer kernel (``_OrbitKernel``) holds the rule: orbits are searched
+and re-checked on its keys, and the public functions encode one datum,
+reflect it once and decode the result.  A bare braiding matrix is encoded
+as a datum over the trivial group, where qt = q.
 """
 
 from __future__ import annotations
@@ -16,76 +17,43 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix, twist_matrix
-from .groups import Element
-from .scalars import Rational01, Scalar, least_power, order_of, solve_power
+from .datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
+from .groups import Bicharacter, Element, FinAbGroup
+from .scalars import Rational01, Scalar, least_power
 
 
 class NotReflectable(ValueError):
     """Some Cartan entry at the requested vertex is infinite."""
 
 
+def _over_trivial_group(q: BraidingMatrix) -> Datum:
+    """q as a datum over the trivial group: every degree is 1 and qt = q."""
+    G = FinAbGroup.of()
+    beta = Bicharacter.trivial(G)
+    one = G.identity()
+    return Datum._of_parts(q, G, beta, (one,) * q.theta, q, (beta.chi(one),) * q.theta)
+
+
+def _encoded(E: Datum):
+    """(kernel, key, payload) of one datum."""
+    kernel = _OrbitKernel([E])
+    return (kernel, *kernel.encode(E))
+
+
 def cartan_entry(q: BraidingMatrix, p: int, j: int) -> int | None:
     """a_pj (an integer <= 0, or 2 on the diagonal); None when undefined."""
-    if p == j:
-        return 2
-    n1 = solve_power(q[p, p], (q[p, j] * q[j, p]).inverse())
-    ord_pp = order_of(q[p, p])
-    n2 = ord_pp - 1 if ord_pp is not None else None
-    candidates = [n for n in (n1, n2) if n is not None]
-    if not candidates:
-        return None
-    return -min(candidates)
+    kernel, key, _ = _encoded(_over_trivial_group(q))
+    return kernel.cartan_entry(key, p, j)
 
 
 def cartan_row(q: BraidingMatrix, p: int) -> list[int] | None:
-    row = []
-    for j in range(q.theta):
-        a = cartan_entry(q, p, j)
-        if a is None:
-            return None
-        row.append(a)
-    return row
-
-
-def _reflect_entries(m: ScalarMatrix, p: int, a: list[int]) -> list[list[Scalar]]:
-    """Entries m_ij m_pj^{-a_i} m_ip^{-a_j} m_pp^{a_i a_j}, taken in log space.
-
-    Root parts become integers over one common denominator D and variable
-    parts integer exponents, so each entry is one integer combination
-    log m_ij - a_i log m_pj - a_j log m_ip + a_i a_j log m_pp.
-    """
-    rows = m.entries
-    D = math.lcm(*(s.root.den for row in rows for s in row))
-    logs = [[(s.root.num * (D // s.root.den), s.exps) for s in row] for row in rows]
-    r_pp, e_pp = logs[p][p]
-    out = []
-    for i, row in enumerate(logs):
-        ai = a[i]
-        r_ip, e_ip = row[p]
-        new_row = []
-        for j, (r_ij, e_ij) in enumerate(row):
-            aj = a[j]
-            r_pj, e_pj = logs[p][j]
-            num = r_ij - ai * r_pj - aj * r_ip + ai * aj * r_pp
-            if e_pj or e_ip or e_pp:
-                exps = dict(e_ij)
-                for terms, c in ((e_pj, -ai), (e_ip, -aj), (e_pp, ai * aj)):
-                    if c:
-                        for name, e in terms:
-                            exps[name] = exps.get(name, 0) + c * e
-                e_ij = tuple(sorted((n, e) for n, e in exps.items() if e))
-            new_row.append(Scalar._make(Rational01(num, D), e_ij))
-        out.append(new_row)
-    return out
+    kernel, key, _ = _encoded(_over_trivial_group(q))
+    return kernel.cartan_row(key, p)
 
 
 def reflect_matrix(q: BraidingMatrix, p: int) -> BraidingMatrix:
     """The reflected matrix q'_ij = q_ij q_pj^{-a_pi} q_ip^{-a_pj} q_pp^{a_pi a_pj}."""
-    a = cartan_row(q, p)
-    if a is None:
-        raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
-    return BraidingMatrix(_reflect_entries(q, p, a))
+    return reflect_datum(_over_trivial_group(q), p).q
 
 
 def reflect_datum(E: Datum, p: int) -> Datum:
@@ -97,19 +65,11 @@ def reflect_datum(E: Datum, p: int) -> Datum:
     a = cartan_row(E.q, p)
     if a is None:
         raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
-    q_new = BraidingMatrix(_reflect_entries(E.q, p, a))
-    t_new = tuple(E.t[i] * (E.t[p] ** (-a[i])) for i in range(E.theta))
-    qt_new = twist_matrix(q_new, t_new, E.beta)
-    expected = _reflect_entries(E.qt, p, a)
-    for i, (got_row, want_row) in enumerate(zip(qt_new.entries, expected)):
-        for j, (got, want) in enumerate(zip(got_row, want_row)):
-            if got != want:
-                raise AssertionError(
-                    f"twisted matrix does not satisfy the reflection identity "
-                    f"at ({i},{j})")
-    # beta, hence its nondegeneracy, never changes under a reflection
-    return Datum._of_parts(q_new, E.group, E.beta, t_new, qt_new,
-                           tuple(E.beta.chi(x) for x in t_new))
+    kernel, key, payload = _encoded(E)
+    reflected = kernel.apply(key, payload, p, a)
+    if reflected is None:
+        raise DiagonalOne(f"reflection at vertex {p} gives a diagonal entry 1")
+    return kernel.datum(*reflected)
 
 
 def reflectable_vertices(E: Datum) -> list[int]:
@@ -137,7 +97,7 @@ class OrbitGraph:
 
 
 class _OrbitKernel:
-    """A reflection orbit on integer tuples.
+    """Cartan rows and reflections along one orbit, on integer tuples.
 
     Along an orbit theta, G, beta and the variable names never change, and
     every root of unity stays in mu_D, D = lcm(the root orders, exp G).  A
@@ -191,37 +151,38 @@ class _OrbitKernel:
             key.extend(x.residues)
         return tuple(key), tuple(payload)
 
-    def cartan_row(self, key: tuple, p: int) -> list[int] | None:
-        """``cartan_row`` on a key: q_pp has finite order D / gcd(r_pp, D)
+    def cartan_entry(self, key: tuple, p: int, j: int) -> int | None:
+        """``cartan_entry`` on a key: q_pp has finite order D / gcd(r_pp, D)
         iff its exponents vanish, and q_pp^n = (q_pj q_jp)^-1 is solved by
         ``least_power`` on the key's integers."""
+        if j == p:
+            return 2
         theta, D, planes = self.theta, self.D, self.exp_planes
-        pp = p * theta + p
+        pp, pj, jp = p * theta + p, p * theta + j, j * theta + p
         r_pp = key[pp]
         e_pp = [key[off + pp] for off in planes]
-        finite = not any(e_pp)
-        row = []
-        for j in range(theta):
-            if j == p:
-                row.append(2)
-                continue
-            pj, jp = p * theta + j, j * theta + p
-            n = least_power(D, r_pp, -(key[pj] + key[jp]) % D, e_pp,
-                            [-(key[off + pj] + key[off + jp]) for off in planes])
-            if n is None:
-                if not finite:
-                    return None
-                n = D // math.gcd(r_pp, D) - 1
-            row.append(-n)
-        return row
+        n = least_power(D, r_pp, -(key[pj] + key[jp]) % D, e_pp,
+                        [-(key[off + pj] + key[off + jp]) for off in planes])
+        if n is None:
+            if any(e_pp):
+                return None
+            n = D // math.gcd(r_pp, D) - 1
+        return -n
+
+    def cartan_row(self, key: tuple, p: int) -> list[int] | None:
+        row = [self.cartan_entry(key, p, j) for j in range(self.theta)]
+        return None if None in row else row
 
     def reflect(self, key: tuple, payload: tuple, p: int):
         """(key, payload) of the reflection at p; None when p is not
-        reflectable or a reflected diagonal entry is 1.  The twisted roots
-        must transform by the same rule as q: that identity is enforced."""
+        reflectable or a reflected diagonal entry is 1."""
         a = self.cartan_row(key, p)
-        if a is None:
-            return None
+        return None if a is None else self.apply(key, payload, p, a)
+
+    def apply(self, key: tuple, payload: tuple, p: int, a: list[int]):
+        """(key, payload) of the reflection at p with Cartan row a; None
+        when a reflected diagonal entry is 1.  The twisted roots must
+        transform by the same rule as q: that identity is enforced."""
         theta, D = self.theta, self.D
         new = [r % D for r in _reflect_plane(key, 0, theta, p, a)]
         for off in self.exp_planes:

@@ -393,18 +393,20 @@ def test_internal_error_exit_3(rank2_file, monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_orbit_identity_check_survives_optimize(rank2_file):
+@pytest.mark.parametrize("command", ["orbit", "check-datum"])
+def test_orbit_identity_check_survives_optimize(command, rank2_file):
     """The orbit kernel's twisted-matrix identity raises AssertionError
-    under python -O too: a kernel whose twist ignores beta exits 3."""
+    under python -O too: a kernel whose twist ignores beta exits 3, both
+    in an orbit search and in check-datum's public reflections."""
     script = ("import sys\n"
               "import chroma.weyl as w\n"
               "from chroma.cli import main\n"
               "w._OrbitKernel.twist = lambda self, key: key[:self.size]\n"
-              "sys.exit(main(['orbit', '--input', sys.argv[1]]))\n")
+              "sys.exit(main([sys.argv[2], '--input', sys.argv[1]]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", script, rank2_file],
+    proc = subprocess.run([sys.executable, "-O", "-c", script, rank2_file, command],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
@@ -519,12 +521,44 @@ def test_malformed_cocycle_table_exits_2(key, table, tmp_path, capsys):
     assert captured.err == f"error: {key} must be an array of shape 2 x 2 x 2\n"
 
 
+_MOD3 = [[(a * b) % 3 for b in range(3)] for a in range(3)]
+
+
 def _ring_payload(**entries) -> dict:
-    return dict({"ring": {"orders": [3], "mul": [[(a * b) % 3 for b in range(3)]
-                                                 for a in range(3)]},
+    return dict({"ring": {"orders": [3], "mul": _MOD3},
                  "Gamma": {"cyclic": 2}, "nu": [1, 2], "psi": [0, 1],
                  "phi": [[0, 0], [0, 0]], "eta": ["0/1", "0/1", "0/1"],
                  "theta": ["0/1", "2/3", "1/3"]}, **entries)
+
+
+_MUL_MESSAGE = "ring mul must be an array of shape 3 x 3 of element indices below 3"
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"ring": {"orders": [3], "mul": 5}}, _MUL_MESSAGE),
+    ({"ring": {"orders": [3], "mul": [["1", 0, 0], *_MOD3[1:]]}}, _MUL_MESSAGE),
+    ({"ring": {"orders": [3], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 3]]}}, _MUL_MESSAGE),
+    ({"ring": {"orders": [3], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, -1]]}}, _MUL_MESSAGE),
+    ({"ring": 3}, "ring must be a JSON object"),
+    ({"ring": {"orders": "3", "mul": _MOD3}}, "group orders must be a list"),
+    ({"nu": [1]}, "nu must be an array of 2 ring element indices below 3"),
+    ({"psi": [0]}, "psi must be an array of 2 ring element indices below 3"),
+    ({"psi": [0, 9]}, "psi must be an array of 2 ring element indices below 3"),
+    ({"phi": [[0, 0], [0, 9]]},
+     "phi must be an array of shape 2 x 2 of ring element indices below 3"),
+    ({"phi": [0, 0]}, "phi must be an array of shape 2 x 2 of ring element indices below 3"),
+    ({"theta": ["0/1"]}, "theta must have one root per ring element (3)"),
+    ({"eta": ["0/1"]}, "eta must have one root per ring element (3)"),
+    ({"eta": 5}, "eta must be an array of roots"),
+], ids=["mul-int", "mul-string", "mul-out-of-range", "mul-negative", "ring-int",
+        "orders-string", "nu-short", "psi-short", "psi-out-of-range",
+        "phi-out-of-range", "phi-flat", "theta-short", "eta-short", "eta-int"])
+def test_malformed_ring_family_exits_2(entries, message, tmp_path, capsys):
+    code, captured = _run_malformed("check-extension", _ring_payload(**entries),
+                                    tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _ring_family_pair(with_grading: bool) -> dict:

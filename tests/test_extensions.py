@@ -159,6 +159,27 @@ def test_aut_ext_squaring_pair_solutions():
     assert m.scal[src] == Rational01(-2, 7)
 
 
+def test_aut_ext_builds_its_equations_once(monkeypatch):
+    import chroma.extensions as ext
+    build, calls = ext._ftilde_equations, []
+    monkeypatch.setattr(ext, "_ftilde_equations",
+                        lambda *args: calls.append(args) or build(*args))
+    mp = cases.squaring_matched_pair()
+    sols = aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
+    assert len(sols) == 7 and len(calls) == 1
+
+
+def test_aut_ext_rejects_a_solution_off_its_equations(monkeypatch):
+    # ftilde_gamma(1) = 1 fails for the all-ones exponent vector
+    import chroma.extensions as ext
+    solve = ext.solve_homogeneous_mod
+    monkeypatch.setattr(ext, "solve_homogeneous_mod",
+                        lambda rows, N: solve(rows, N) + [(1,) * len(rows[0])])
+    mp = cases.squaring_matched_pair()
+    with pytest.raises(AssertionError, match="solver produced an invalid automorphism"):
+        aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
+
+
 def test_all_automorphisms_and_default_bound():
     from chroma.extensions import all_automorphisms, default_root_bound
     c7 = FiniteGroup.cyclic(7)

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cases
 from chroma.datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
 from chroma.groups import Bicharacter, FinAbGroup
-from chroma.scalars import Cyclo, Rational01, Scalar
+from chroma.scalars import Cyclo, Rational01, Scalar, order_of, solve_power
 from chroma.weyl import (NotReflectable, _OrbitKernel, cartan_entry,
                          cartan_row, check_consistent_coloring, reflect_datum,
                          reflect_matrix, reflectable_vertices, weyl_orbit)
@@ -32,6 +33,35 @@ def brute_cartan_entry(q, p, j, bound=200):
             if total.is_zero():
                 return -n
     return None
+
+
+def oracle_cartan_row(q, p):
+    """The Cartan row on ``Scalar``s alone: a_pj = -min(n1, ord(q_pp) - 1),
+    n1 the least n >= 0 with q_pp^n = (q_pj q_jp)^-1; None when some a_pj
+    has neither bound."""
+    row = []
+    for j in range(q.theta):
+        if j == p:
+            row.append(2)
+            continue
+        n1 = solve_power(q[p, p], (q[p, j] * q[j, p]).inverse())
+        ord_pp = order_of(q[p, p])
+        candidates = [n for n in (n1, None if ord_pp is None else ord_pp - 1)
+                      if n is not None]
+        if not candidates:
+            return None
+        row.append(-min(candidates))
+    return row
+
+
+def oracle_reflect(E, p):
+    """The reflection of a datum from the multiplicative formula and a
+    fresh ``Datum``, which derives qt and xi itself."""
+    a = oracle_cartan_row(E.q, p)
+    if a is None:
+        raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
+    q = BraidingMatrix(multiplicative_reflection(E.q, p, a))
+    return Datum(q, E.group, E.beta, (E.t[i] * E.t[p] ** (-a[i]) for i in range(E.theta)))
 
 
 def test_cartan_examples():
@@ -201,7 +231,8 @@ def test_reflection_matches_multiplicative_formula():
                   for _ in range(theta))
         E = Datum(q, G, beta, t)
         for p in range(theta):
-            a = cartan_row(q, p)
+            a = oracle_cartan_row(q, p)
+            assert cartan_row(q, p) == a
             if a is None:
                 with pytest.raises(NotReflectable):
                     reflect_datum(E, p)
@@ -228,11 +259,59 @@ def test_reflection_matches_multiplicative_formula():
     assert reflected > 300
 
 
-# -- whole orbits: the integer kernel against a BFS on reflect_datum ---------
+def _c12_datum(rows, residues):
+    G = FinAbGroup.of(12)
+    return Datum(BraidingMatrix(rows), G, Bicharacter(G, [[Rational01(5, 12)]]),
+                 [G.element([r]) for r in residues])
+
+
+@st.composite
+def c12_data(draw):
+    """Data shaped like ``random_braiding_matrix``'s, with degrees in C12:
+    roots of order <= 12 times q^a r^b, a, b in -2..2; each diagonal is a
+    pure root or not, each off-diagonal pair cancels its variables or not."""
+    def root(lo=0):
+        n = draw(st.integers(max(1, lo + 1), 12))
+        return Rational01(draw(st.integers(lo, n - 1)), n)
+
+    exps = st.fixed_dictionaries({"q": st.integers(-2, 2), "r": st.integers(-2, 2)})
+    theta = draw(st.integers(2, 4))
+    rows = [[None] * theta for _ in range(theta)]
+    for i in range(theta):
+        rows[i][i] = Scalar(root(1), {} if draw(st.booleans()) else draw(exps))
+        for j in range(i + 1, theta):
+            e = draw(exps)
+            rows[i][j] = Scalar(root(), e)
+            rows[j][i] = Scalar(root(), {k: -v for k, v in e.items()}
+                                if draw(st.booleans()) else draw(exps))
+    return _c12_datum(rows, [draw(st.integers(0, 11)) for _ in range(theta)])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(c12_data())
+@example(_c12_datum([[Scalar.minus_one(), Scalar.variable("q")],  # q'_11 = 1 at p = 0
+                     [Scalar.one(), Scalar.minus_one() * Scalar.variable("q", -1)]],
+                    [0, 1]))
+def test_public_reflection_api_matches_oracles(E):
+    for p in range(E.theta):
+        for j in range(E.theta):
+            assert cartan_entry(E.q, p, j) == brute_cartan_entry(E.q, p, j)
+        try:
+            want = oracle_reflect(E, p)
+        except (NotReflectable, DiagonalOne) as exc:
+            with pytest.raises(type(exc)):
+                reflect_datum(E, p)
+            continue
+        got = reflect_datum(E, p)
+        assert (got, got.qt, got.xi) == (want, want.qt, want.xi)
+        assert reflect_datum(got, p) == E
+
+
+# -- whole orbits: the integer kernel against a BFS on oracle_reflect ---------
 
 
 def scalar_orbit(E, max_nodes):
-    """The breadth-first orbit, built from ``reflect_datum`` and ``Datum``
+    """The breadth-first orbit, built from ``oracle_reflect`` and ``Datum``
     equality alone: the same order, edges and truncation rule."""
     nodes, index, edges, truncated = [E], {E: 0}, [], False
     frontier = [0]
@@ -241,7 +320,7 @@ def scalar_orbit(E, max_nodes):
         for src in frontier:
             for p in range(E.theta):
                 try:
-                    reflected = reflect_datum(nodes[src], p)
+                    reflected = oracle_reflect(nodes[src], p)
                 except (NotReflectable, DiagonalOne):
                     continue
                 if reflected not in index:
@@ -310,8 +389,8 @@ def test_kernel_cartan_rows_match():
                   for _ in range(theta))
         got = kernel_cartan_rows(Datum(q, G, Bicharacter(G, rows), t))
         for p in range(theta):
-            want = cartan_row(q, p)
-            assert got[p] == want
+            want = oracle_cartan_row(q, p)
+            assert got[p] == cartan_row(q, p) == want
             kinds.add((want is None, bool(q[p, p].exps)))
     # finite rows with pure-root and with variable diagonals, and infinite rows
     assert kinds == {(False, False), (False, True), (True, True)}
@@ -334,7 +413,8 @@ def test_kernel_cartan_rows_match_small_exponents():
         q = BraidingMatrix(entries)
         E = Datum(q, G, cases.c3_beta(), (G.generator(0), G.identity()))
         rows = kernel_cartan_rows(E)
-        assert rows == [cartan_row(q, 0), cartan_row(q, 1)]
+        want = [oracle_cartan_row(q, 0), oracle_cartan_row(q, 1)]
+        assert rows == [cartan_row(q, 0), cartan_row(q, 1)] == want
         infinite += rows.count(None)
     assert infinite > 100
 
