@@ -7,21 +7,21 @@ the tensor square by the bicharacter of the grading group).  The
 antipode is obtained as the convolution inverse of the identity via its
 minimal polynomial, then verified on both sides.
 
-The two exhaustive equality sweeps, ``check_axioms`` and
-``is_bialgebra_morphism``, run in the group ring of mu_N: each coefficient
-becomes exponent terms (e, r) standing for r zeta_N^e (a root of unity is
-one term), products add exponents mod N, and each equation lhs = rhs is
-one zero test of lhs - rhs, which reduces mod Phi_N only when the terms do
-not cancel exactly.
+Every product, coproduct, tensor and map image runs in the group ring of
+mu_N: each coefficient becomes exponent terms (e, r) standing for
+r zeta_N^e (a root of unity is one term), products add exponents mod N,
+and sums reduce mod Phi_N in one fold.  The axiom sweep, the morphism
+test, the antipode's convolution powers and braided laws, and the change
+of basis in ``grade_by_action`` all use it; each equation lhs = rhs is one
+zero test of lhs - rhs, which folds only when the terms do not cancel
+exactly.
 
-The computations that need inverses use ``Cyclo`` through one small
-kernel: ``lc_add_scaled`` (and its tensor variant ``lc_add_tensor``)
-accumulates (key, Cyclo) terms and drops zeros, ``lc_map`` applies a map
-given by its columns, and ``Echelon`` is the one incremental Gauss-Jordan
+``Cyclo`` is used only where a field inverse is taken or a ``Cyclo``
+table is built: ``Echelon``, the one incremental Gauss-Jordan
 elimination behind the antipode's Krylov relation, ``matrix_rank``,
-``invert_columns`` and ``grade_by_action``.  Monomial dual-group actions
-are validated and projected onto isotypic components by
-``validated_action`` and ``projector_column``.
+``invert_columns`` and ``grade_by_action``, accumulates (key, Cyclo)
+terms with ``lc_add_scaled``, which drops zeros.  Monomial dual-group actions are validated and projected onto
+isotypic components by ``validated_action`` and ``projector_column``.
 """
 
 from __future__ import annotations
@@ -145,20 +145,6 @@ def lc_add_scaled(acc: dict, terms, factor: Cyclo) -> None:
             acc[k] = v
 
 
-def lc_add_tensor(acc: dict, x, y, factor: Cyclo) -> None:
-    """acc += factor * (x (x) y), keyed by pairs; ``y`` must be re-iterable."""
-    for p, cp in x:
-        lc_add_scaled(acc, (((p, q), cq) for q, cq in y), cp * factor)
-
-
-def lc_map(columns: list, combo: dict) -> dict:
-    """The image of ``combo`` under the linear map e_i -> columns[i]."""
-    out: dict = {}
-    for i, c in combo.items():
-        lc_add_scaled(out, columns[i].items(), c)
-    return out
-
-
 class Echelon:
     """Incremental Gauss-Jordan elimination of sparse vectors over Q(zeta_N).
 
@@ -220,37 +206,6 @@ class StructBialgebra:
 
     def one(self) -> Cyclo:
         return Cyclo.one(self.conductor)
-
-    def zero(self) -> Cyclo:
-        return Cyclo.zero(self.conductor)
-
-    def root(self, r: Rational01) -> Cyclo:
-        return Cyclo.embed(r, self.conductor)
-
-    # -- basic operations ---------------------------------------------------
-
-    def product_combo(self, x: dict, y: dict) -> dict:
-        acc: dict = {}
-        for i, ci in x.items():
-            row = self.mult[i]
-            for j, cj in y.items():
-                lc_add_scaled(acc, row[j], ci * cj)
-        return acc
-
-    def coproduct_combo(self, x: dict) -> dict:
-        acc: dict = {}
-        for i, ci in x.items():
-            lc_add_scaled(acc, (((j, k), c) for j, k, c in self.comult[i]), ci)
-        return acc
-
-    def counit_combo(self, x: dict) -> Cyclo:
-        total = self.zero()
-        for i, ci in x.items():
-            total = total + self.counit[i] * ci
-        return total
-
-    def basis_combo(self, i: int) -> dict:
-        return {i: self.one()}
 
     # -- constructors ---------------------------------------------------------
 
@@ -402,12 +357,13 @@ def lift_cyclo(c: Cyclo, M: int) -> Cyclo:
 # exponent terms: exact sums in the group ring of mu_N
 # ---------------------------------------------------------------------------
 #
-# The equality sweeps write every coefficient of Q(zeta_N) as terms (e, r),
-# meaning r zeta_N^e with e mod N and r rational: a root of unity is one
-# term (k, 1), anything else its power-basis terms (e, nums[e]/den).  A
+# Every coefficient of Q(zeta_N) is written as terms (e, r), meaning
+# r zeta_N^e with e mod N and r rational: a root of unity is one term
+# (k, 1), anything else its power-basis terms (e, nums[e]/den).  A
 # combination is a tuple of (key, e, r); products add exponents mod N and
 # multiply weights, and sums accumulate in a dict keyed by (key, e), so
-# they live in Q[x]/(x^N - 1).  Only the zero test reduces mod Phi_N.
+# they live in Q[x]/(x^N - 1).  Only ``_nonzero_keys`` reduces mod Phi_N:
+# for the zero test and for the conversion back to ``Cyclo``.
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,14 +420,15 @@ def _add_mapped(acc: dict, x, columns, sign: int, N: int) -> None:
             acc[key] = acc.get(key, 0) + f * r
 
 
-def _add_product(acc: dict, x, y, mult, sign: int, N: int) -> None:
-    """acc += sign x y, the product in H through its term table ``mult``."""
+def _add_product(acc: dict, x, y, mult, e0: int, r0, N: int) -> None:
+    """acc += r0 zeta^e0 x y, the product in H through its term table ``mult``."""
     for a, ea, ra in x:
         row = mult[a]
         for b, eb, rb in y:
-            f = sign * ra * rb
+            f = r0 * ra * rb
+            shift = e0 + ea + eb
             for k, e, r in row[b]:
-                key = (k, (ea + eb + e) % N)
+                key = (k, (shift + e) % N)
                 acc[key] = acc.get(key, 0) + f * r
 
 
@@ -484,15 +441,16 @@ def _add_tensor(acc: dict, x, y, e0: int, r0, N: int) -> None:
             acc[key] = acc.get(key, 0) + f * rb
 
 
-def _nonzero_keys(acc: dict, N: int) -> list:
-    """The keys k at which the sum of w zeta^e over acc's ((k, e), w) is nonzero.
+def _nonzero_keys(acc: dict, N: int) -> dict:
+    """The keys k at which the sum of w zeta^e over acc's ((k, e), w) is
+    nonzero, each with that sum's power-basis coefficients.
 
     Exact cancellation is the common case.  Otherwise each key's exponent
     vector is folded through the power table, i.e. reduced mod Phi_N: at
     N = 2, for instance, 1 + zeta = 0.
     """
     if not any(acc.values()):
-        return []
+        return {}
     table = _power_table(N)
     folded: dict = {}
     for (k, e), w in acc.items():
@@ -503,7 +461,24 @@ def _nonzero_keys(acc: dict, N: int) -> list:
             for j, t in enumerate(table[e]):
                 if t:
                     vec[j] += w * t
-    return [k for k, vec in folded.items() if any(vec)]
+    return {k: vec for k, vec in folded.items() if any(vec)}
+
+
+def _as_cyclo(acc: dict, N: int) -> dict:
+    """acc's sums as a combination key -> nonzero Cyclo."""
+    out = {}
+    for k, vec in _nonzero_keys(acc, N).items():
+        # integer numerators over one denominator, with no Fraction built
+        den = math.lcm(*(w.denominator for w in vec))
+        out[k] = Cyclo._make(N, tuple(w.numerator * (den // w.denominator) for w in vec), den)
+    return out
+
+
+def _sum(equation, *t) -> dict:
+    """The accumulator that equation(acc, *t) fills, from empty."""
+    acc: dict = {}
+    equation(acc, *t)
+    return acc
 
 
 def _holds(equation, N: int, *t) -> bool:
@@ -513,17 +488,18 @@ def _holds(equation, N: int, *t) -> bool:
     return not _nonzero_keys(acc, N)
 
 
+def _exponent(r: Rational01, N: int) -> int:
+    """k with exp(2 pi i r) = zeta_N^k."""
+    if r.num and N % r.den:
+        raise ValueError(f"order {r.den} does not divide conductor {N}")
+    return N // r.den * r.num
+
+
 def _twist_table(H: StructBialgebra) -> list:
     """twist[b][a] = the exponent of beta(|b|, |a|) in mu_N."""
-    N = H.conductor
     degrees = set(H.grading)
-    exponent = {}
-    for g in degrees:
-        for h in degrees:
-            r = H.beta.eval(g, h)
-            if r.num and N % r.den:
-                raise ValueError(f"order {r.den} does not divide conductor {N}")
-            exponent[g, h] = N // r.den * r.num
+    exponent = {(g, h): _exponent(H.beta.eval(g, h), H.conductor)
+                for g in degrees for h in degrees}
     return [[exponent[g, h] for h in H.grading] for g in H.grading]
 
 
@@ -576,11 +552,11 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
                     acc[key] = acc.get(key, 0) - r1 * r2
 
     def unit_left(acc, i):
-        _add_product(acc, unit, basis[i], mult, 1, N)
+        _add_product(acc, unit, basis[i], mult, 0, 1, N)
         _add_terms(acc, basis[i], 0, -1, N)
 
     def unit_right(acc, i):
-        _add_product(acc, basis[i], unit, mult, 1, N)
+        _add_product(acc, basis[i], unit, mult, 0, 1, N)
         _add_terms(acc, basis[i], 0, -1, N)
 
     def coassociativity(acc, i):
@@ -669,35 +645,20 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _convolve(H: StructBialgebra, f: list, g: list) -> list:
+def _convolve(f: list, g: list, mult: list, comult: list, N: int) -> list:
+    """The columns of the convolution f * g, as sums of exponent terms.
+
+    ``f`` and ``g`` give the image of e_j as a term combination at index j;
+    (f * g)(e_i) is the sum of r zeta^e f(e_j) g(e_k) over the terms of
+    Delta(e_i), through H's term tables ``mult`` and ``comult``.
+    """
     out = []
-    for i in range(H.dim):
+    for terms in comult:
         acc: dict = {}
-        for j, k, c in H.comult[i]:
-            lc_add_scaled(acc, H.product_combo(f[j], g[k]).items(), c)
+        for (j, k), e, r in terms:
+            _add_product(acc, f[j], g[k], mult, e, r, N)
         out.append(acc)
     return out
-
-
-def _unit_counit_map(H: StructBialgebra) -> list:
-    out = []
-    for i in range(H.dim):
-        combo: dict = {}
-        lc_add_scaled(combo, H.unit.items(), H.counit[i])
-        out.append(combo)
-    return out
-
-
-def _identity_map(H: StructBialgebra) -> list:
-    return [H.basis_combo(i) for i in range(H.dim)]
-
-
-def _flatten(mapping: list) -> dict:
-    flat = {}
-    for i, combo in enumerate(mapping):
-        for k, c in combo.items():
-            flat[(i, k)] = c
-    return flat
 
 
 def solve_antipode(H: StructBialgebra, mode: str = "plain"):
@@ -709,37 +670,43 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     the output is the unique two-sided inverse.  In color mode the
     braided antipode laws are verified as well and a failure raises.
     """
-    powers = [_unit_counit_map(H), _identity_map(H)]
+    n, N = H.dim, H.conductor
+    mult, comult, unit, counit = _term_tables(H)
+    identity = [((i, 0, 1),) for i in range(n)]
+    # id^{*0} and id as Cyclo columns; e_i -> epsilon(e_i) 1 maps through
+    # ``unit`` as the column of the counit's one key ()
+    powers = [[_as_cyclo(_sum(_add_mapped, c, {(): unit}, 1, N), N) for c in counit],
+              [{i: H.one()} for i in range(n)]]
+    last = identity     # the terms of the last power
     echelon = Echelon()
     relation = None
-    for m in range(H.dim * H.dim + 2):
+    for m in range(n * n + 2):
         while len(powers) <= m:
-            powers.append(_convolve(H, powers[-1], powers[1]))
-        relation = echelon.add(_flatten(powers[m]), {m: H.one()})
+            accs = _convolve(last, identity, mult, comult, N)
+            last = [tuple((k, e, w) for (k, e), w in acc.items() if w) for acc in accs]
+            powers.append([_as_cyclo(acc, N) for acc in accs])
+        relation = echelon.add({(i, k): c for i, col in enumerate(powers[m])
+                                for k, c in col.items()}, {m: H.one()})
         if relation is not None:
             break
     if relation is None:
         raise RuntimeError("convolution powers failed to close")
-    # relation: sum_k relation[k] * id^{*k} == 0 with relation[m] == 1
-    alphas = {k: -c for k, c in relation.items() if k != m}
-    alpha0 = alphas.get(0)
-    if alpha0 is None:
+    # relation: sum_k relation[k] id^{*k} == 0 with relation[m] == 1, so
+    # S = -(1/relation[0]) sum_{k>=1} relation[k] id^{*(k-1)}; there is no
+    # inverse without a constant term, or when id^{*0} itself vanishes
+    if m == 0 or 0 not in relation:
         return None
-    inv0 = alpha0.inverse()
-    S = [dict() for _ in range(H.dim)]
-    # S = (1/alpha_0) (id^{*(m-1)} - sum_{k>=1} alpha_k id^{*(k-1)})
-    for i in range(H.dim):
-        acc: dict = {}
-        lc_add_scaled(acc, powers[m - 1][i].items(), inv0)
-        for k, a in alphas.items():
-            if k >= 1:
-                lc_add_scaled(acc, powers[k - 1][i].items(), -(a * inv0))
-        S[i] = acc
-    uc = _unit_counit_map(H)
-    left = _convolve(H, S, _identity_map(H))
-    right = _convolve(H, _identity_map(H), S)
-    for i in range(H.dim):
-        if left[i] != uc[i] or right[i] != uc[i]:
+    scale = -relation[0].inverse()
+    S = []
+    for i in range(n):
+        col: dict = {}
+        for k, c in relation.items():
+            if k:
+                lc_add_scaled(col, powers[k - 1][i].items(), c * scale)
+        S.append(col)
+    cols = [_combo_terms(col.items(), N) for col in S]
+    for f, g in ((cols, identity), (identity, cols)):
+        if [_as_cyclo(acc, N) for acc in _convolve(f, g, mult, comult, N)] != powers[0]:
             return None
     if mode == "color":
         if not verify_color_antipode(H, S):
@@ -748,29 +715,31 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
 
 
 def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
-    """S(xy) = beta(|x|,|y|) S(y) S(x) and the braided coproduct law."""
+    """S(xy) = beta(|x|,|y|) S(y) S(x) and the braided coproduct law.
+
+    Each equation is one zero test of lhs - rhs in exponent terms.
+    """
     if H.grading is None or H.beta is None:
         raise ValueError("color antipode laws need grading and braiding")
-    n = H.dim
-    for i in range(n):
-        for j in range(n):
-            lhs: dict = {}
-            for k, c in H.mult[i][j]:
-                lc_add_scaled(lhs, S[k].items(), c)
-            factor = H.root(H.beta.eval(H.grading[i], H.grading[j]))
-            rhs: dict = {}
-            lc_add_scaled(rhs, H.product_combo(S[j], S[i]).items(), factor)
-            if lhs != rhs:
-                return False
-    for i in range(n):
-        lhs = H.coproduct_combo(S[i])
-        rhs: dict = {}
-        for j, k, c in H.comult[i]:
-            factor = c * H.root(H.beta.eval(H.grading[j], H.grading[k]))
-            lc_add_tensor(rhs, S[k].items(), S[j].items(), factor)
-        if lhs != rhs:
-            return False
-    return True
+    n, N = H.dim, H.conductor
+    mult, comult, _, _ = _term_tables(H)
+    twist = _twist_table(H)
+    cols = [_combo_terms(col.items(), N) for col in S]
+
+    def anti_multiplicative(acc, i, j):
+        # S(e_i e_j) - beta(|i|, |j|) S(e_j) S(e_i)
+        _add_mapped(acc, mult[i][j], cols, 1, N)
+        _add_product(acc, cols[j], cols[i], mult, twist[i][j], -1, N)
+
+    def braided_comultiplicative(acc, i):
+        # Delta(S(e_i)) - sum r zeta^e beta(|j|, |k|) S(e_k) (x) S(e_j)
+        _add_mapped(acc, cols[i], comult, 1, N)
+        for (j, k), e, r in comult[i]:
+            _add_tensor(acc, cols[k], cols[j], e + twist[j][k], -r, N)
+
+    return (all(_holds(anti_multiplicative, N, i, j)
+                for i, j in itertools.product(range(n), repeat=2))
+            and all(_holds(braided_comultiplicative, N, i) for i in range(n)))
 
 
 def antipode_matrix_invertible(H: StructBialgebra, S: list) -> bool:
@@ -949,54 +918,68 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
     homogeneous basis; failure to decompose means the table was not an
     action and raises.
     """
-    mats = validated_action(H.dim, action, group)
+    n = H.dim
+    mats = validated_action(n, action, group)
     scal_orders = [s.den for _, m in mats for s in m.scal]
     N = math.lcm(H.conductor, group.exponent, *scal_orders)
-    base = H.lifted(N)
     T: list[dict] = []
     degrees: list = []
     echelon = Echelon()
     for g in group.elements():
-        for j in range(H.dim):
+        for j in range(n):
             col = projector_column(mats, group, g, j, N)
             if echelon.add(col) is None:
                 T.append(col)
                 degrees.append(g)
-    if len(T) != H.dim:
+    if len(T) != n:
         raise ActionError(
-            f"projector images span dimension {len(T)} != {H.dim}; "
+            f"projector images span dimension {len(T)} != {n}; "
             "the table is not a group action")
+    cols = [_combo_terms(col.items(), N) for col in T]
+
+    def eigenvector(acc, rho, a, g, col):
+        # rho(a) col - a(g) col
+        _add_mapped(acc, col, rho, 1, N)
+        _add_terms(acc, col, _exponent(Character(group, a.residues)(g), N), -1, N)
+
     # every chosen column must be a genuine simultaneous eigenvector
     for a, m in mats:
-        rho = monomial_to_columns(m, N)
-        for col, g in zip(T, degrees):
-            val = Cyclo.embed(Character(group, a.residues)(g), N)
-            if lc_map(rho, col) != {k: val * c for k, c in col.items()}:
-                raise ActionError(
-                    "projector image is not an eigenvector; the table is not "
-                    "a group action")
-    T_inv = invert_columns(T, H.dim, Cyclo.one(N))
-    mult = [[tuple(sorted(lc_map(T_inv, base.product_combo(T[a], T[b])).items()))
-             for b in range(H.dim)] for a in range(H.dim)]
-    comult = []
-    for a in range(H.dim):
-        new: dict = {}
-        for (j, k), c in base.coproduct_combo(T[a]).items():
-            lc_add_tensor(new, T_inv[j].items(), T_inv[k].items(), c)
-        comult.append(tuple((j, k, c) for (j, k), c in sorted(new.items())))
-    return StructBialgebra(dim=H.dim, conductor=N, mult=mult, comult=comult,
-                           unit=lc_map(T_inv, base.unit),
-                           counit=[base.counit_combo(col) for col in T],
-                           grading=tuple(degrees), group=group, beta=beta)
+        rho = [((m.perm[j], _exponent(s, N), 1),) for j, s in enumerate(m.scal)]
+        if not all(_holds(eigenvector, N, rho, a, g, col) for col, g in zip(cols, degrees)):
+            raise ActionError(
+                "projector image is not an eigenvector; the table is not "
+                "a group action")
+    T_inv = [_combo_terms(col.items(), N) for col in invert_columns(T, n, Cyclo.one(N))]
+    mult, comult, unit, counit = _term_tables(H.lifted(N))
+
+    def product(acc, a, b):
+        # T^-1 (T e_a T e_b)
+        prod = _sum(_add_product, cols[a], cols[b], mult, 0, 1, N)
+        _add_mapped(acc, ((k, e, w) for (k, e), w in prod.items()), T_inv, 1, N)
+
+    def coproduct(acc, a):
+        # (T^-1 (x) T^-1) Delta(T e_a)
+        for ((j, k), e), w in _sum(_add_mapped, cols[a], comult, 1, N).items():
+            _add_tensor(acc, T_inv[j], T_inv[k], e, w, N)
+
+    def cyclo(equation, *t) -> dict:
+        return _as_cyclo(_sum(equation, *t), N)
+
+    return StructBialgebra(
+        dim=n, conductor=N,
+        mult=[[tuple(sorted(cyclo(product, a, b).items())) for b in range(n)]
+              for a in range(n)],
+        comult=[tuple((j, k, c) for (j, k), c in sorted(cyclo(coproduct, a).items()))
+                for a in range(n)],
+        unit=cyclo(_add_mapped, unit, T_inv, 1, N),
+        counit=[cyclo(_add_mapped, col, counit, 1, N).get((), Cyclo.zero(N))
+                for col in cols],
+        grading=tuple(degrees), group=group, beta=beta)
 
 
 # ---------------------------------------------------------------------------
 # morphism certification
 # ---------------------------------------------------------------------------
-
-
-def monomial_to_columns(m: MonomialMatrix, N: int) -> list[dict]:
-    return [m.column(j, N) for j in range(m.dim)]
 
 
 def is_bialgebra_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
@@ -1025,7 +1008,7 @@ def _morphism_check(H: StructBialgebra):
 
         def multiplicative(acc, i, j):
             _add_mapped(acc, mult[i][j], cols, 1, N)
-            _add_product(acc, cols[i], cols[j], mult, -1, N)
+            _add_product(acc, cols[i], cols[j], mult, 0, -1, N)
 
         def comultiplicative(acc, i):
             _add_mapped(acc, cols[i], comult, 1, N)

@@ -239,36 +239,33 @@ def parse_scalar(text: str) -> Scalar:
     if not isinstance(text, str):
         raise ParseError(f"scalar {text!r} is not a string", 0)
     pos = 0
-    result = Scalar.one()
-    seen = False
+    root = R01_ZERO
+    exps: dict = {}
     for piece in text.split("*"):
         factor = piece.strip()
         offset = pos + piece.index(factor) if factor else pos
         pos += len(piece) + 1
         if factor == "":
             raise ParseError("empty factor", offset)
-        seen = True
         if factor == "1":
             continue
         if factor == "-1":
-            result = result * Scalar.minus_one()
+            root = root + R01_HALF
             continue
         m = _ZETA_RE.match(factor)
         if m:
             n, k = int(m.group(1)), int(m.group(2))
             if n <= 0:
                 raise ParseError("zeta needs a positive order", offset)
-            result = result * Scalar.zeta(n, k)
+            root = root + Rational01(k, n)
             continue
         m = _FACTOR_RE.match(factor)
         if m and m.group(1) != "zeta":
-            e = int(m.group(2)) if m.group(2) else 1
-            result = result * Scalar.variable(m.group(1), e)
+            name = m.group(1)
+            exps[name] = exps.get(name, 0) + (int(m.group(2)) if m.group(2) else 1)
             continue
         raise ParseError(f"cannot parse factor {factor!r}", offset)
-    if not seen:
-        raise ParseError("empty scalar", 0)
-    return result
+    return Scalar._make(root, tuple(sorted((n, e) for n, e in exps.items() if e)))
 
 
 def order_of(a: Scalar) -> int | None:

@@ -35,6 +35,45 @@ def test_diagram_text(rank2_file, capsys):
     assert "●^1 —q^-1— ○^q" in out
 
 
+# Diagrams that are not simple paths print vertex and edge listings; a
+# group of order > 4 prints degree tuples instead of glyphs.
+_TRIANGLE_Q = [["-1", "q", "1"], ["1", "-1", "r^-1"], ["zeta(3,1)", "1", "q^2"]]
+
+
+@pytest.mark.parametrize("datum, text", [
+    ({"q": [["q", "1", "1"], ["1", "-1", "1"], ["1", "1", "zeta(3,1)"]],
+      "group": {"orders": [3]}, "beta": [["1/3"]], "t": [[1], [0], [2]]},
+     "generalized: vertices: 1:○^q 2:○^-1 3:○^zeta(3,1)\n"
+     "edges: (none)\n"
+     "colored:\n"
+     "legend: ○=(0) ●=(1) ⊗=(2)\n"
+     "vertices: 1:●^zeta(3,2)*q 2:○^-1 3:⊗^1\n"
+     "edges: 1-3:zeta(3,2)\n"),
+    ({"q": _TRIANGLE_Q, "group": {"orders": [3]}, "beta": [["1/3"]],
+      "t": [[0], [1], [2]]},
+     "generalized: vertices: 1:○^-1 2:○^-1 3:○^q^2\n"
+     "edges: 1-2:q 1-3:zeta(3,1) 2-3:r^-1\n"
+     "colored:\n"
+     "legend: ○=(0) ●=(1) ⊗=(2)\n"
+     "vertices: 1:○^-1 2:●^zeta(6,1) 3:⊗^zeta(3,2)*q^2\n"
+     "edges: 1-2:q 1-3:zeta(3,1) 2-3:zeta(3,2)*r^-1\n"),
+    ({"q": _TRIANGLE_Q, "group": {"orders": [5]}, "beta": [["1/5"]],
+      "t": [[0], [1], [2]]},
+     "generalized: vertices: 1:○^-1 2:○^-1 3:○^q^2\n"
+     "edges: 1-2:q 1-3:zeta(3,1) 2-3:r^-1\n"
+     "colored:\n"
+     "vertices: 1:[0]^-1 2:[1]^zeta(10,3) 3:[2]^zeta(5,1)*q^2\n"
+     "edges: 1-2:q 1-3:zeta(3,1) 2-3:zeta(5,1)*r^-1\n"),
+], ids=["edgeless", "triangle-c3", "triangle-c5"])
+def test_diagram_text_listing_pinned(datum, text, tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    out = tmp_path / "diagram.txt"
+    assert main(["diagram", "--input", str(path), "--format", "text",
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
 def test_diagram_json_round_trip(rank2_file, capsys):
     code, out = run(capsys, "diagram", "--input", rank2_file, "--format", "json")
     assert code == 0

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import warnings
 
 import pytest
@@ -284,6 +287,37 @@ def test_color_matched_pair_negative_case():
     report = check_color_matched_pair(mp, rho, G, beta)
     assert report["all"] is False
     assert report["rho_is_homomorphism"] is True
+
+
+# sha256 of the check_color_matched_pair reports, witnesses included, on
+# 24 seeded rho tables over G = C3 with beta(g, g) = zeta_3, drawn from the
+# aut_ext_solve solutions of the mixed C12/C3 pair
+COLOR_MATCHED_PAIR_DIGEST = "1c79ac7d57276aa9479389a651e37e53ee2709e8d16546d9d1358deb2a34aab3"
+
+
+def test_color_matched_pair_reports_pinned():
+    mp = cases.mixed_c12_matched_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pool = [aut for k in (1, 5, 7, 11) for hk in (1, 2)
+                for aut in aut_ext_solve(mp, GroupAut.by_power(mp.L, k),
+                                         GroupAut.by_power(mp.Gamma, hk), 3)]
+    G = FinAbGroup.of(3)
+    beta = Bicharacter(G, [[Rational01(1, 3)]])
+    dual = FinAbGroup(G.orders)
+    rng = random.Random("color-matched-pair")
+    reports = [check_color_matched_pair(
+        mp, {dual.element((0,)): ExtAutomorphism.identity(mp),
+             dual.element((1,)): rng.choice(pool),
+             dual.element((2,)): rng.choice(pool)}, G, beta)
+        for _ in range(24)]
+    # every witness branch is reached, and some table passes
+    for cond in ("i", "ii", "iii"):
+        failing = [r for r in reports if not r[f"condition_{cond}"]]
+        assert failing and all(r["witness"][cond] is not None for r in failing)
+    assert any(r["all"] for r in reports)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == COLOR_MATCHED_PAIR_DIGEST
 
 
 def test_check_color_matched_pair_agrees_with_is_color_trivial_rho():

@@ -17,7 +17,7 @@ from chroma.hopfcheck import (ActionError, MonomialMatrix, StructBialgebra,
                               bosonization_antipode_formula, check_axioms,
                               check_flip, grade_by_action, invert_columns,
                               is_bialgebra_morphism, lc_add_scaled,
-                              lc_map, lift_cyclo, matrix_rank, solve_antipode,
+                              lift_cyclo, matrix_rank, solve_antipode,
                               verify_color_antipode, _nonzero_keys, _terms)
 from chroma.scalars import (Cyclo, R01_HALF, R01_ZERO, Rational01,
                             cyclotomic_polynomial)
@@ -200,11 +200,16 @@ def test_antipode_unique_both_sides():
     mp = cases.squaring_matched_pair()
     H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
     S = solve_antipode(H)
-    # solve_antipode verifies both one-sided laws internally; re-verify one
-    from chroma.hopfcheck import _convolve, _identity_map, _unit_counit_map
-    uc = _unit_counit_map(H)
-    left = _convolve(H, S, _identity_map(H))
-    assert all(left[i] == uc[i] for i in range(H.dim))
+    # solve_antipode verifies both one-sided laws internally; re-verify one:
+    # (S * id)(e_i) == epsilon(e_i) 1
+    from chroma.hopfcheck import _as_cyclo, _combo_terms, _convolve, _term_tables
+    N = H.conductor
+    mult, comult, _, _ = _term_tables(H)
+    cols = [_combo_terms(col.items(), N) for col in S]
+    identity = [((i, 0, 1),) for i in range(H.dim)]
+    left = _convolve(cols, identity, mult, comult, N)
+    assert all(_as_cyclo(left[i], N) == combination((H.unit, H.counit[i]))
+               for i in range(H.dim))
 
 
 def test_is_bialgebra_morphism_detects_failure():
@@ -320,8 +325,8 @@ def test_invert_columns_and_rank(N):
     inv = invert_columns(A, n, one)
     for j in range(n):
         # inv A e_j = e_j and A inv e_j = e_j
-        assert lc_map(inv, A[j]) == {j: one}
-        assert lc_map(A, inv[j]) == {j: one}
+        assert combination(*((inv[i], c) for i, c in A[j].items())) == {j: one}
+        assert combination(*((A[i], c) for i, c in inv[j].items())) == {j: one}
     a, b, c = A[:3]
     w = random_columns(rng, N, 1, 1)[0].get(0, one)
     assert matrix_rank([a, b, c, b]) == 3                      # a repeated column
@@ -628,6 +633,91 @@ def test_is_bialgebra_morphism_verdicts_pinned(name):
     assert verdicts[0]
     assert _sha256(verdicts) == MORPHISM_DIGESTS[name]
 
+
+def _color_antipode_laws(H: StructBialgebra, S: list[dict]) -> tuple:
+    """S(e_i e_j) == beta(|i|, |j|) S(e_j) S(e_i) for all i, j, and
+    Delta(S(e_i)) == sum c beta(|j|, |k|) S(e_k) (x) S(e_j) over the terms
+    c e_j (x) e_k of Delta(e_i) for all i, in Cyclo arithmetic."""
+    deg, n = H.grading, H.dim
+
+    def root(g, h):
+        return Cyclo.embed(H.beta.eval(g, h), H.conductor)
+
+    def product(x, y):
+        return combination(*((dict(H.mult[i][j]), a * b)
+                             for i, a in x.items() for j, b in y.items()))
+
+    def coproduct(x):
+        return combination(*(({(j, k): c for j, k, c in H.comult[i]}, a)
+                             for i, a in x.items()))
+
+    def tensor(x, y):
+        return {(p, q): a * b for p, a in x.items() for q, b in y.items()}
+
+    anti_multiplicative = all(
+        combination(*((S[k], c) for k, c in H.mult[i][j]))
+        == combination((product(S[j], S[i]), root(deg[i], deg[j])))
+        for i in range(n) for j in range(n))
+    braided_comultiplicative = all(
+        coproduct(S[i]) == combination(*((tensor(S[k], S[j]), c * root(deg[j], deg[k]))
+                                         for j, k, c in H.comult[i]))
+        for i in range(n))
+    return anti_multiplicative, braided_comultiplicative
+
+
+# sha256 of the verify_color_antipode verdicts on the antipode of each color
+# structure of SWEEP_STRUCTURES (its plain antipode: the braided laws fail on
+# the Klein super case), ten seeded perturbations of it, and the antipode
+# with one column negated, for each column.
+COLOR_ANTIPODE_DIGESTS = {
+    "n12-c4-graded-color":
+        "ac90b4fe31c20495220ad17b84e39bb231ef6b801092e4abba1c4664549e64f2",
+    "n2-klein-super-color":
+        "936e82b4c07cd448209b144acc9effe78dfff3fa121f8da0baf8515226bfd493",
+    "n3-ring-color":
+        "4efa6f43f8b4b4781f430ab6ad7b30de92a99258300e93327883fb57d16bd539",
+    "n5-ring-color":
+        "d4ff993aa6c7943ac3fe2dd43c8c1f2746c96fc2ab7dc4a453a5b159b5f9d2a3",
+}
+# structures on which negating one antipode column keeps the first law and
+# breaks only the braided coproduct law (a character of the degree, by
+# contrast, keeps both: it is a bialgebra automorphism)
+COPRODUCT_LAW_ALONE_FAILS = {"n12-c4-graded-color", "n3-ring-color"}
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, mode) in SWEEP_STRUCTURES.items()
+                                        if mode == "color"))
+def test_verify_color_antipode_verdicts_pinned(name):
+    H = SWEEP_STRUCTURES[name][0]()
+    S = solve_antipode(H)
+    rng = random.Random(f"color-antipode:{name}")
+    candidates = [S] + [_perturbed(rng, S, H.conductor) for _ in range(10)] + [
+        [{k: -c for k, c in col.items()} if i == j else col for i, col in enumerate(S)]
+        for j in range(H.dim)]
+    laws = [_color_antipode_laws(H, T) for T in candidates]
+    verdicts = [verify_color_antipode(H, T) for T in candidates]
+    assert verdicts == [all(pair) for pair in laws]
+    assert verdicts[0] == (name != "n2-klein-super-color")
+    assert ((True, False) in laws) == (name in COPRODUCT_LAW_ALONE_FAILS)
+    assert _sha256(verdicts) == COLOR_ANTIPODE_DIGESTS[name]
+
+
+def test_braided_laws_keep_the_order_of_the_factors():
+    """Trivially graded, the laws read S(xy) = S(y) S(x) and
+    Delta(S(x)) = S(x_2) (x) S(x_1).  The mixed C12/C3 bicrossed product is
+    neither commutative nor cocommutative, so the antipode satisfies both
+    and the identity map neither; with the order of the factors swapped in
+    a law, the verdicts would flip."""
+    G = FinAbGroup.of()
+    mp = cases.mixed_c12_matched_pair()
+    H = dataclasses.replace(
+        build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp)),
+        grading=(G.identity(),) * 36, group=G, beta=Bicharacter.trivial(G))
+    S = solve_antipode(H, "color")
+    identity = [{j: H.one()} for j in range(H.dim)]
+    assert verify_color_antipode(H, S) and _color_antipode_laws(H, S) == (True, True)
+    assert not verify_color_antipode(H, identity)
+    assert _color_antipode_laws(H, identity) == (False, False)
 
 
 # ---------------------------------------------------------------------------
