@@ -456,9 +456,6 @@ def quotient(G: FinAbGroup, sub: Subgroup) -> QuotientMap:
         res = tuple(snf.U[i][j] % diag[i] if diag[i] else snf.U[i][j] for i in kept)
         images.append(Element(Q, res))
     proj = Homomorphism(G, Q, tuple(images))
-    # M V = U^-1 D and M has full row rank, so column i of M V is d_i != 0
-    # times column i of U^-1: the lift of generator i of Q
-    V = snf.V
-    lift_rows = [[sum(a * V[k][i] for k, a in enumerate(row) if a) // diag[i]
-                  for i in kept] for row in M]
+    # U maps column i of U^-1 to e_i, which projects to generator i of Q
+    lift_rows = [[row[i] for i in kept] for row in snf.U_inv]
     return QuotientMap(Q, proj, lift_rows)

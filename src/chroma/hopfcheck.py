@@ -29,12 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Bicharacter, Character, FinAbGroup
-from .scalars import Cyclo, Rational01, _power_table, _substitute
+from .scalars import Cyclo, Rational01, _parse_rational, _power_table, _substitute
 
 
 class ActionError(ValueError):
@@ -286,7 +285,8 @@ class StructBialgebra:
         def coeff(c) -> Cyclo:
             if isinstance(c, str):
                 return Cyclo.embed(Rational01.parse(c), N)
-            return Cyclo(N, [_rational(s) for s in _array(c, None, "coefficient")])
+            return Cyclo(N, [Fraction(*_parse_rational(s, "coefficient"))
+                              for s in _array(c, None, "coefficient")])
 
         def terms(value, width: int, what: str):
             return (_array(t, width, what) for t in _array(value, None, what))
@@ -321,19 +321,6 @@ class StructBialgebra:
         return cls(dim=dim, conductor=N, mult=mult, comult=comult,
                    unit=unit, counit=counit, grading=grading, group=group,
                    beta=beta)
-
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?\Z")
-
-
-def _rational(text) -> Fraction:
-    """A coefficient string "p/q" or "p"; anything else is malformed."""
-    m = _RATIONAL_RE.match(text) if isinstance(text, str) else None
-    if m is None:
-        raise ValueError(f"coefficient {text!r} is not a \"p/q\" string")
-    if m.group(1) is not None and int(m.group(1)) == 0:
-        raise ValueError(f"zero denominator in coefficient {text!r}")
-    return Fraction(text)
 
 
 def _array(value, length: int | None, what: str) -> list:

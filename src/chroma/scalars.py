@@ -42,6 +42,21 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+
+
+def _parse_rational(text, what: str) -> tuple[int, int]:
+    """(p, q) from a string "p/q" or "p" in ASCII digits, q > 0; anything
+    else is malformed."""
+    m = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError(f"{what} {text!r} is not a \"p/q\" string")
+    q = int(m.group(2) or 1)
+    if q == 0:
+        raise ValueError(f"zero denominator in {what} {text!r}")
+    return int(m.group(1)), q
+
+
 class Rational01:
     """A rational residue mod 1, i.e. the root of unity exp(2*pi*i*num/den).
 
@@ -98,15 +113,7 @@ class Rational01:
     @classmethod
     def parse(cls, text: str) -> "Rational01":
         """Parse the "num/den" serialization (a bare integer is allowed)."""
-        if not isinstance(text, str):
-            raise ValueError(f"root {text!r} is not a \"num/den\" string")
-        text = text.strip()
-        if "/" in text:
-            a, b = text.split("/", 1)
-            if int(b) == 0:
-                raise ValueError(f"zero denominator in root {text!r}")
-            return cls(int(a), int(b))
-        return cls(int(text), 1)
+        return cls(*_parse_rational(text, "root"))
 
 
 R01_ZERO = Rational01(0, 1)

@@ -1,7 +1,10 @@
 """Integer matrix utilities: Smith normal form and homogeneous congruences.
 
 Used for quotients of finite abelian groups and for solving the linear
-exponent systems that come out of cocycle conditions modulo N.
+exponent systems that come out of cocycle conditions modulo N.  The Smith
+form keeps only its row side, U and U^-1: a quotient's lift is a column of
+U^-1, and congruences run through the transpose, whose row transform is
+the column transform they need.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ SOLUTION_LIMIT = 100000
 
 
 class SmithForm:
-    """U * A * V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """U * A * V == D with U, V unimodular and D diagonal, d_i | d_{i+1}.
 
-    def __init__(self, D, U, V):
+    Only the row side is kept: U and U_inv = U^-1.  V is never built.
+    """
+
+    def __init__(self, D, U, U_inv):
         self.D = D
         self.U = U
-        self.V = V
+        self.U_inv = U_inv
 
     @property
     def diagonal(self) -> list[int]:
@@ -35,41 +41,46 @@ def _identity(n: int) -> list[list[int]]:
 def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
-    Returns D (m x n), U (m x m) and V (n x n) with U A V = D and
-    nonnegative diagonal entries in divisibility order.
+    Returns D (m x n), U and U^-1 (m x m) with U A V = D for some
+    unimodular V, and nonnegative diagonal entries in divisibility order.
     """
     A = [list(row) for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U, V = _identity(m), _identity(n)
+    U, U_inv = _identity(m), _identity(m)
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for r in U_inv:  # U_inv <- U_inv * swap
+            r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
-        # row_i += c * row_j in place, touching only the nonzero entries of row_j
+        # row_i += c * row_j in place, touching only the nonzero entries of
+        # row_j; U_inv gets the inverse op on columns
         for M in (A, U):
             target = M[i]
             for k, b in enumerate(M[j]):
                 if b:
                     target[k] += c * b
+        for r in U_inv:
+            if r[i]:
+                r[j] -= c * r[i]
 
     def row_neg(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
+        for r in U_inv:
+            r[i] = -r[i]
 
+    # column operations change A alone: no caller reads V
     def col_swap(i, j):
         for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     def col_add(i, j, c):
         # col_i += c * col_j
         for row in A:
-            row[i] += c * row[j]
-        for row in V:
             row[i] += c * row[j]
 
     t = 0
@@ -118,24 +129,23 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
             row_add(t, bad, 1)
             continue
         t += 1
-    return SmithForm(A, U, V)
+    return SmithForm(A, U, U_inv)
 
 
 def solve_homogeneous_mod(matrix: list[list[int]], modulus: int) -> list[tuple[int, ...]]:
     """All x in (Z/modulus)^n with matrix @ x == 0 (mod modulus).
 
-    Enumerates via the Smith form; raises if the solution count exceeds
-    ``SOLUTION_LIMIT`` (a guard against accidental explosions).  V is
+    Enumerates via the Smith form of the transpose: U A^T V = D gives
+    A = V^-T D^T U^-T, so x = U^T z solves the system exactly when
+    d_i z_i == 0 for every i.  Raises if the solution count exceeds
+    ``SOLUTION_LIMIT`` (a guard against accidental explosions).  U is
     unimodular, so distinct choices give distinct solutions.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if n == 0:
         return [()]
-    if m == 0:
-        matrix = [[0] * n]
-        m = 1
-    snf = smith_normal_form(matrix)
+    snf = smith_normal_form([list(col) for col in zip(*matrix)])
     diag = [snf.D[i][i] if i < m else 0 for i in range(n)]
     choice_sets = []
     for d in diag:
@@ -145,6 +155,6 @@ def solve_homogeneous_mod(matrix: list[list[int]], modulus: int) -> list[tuple[i
     count = math.prod(len(cs) for cs in choice_sets)
     if count > SOLUTION_LIMIT:
         raise ValueError(f"solution space too large: {count} > {SOLUTION_LIMIT}")
-    V = snf.V
-    return [tuple(sum(V[i][k] * z[k] for k in range(n)) % modulus for i in range(n))
+    U = snf.U
+    return [tuple(sum(U[k][i] * z[k] for k in range(n)) % modulus for i in range(n))
             for z in itertools.product(*choice_sets)]

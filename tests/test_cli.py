@@ -517,6 +517,55 @@ def test_check_double_huge_group_exits_0(tmp_path):
     assert report["single_copy"]["witness"] == [[1000000002]]
 
 
+@pytest.mark.parametrize("root", ["1_0/20", "+1/2", "\u0661/\u0662", "1/-2", "1/0", "x", 0.5],
+                         ids=["underscore", "plus", "arabic-digits", "negative-denominator",
+                              "zero-denominator", "not-a-number", "float"])
+def test_malformed_root_exits_2(root, tmp_path, capsys):
+    """Roots and coefficients share one strict "p/q" grammar."""
+    code, captured = _run_malformed(
+        "triangular", {"group": {"orders": [20]}, "beta": [[root]]}, tmp_path, capsys)
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# sha256 of triangular reports with beta = 0, recorded while quotient still
+# built the Smith form's n x n column transform (n = rank + |G|)
+@pytest.mark.parametrize("orders, digest", [
+    ([4000], "8c55091019e9c43a1653bd74a83362ce4195b757fe6d5d4345cce0b160758c1d"),
+    ([2, 2000], "d3d8f476082354b695005192aaf57a63e9b8cb2007343c0626891907469aa167"),
+    ([3, 9, 27], "b73af916cb1809c500256a6996717b05dbab43003c5657b194e010870eaec4a7"),
+], ids=["4000", "2x2000", "3x9x27"])
+def test_triangular_degenerate_beta_report_pinned(orders, digest, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"group": {"orders": orders},
+                                "beta": [["0/1"] * len(orders) for _ in orders]}))
+    out = tmp_path / "report.out"
+    assert main(["triangular", "--input", str(path), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_triangular_degenerate_beta_large_group_exits_0(tmp_path):
+    """beta = 0 on Z/100000: the radical is all of G, and the quotient's Smith
+    form is rank x (rank + |G|) with only rank x rank transforms, so it fits
+    in 1 GiB and ends well within the timeout."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"group": {"orders": [100000]}, "beta": [["0/1"]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cap_address_space():  # 1 GiB, in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "triangular", "--input", str(path),
+         "--output", str(tmp_path / "report.out")],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "report.out").read_text())["G_prime"] == {"orders": []}
+
+
 def _c2_pair(**entries) -> dict:
     return dict({"L": {"cyclic": 2}, "Gamma": {"cyclic": 2},
                  "lact": [[0, 0], [1, 1]], "ract": [[0, 1], [0, 1]]}, **entries)

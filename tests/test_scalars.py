@@ -194,6 +194,13 @@ def test_rational01_reduction():
     assert Rational01(7, -2) == Rational01(1, 2)
 
 
+def test_rational01_str_round_trips():
+    for den in range(1, 25):
+        for num in range(-2 * den, 2 * den + 1):
+            r = Rational01(num, den)
+            assert Rational01.parse(str(r)) == r
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic arithmetic
 # ---------------------------------------------------------------------------

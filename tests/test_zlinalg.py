@@ -1,10 +1,15 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
+
 from chroma.groups import FinAbGroup, Subgroup, quotient
-from chroma.zlinalg import smith_normal_form
+from chroma.zlinalg import SOLUTION_LIMIT, smith_normal_form, solve_homogeneous_mod
 
 
 def seeded_inputs():
@@ -63,22 +68,39 @@ def det(M):
 
 
 def check_smith_form(A):
+    """U * A * V == D for unimodular U and some unimodular V, checked without V:
+    the rows of U * A are d_i times the first rows of a unimodular matrix."""
     m, n = len(A), len(A[0])
     snf = smith_normal_form(A)
-    assert matmul(matmul(snf.U, A), snf.V) == snf.D
-    assert abs(det(snf.V)) == 1
+    U = snf.U
+    assert abs(det(U)) == 1
+    assert matmul(U, snf.U_inv) == identity(m)
     d = snf.diagonal
     assert all(snf.D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     assert all(x >= 0 for x in d)
     # d_i | d_{i+1}: the nonzero invariant factors come first
     assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
-    # the first invariant factor is the gcd of the entries
-    assert d[0] == math.gcd(*(x for row in A for x in row))
+    assert [x for x in d if x] == [int(x) for x in invariant_factors(Matrix(A), domain=ZZ)
+                                   if x]
+    rank = sum(1 for x in d if x)
+    UA = matmul(U, A)
+    assert all(x == 0 for row in UA[rank:] for x in row)
+    assert all(x % d[i] == 0 for i in range(rank) for x in UA[i])
+    # the divided rows B have coprime r x r minors, so B extends to a
+    # unimodular W and U * A * W^-1 == D
+    B = [[x // d[i] for x in UA[i]] for i in range(rank)]
+    g = 0
+    for cols in itertools.combinations(range(n), rank):
+        g = math.gcd(g, int(det([[row[c] for c in cols] for row in B])))
+        if g == 1:
+            break
+    assert g == 1
 
 
-# sha256 of repr([(D, U, V), ...]) over seeded_matrices(), recorded while
-# smith_normal_form still maintained U^-1: dropping it changes no output
-SMITH_DIGEST = "3d9a204f607fdf30f8fba35af4859bfadd20eb96ad7d1508b52f72e23d48758a"
+# sha256 of repr([(D, U), ...]) over seeded_matrices(), recorded while
+# smith_normal_form still built the column transform V: dropping V changes
+# neither D nor U
+SMITH_DIGEST = "28d1d20ba385df315dd39fd8f34104ebce67d6cc2782dfa36e84e06fc02b0494"
 
 
 def test_smith_identities():
@@ -88,7 +110,7 @@ def test_smith_identities():
 
 def test_smith_outputs_pinned():
     forms = [smith_normal_form(A) for A in seeded_matrices()]
-    text = repr([(s.D, s.U, s.V) for s in forms])
+    text = repr([(s.D, s.U) for s in forms])
     assert hashlib.sha256(text.encode()).hexdigest() == SMITH_DIGEST
 
 
@@ -106,3 +128,35 @@ def test_quotient_lift_columns():
             assert matmul(snf.U, col) == [[int(k == i)] for k in range(len(orders))]
         for x in qm.quotient.elements():
             assert qm.project(qm.lift(x)) == x
+
+
+def seeded_congruences():
+    """(matrix, modulus) with n <= 4 unknowns and modulus <= 6: zero rows,
+    modulus 1, and more equations than unknowns, as aut-ext produces."""
+    rng = random.Random("congruence")
+    systems = [([[0, 0, 0]], 6), ([[0, 0], [0, 0]], 4), ([[1, 2, 3]], 1),
+               ([[1], [2], [3], [4], [5]], 6), ([[2, 4], [0, 0], [3, 3]], 6)]
+    for n in range(1, 5):
+        for m in (1, 2, n + 3, 2 * n + 4):
+            for modulus in range(1, 7):
+                rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
+                rows[rng.randrange(m)] = [0] * n
+                systems.append((rows, modulus))
+    return systems
+
+
+def test_solve_homogeneous_mod_matches_brute_force():
+    """The solutions, as a set with no repeats, are all of (Z/N)^n that
+    satisfy the system; their order is not part of the contract."""
+    for matrix, modulus in seeded_congruences():
+        solutions = solve_homogeneous_mod(matrix, modulus)
+        assert len(set(solutions)) == len(solutions), (matrix, modulus)
+        expected = {x for x in itertools.product(range(modulus), repeat=len(matrix[0]))
+                    if all(sum(map(int.__mul__, row, x)) % modulus == 0 for row in matrix)}
+        assert set(solutions) == expected, (matrix, modulus)
+
+
+def test_solve_homogeneous_mod_limit():
+    assert 10 ** 6 > SOLUTION_LIMIT
+    with pytest.raises(ValueError, match="solution space too large"):
+        solve_homogeneous_mod([[0] * 6], 10)
