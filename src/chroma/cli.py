@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 
 from . import dynkin, doubles, extensions, hopfcheck, triangular, weyl
 from .datum import Datum
@@ -221,6 +222,78 @@ def _cmd_aut_ext(data: dict, args):
 
 
 # ---------------------------------------------------------------------------
+# report emission
+# ---------------------------------------------------------------------------
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    A compatibility shim, to be deleted when Python 3.12 leaves the CI
+    matrix: before 3.13, ``json.dumps`` runs its pure-Python encoder
+    whenever ``indent`` is set.  This one handles str-keyed dicts, lists,
+    tuples, str (through the C string encoder), exact ints, bools and
+    None.  A list of exact ints is rendered by one join, memoised by
+    (depth, *values) for this call only.  Any other value (a float, a
+    non-str key) hands the whole object to ``json.dumps``.
+    """
+    chunks, int_lists = [], {}
+    put, quote = chunks.append, json.encoder.encode_basestring_ascii
+
+    def emit(o, depth):
+        kind = type(o)
+        if kind is str:
+            put(quote(o))
+        elif kind is int:
+            put(repr(o))
+        elif o is None or kind is bool:
+            put("null" if o is None else "true" if o else "false")
+        elif not o and kind in (dict, list, tuple):
+            put("{}" if kind is dict else "[]")
+        elif kind in (list, tuple):
+            pad = "\n" + "  " * (depth + 1)
+            if all(type(v) is int for v in o):
+                key = (depth, *o)
+                text = int_lists.get(key)
+                if text is None:
+                    text = int_lists[key] = ("[" + pad + ("," + pad).join(map(repr, o))
+                                             + "\n" + "  " * depth + "]")
+                put(text)
+                return
+            sep = "[" + pad
+            for v in o:
+                put(sep)
+                emit(v, depth + 1)
+                sep = "," + pad
+            put("\n" + "  " * depth + "]")
+        elif kind is dict:
+            pad = "\n" + "  " * (depth + 1)
+            sep = "{" + pad
+            for k in sorted(o):
+                if type(k) is not str:
+                    raise TypeError("non-str key")
+                put(sep + quote(k) + ": ")
+                emit(o[k], depth + 1)
+                sep = "," + pad
+            put("\n" + "  " * depth + "}")
+        else:
+            raise TypeError(f"{kind.__name__} value")
+
+    try:
+        emit(obj, 0)
+    except TypeError:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return "".join(chunks)
+
+
+# From 3.13 on, the C encoder handles ``indent`` and is faster than the shim.
+if sys.version_info >= (3, 13):
+    _emit = partial(json.dumps, sort_keys=True, indent=2)
+else:
+    _emit = _dumps
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -275,13 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of every ``main`` call in the process, built by the first one
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)  # a fresh Namespace on every call
     try:
         report, code = args.func(args.load(args.input), args)
         if isinstance(report, dict):
-            report = json.dumps({"schema": 1, "command": args.command, **report},
-                                sort_keys=True, indent=2) + "\n"
+            report = _emit({"schema": 1, "command": args.command, **report}) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(report)

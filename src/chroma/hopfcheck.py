@@ -380,15 +380,19 @@ def _term_tables(H: StructBialgebra) -> tuple:
     """H's mult, comult, unit and counit as term combinations.
 
     Comult keys are pairs (j, k); counit values are combinations over the
-    one key ().
+    one key ().  Built once per structure and kept on it, so the axiom
+    sweep, the antipode and its braided laws share one build.
     """
-    N = H.conductor
-    mult = [[_combo_terms(cell, N) for cell in row] for row in H.mult]
-    comult = [_combo_terms((((j, k), c) for j, k, c in entry), N)
-              for entry in H.comult]
-    unit = _combo_terms(H.unit.items(), N)
-    counit = [_combo_terms((((), c),), N) for c in H.counit]
-    return mult, comult, unit, counit
+    tables = getattr(H, "_tables", None)
+    if tables is None:
+        N = H.conductor
+        mult = [[_combo_terms(cell, N) for cell in row] for row in H.mult]
+        comult = [_combo_terms((((j, k), c) for j, k, c in entry), N)
+                  for entry in H.comult]
+        unit = _combo_terms(H.unit.items(), N)
+        counit = [_combo_terms((((), c),), N) for c in H.counit]
+        tables = H._tables = (mult, comult, unit, counit)
+    return tables
 
 
 def _add_terms(acc: dict, x, e0: int, r0, N: int) -> None:

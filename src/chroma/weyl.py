@@ -77,16 +77,12 @@ def reflectable_vertices(E: Datum) -> list[int]:
 
     Finiteness of the Cartan row does not by itself keep the reflected
     diagonal away from 1 on arbitrary matrices, so the reflection is
-    attempted.
+    attempted, on E's key and without decoding.
     """
-    out = []
-    for p in range(E.theta):
-        try:
-            reflect_datum(E, p)
-        except (NotReflectable, DiagonalOne):
-            continue
-        out.append(p)
-    return out
+    kernel, key, payload = _encoded(E)
+    return [p for p in range(E.theta)
+            if (a := cartan_row(E.q, p)) is not None
+            and kernel.apply(key, payload, p, a) is not None]
 
 
 @dataclass

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cases
+from chroma import cli
 from chroma.cli import main
 from chroma.datum import Datum
 from chroma.hopfcheck import StructBialgebra, check_axioms
@@ -710,3 +712,118 @@ def test_solver_probe_exits_0_quickly(tmp_path):
         capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["reflectable_vertices"] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# report emission and parser reuse
+# ---------------------------------------------------------------------------
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.lists(st.integers(-3, 3), max_size=4),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_json_values)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]]]})
+@example(["\x00\x1f\u00e9\u2028\U0001f600\"\\/", -(2 ** 80), 2 ** 80, True, False, None])
+@example([[1, 2], {"x": [1, 2], "y": [[1, 2]]}, (1, 2), [1, True], [0, -0]])
+def test_emitter_matches_json_dumps(value):
+    """The emitter against ``json.dumps`` on JSON values: the same int list
+    at several depths, tuples, bools among ints, unicode and controls."""
+    assert cli._dumps(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{"a": 1.5}, [0, [2.0]], {1: [1, 2]}, {"a": {3: None}}],
+                         ids=["float", "nested-float", "int-key", "nested-int-key"])
+def test_emitter_falls_back_to_json_dumps(value, monkeypatch):
+    expected = _json_dumps(value)
+    calls = []
+
+    def spy(obj, **kwargs):
+        calls.append(obj)
+        return json.JSONEncoder(**kwargs).encode(obj)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    assert cli._dumps(value) == expected
+    assert calls == [value]
+
+
+def _emitted_reports(tmp_path, monkeypatch) -> list:
+    """The report dicts ``main`` emits for every subcommand on the fixtures
+    of tests/cases.py, one triangular report with |G'| = 81 among them."""
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda obj: reports.append(obj) or _json_dumps(obj))
+    mp = cases.squaring_matched_pair()
+    pair = {"L": {"cyclic": 7}, "Gamma": {"cyclic": 3},
+            "lact": [list(r) for r in mp.lact], "ract": [list(r) for r in mp.ract]}
+    third, zero = "1/3", "0/1"
+    symplectic = [[zero, third, zero, zero], ["2/3", zero, zero, zero],
+                  [zero, zero, zero, third], [zero, zero, "2/3", zero]]
+    jobs = [
+        (["orbit"], cases.rank4_klein_datum().to_json()),
+        (["diagram", "--format", "json"], cases.rank2_c3_datum().to_json()),
+        (["check-datum"], cases.rank2_c3_datum().to_json()),
+        (["check-double"], cases.rank2_c3_datum().to_json()),
+        (["triangular"], {"group": {"orders": [3, 3, 3, 3]}, "beta": symplectic}),
+        (["verify"], cases.klein_group_algebra().to_json()),
+        (["check-extension"], _ring_family_pair(True)),
+        (["check-extension"], _ring_payload()),
+        (["aut-ext", "--root-bound", "7"],
+         dict(pair, g=[(-l) % 7 for l in range(7)], h=[0, 1, 2])),
+    ]
+    for k, (argv, payload) in enumerate(jobs):
+        path = tmp_path / f"input{k}.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, "--input", str(path), "--output", str(tmp_path / "out")]) in (0, 1)
+    assert len(reports) == len(jobs)
+    return reports
+
+
+def test_emitter_matches_json_dumps_on_reports(tmp_path, monkeypatch):
+    reports = _emitted_reports(tmp_path, monkeypatch)
+    assert len(reports[4]["gamma_prime"]) == 81 * 81
+    for report in reports:
+        got, want = cli._dumps(report), _json_dumps(report)
+        same = got == want  # kept out of the assert: a diff of MBs is slow
+        assert same, (report["command"], os.path.commonprefix([got, want])[-200:])
+
+
+def test_parser_is_reused_without_leaking_defaults(tmp_path, capsys):
+    klein = tmp_path / "klein.json"
+    klein.write_text(json.dumps(cases.rank4_klein_datum().to_json()))
+    rank2 = tmp_path / "rank2.json"
+    rank2.write_text(json.dumps(cases.rank2_c3_datum().to_json()))
+
+    def report(*argv):
+        out = tmp_path / "report.out"
+        assert main([*argv, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    cli._parser.cache_clear()
+    truncated = report("orbit", "--input", str(klein), "--max-nodes", "40")
+    parser = cli._parser()
+    orbit = report("orbit", "--input", str(klein))
+    dot = report("diagram", "--input", str(rank2), "--format", "dot")
+    text = report("diagram", "--input", str(rank2))
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--input", str(klein), "--max-nodes", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli._parser() is parser
+    assert parser.parse_args(["orbit", "--input", "x"]).max_nodes == 1024
+
+    cli._parser.cache_clear()  # the fresh-parser path
+    assert report("orbit", "--input", str(klein)) == orbit
+    assert report("diagram", "--input", str(rank2)) == text
+    assert json.loads(truncated)["truncated"] is True
+    assert json.loads(orbit)["truncated"] is False
+    assert text.startswith(b"generalized: ") and dot != text

@@ -212,6 +212,18 @@ def test_antipode_unique_both_sides():
                for i in range(H.dim))
 
 
+def test_term_tables_built_once_per_structure():
+    from chroma.hopfcheck import _term_tables
+    H = cases.klein_group_algebra()
+    tables = _term_tables(H)
+    assert check_axioms(H)["all_ok"] and solve_antipode(H) is not None
+    assert _term_tables(H) is tables
+    # a copy with a changed field builds its own
+    mutant = dataclasses.replace(H, counit=[c + c for c in H.counit])
+    assert _term_tables(mutant) is not tables
+    assert not check_axioms(mutant)["all_ok"]
+
+
 def test_is_bialgebra_morphism_detects_failure():
     H = cyclic_group_algebra(3)
     good = MonomialMatrix((0, 2, 1))  # inversion automorphism of C3
