@@ -229,10 +229,7 @@ class StructBialgebra:
             return self
         if conductor % self.conductor:
             raise ValueError("new conductor must be a multiple of the old one")
-
-        def lift(c: Cyclo) -> Cyclo:
-            return lift_cyclo(c, conductor)
-
+        lift = functools.partial(lift_cyclo, M=conductor)
         mult = [[tuple((k, lift(c)) for k, c in cell) for cell in row]
                 for row in self.mult]
         comult = [tuple((j, k, lift(c)) for j, k, c in entry) for entry in self.comult]
@@ -282,11 +279,18 @@ class StructBialgebra:
                 raise ValueError(f"basis index {k!r} is not in range({dim})")
             return k
 
+        parsed: dict = {}  # each distinct vector, parsed once in this call
+
         def coeff(c) -> Cyclo:
             if isinstance(c, str):
                 return Cyclo.embed(Rational01.parse(c), N)
-            return Cyclo(N, [Fraction(*_parse_rational(s, "coefficient"))
-                              for s in _array(c, None, "coefficient")])
+            key = tuple(_array(c, None, "coefficient"))
+            try:
+                return parsed[key]
+            except (KeyError, TypeError):  # TypeError: a list or object item, rejected below
+                ratios = [_parse_rational(s, "coefficient") for s in key]
+            value = parsed[key] = Cyclo.from_ratios(N, ratios)
+            return value
 
         def terms(value, width: int, what: str):
             return (_array(t, width, what) for t in _array(value, None, what))
@@ -313,6 +317,8 @@ class StructBialgebra:
         group = None
         beta = None
         if "grading" in data:
+            if "group" not in data:
+                raise ValueError('a structure with "grading" needs a "group" object')
             group = FinAbGroup.from_json(data["group"])
             grading = group.elements_from_json(_array(data["grading"], dim, "grading"),
                                                "grading")
@@ -457,12 +463,8 @@ def _nonzero_keys(acc: dict, N: int) -> dict:
 
 def _as_cyclo(acc: dict, N: int) -> dict:
     """acc's sums as a combination key -> nonzero Cyclo."""
-    out = {}
-    for k, vec in _nonzero_keys(acc, N).items():
-        # integer numerators over one denominator, with no Fraction built
-        den = math.lcm(*(w.denominator for w in vec))
-        out[k] = Cyclo._make(N, tuple(w.numerator * (den // w.denominator) for w in vec), den)
-    return out
+    return {k: Cyclo.from_ratios(N, [(w.numerator, w.denominator) for w in vec])
+            for k, vec in _nonzero_keys(acc, N).items()}
 
 
 def _sum(equation, *t) -> dict:
@@ -779,11 +781,7 @@ def check_flip(H: StructBialgebra) -> bool:
     if H.grading is None or H.beta is None:
         raise ValueError("flip criterion needs grading and braiding data")
     degrees = set(H.grading)
-    for g in degrees:
-        for h in degrees:
-            if not H.beta.eval(g, h).is_zero():
-                return False
-    return True
+    return all(H.beta.eval(g, h).is_zero() for g in degrees for h in degrees)
 
 
 def _smash_basis(H: StructBialgebra):

@@ -426,17 +426,25 @@ class Cyclo:
     __slots__ = ("N", "nums", "den")
 
     def __init__(self, N: int, coeffs):
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs))
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        made = Cyclo.from_ratios(N, [(f.numerator, f.denominator) for f in map(Fraction, coeffs)])
+        self.N, self.nums, self.den = N, made.nums, made.den
+
+    @classmethod
+    def from_ratios(cls, N: int, ratios) -> "Cyclo":
+        """The sum of (p/q) zeta^e, (p, q) the e-th pair of ``ratios``, q > 0.
+
+        The numerators go over the lcm of the q's, with no Fraction built;
+        a vector longer than deg Phi_N is folded mod Phi_N, a shorter one
+        padded with zeros.
+        """
+        den = math.lcm(*(q for _, q in ratios))
+        nums = [p * (den // q) for p, q in ratios]
         deg = _phi_tail(N)[0]
         if len(nums) > deg:
             _reduce_mod_phi(nums, N)
-        nums += [0] * (deg - len(nums))
-        g = math.gcd(den, *nums)
-        self.N = N
-        self.nums = tuple(c // g for c in nums)
-        self.den = den // g
+        else:
+            nums += [0] * (deg - len(nums))
+        return cls._make(N, tuple(nums), den)
 
     @classmethod
     def _make(cls, N: int, nums: tuple, den: int) -> "Cyclo":

@@ -257,6 +257,13 @@ def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
     skipped.  When the closure would exceed ``max_nodes`` the graph is
     returned with ``truncated=True``.  The search runs on the integer keys
     of ``_OrbitKernel``; one ``Datum`` is built per node found.
+
+    Each reflection is an involution with the same Cartan row at both
+    ends, and no node has a diagonal entry 1 (``BraidingMatrix`` rejects
+    one), so the search computes r_p at a node only if no edge found so
+    far enters it by r_p: an edge src --p--> tgt gives tgt --p--> src,
+    recorded at tgt's turn without reflecting again.
+    ``check_consistent_coloring`` recomputes every edge.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
@@ -265,6 +272,7 @@ def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
     keys, payloads = [key], [payload]
     index = {key: 0}
     edges = []
+    back = {}  # (tgt, p) -> src for the edges src --p--> tgt found so far
     truncated = False
     frontier = [0]
     while frontier:
@@ -272,6 +280,10 @@ def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
         for src in frontier:
             key, payload = keys[src], payloads[src]
             for p in range(E.theta):
+                tgt = back.get((src, p))
+                if tgt is not None:
+                    edges.append((src, p, tgt))
+                    continue
                 reflected = kernel.reflect(key, payload, p)
                 if reflected is None:
                     continue
@@ -285,6 +297,7 @@ def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:
                     payloads.append(reflected[1])
                     next_frontier.append(tgt)
                 edges.append((src, p, tgt))
+                back[tgt, p] = src
         frontier = next_frontier
     nodes = [E] + [kernel.datum(k, pl) for k, pl in zip(keys[1:], payloads[1:])]
     return OrbitGraph(nodes=nodes, edges=edges, truncated=truncated)

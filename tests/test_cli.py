@@ -379,6 +379,41 @@ def test_verify_malformed_structure_exit_2(mutate, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("vector, message", [
+    ([1.5], 'coefficient 1.5 is not a "p/q" string'),
+    (["1", [1]], 'coefficient [1] is not a "p/q" string'),
+    (["0", {"p": 1}], "coefficient {'p': 1} is not a \"p/q\" string"),
+    (["1/0"], "zero denominator in coefficient '1/0'"),
+    (["0", "+1"], "coefficient '+1' is not a \"p/q\" string"),
+], ids=["float", "nested-list", "nested-object", "zero-denominator", "plus-sign"])
+def test_verify_repeated_malformed_coefficient_exit_2(vector, message, tmp_path, capsys):
+    """A malformed vector in every coefficient (mult, comult, unit, counit)
+    gives the one message of its first occurrence, whether its items can
+    be hashed or not."""
+    payload = _c2_group_algebra()
+    for row in payload["mult"]:
+        for cell in row:
+            for term in cell:
+                term[1] = vector
+    for entry in payload["comult"]:
+        for term in entry:
+            term[2] = vector
+    for term in payload["unit"]:
+        term[1] = vector
+    payload["counit"] = [vector] * payload["dim"]
+    code, captured = _run_malformed("verify", payload, tmp_path, capsys)
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_grading_without_group_exit_2(tmp_path, capsys):
+    payload = _graded_structure(group={"orders": [3]})
+    del payload["group"]
+    code, captured = _run_malformed("verify", payload, tmp_path, capsys)
+    assert code == 2
+    assert captured.err == 'error: a structure with "grading" needs a "group" object\n'
+
+
 @pytest.mark.parametrize("command, payload", [
     ("orbit", lambda d: dict(d, group={"orders": "x"})),
     ("check-datum", lambda d: dict(d, group={"orders": [3.5]})),

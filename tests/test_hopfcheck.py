@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -250,6 +251,67 @@ def test_struct_bialgebra_json_round_trip():
     back = StructBialgebra.from_json(data)
     assert back.dim == Hg.dim and back.conductor == Hg.conductor
     assert check_axioms(back, "color")["all_ok"]
+
+
+def _remainder_mod_phi(coeffs: list, N: int) -> list:
+    """Long division by Phi_N over Fraction: the remainder's coefficients,
+    padded to deg Phi_N (an oracle that shares no code with ``Cyclo``)."""
+    phi = cyclotomic_polynomial(N)
+    deg = len(phi) - 1
+    rem = [Fraction(c) for c in coeffs] + [Fraction(0)] * max(0, deg - len(coeffs))
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        for j, pj in enumerate(phi):
+            rem[i - deg + j] -= c * pj
+    return rem[:deg]
+
+
+def _with_counit(N: int, vectors: list) -> dict:
+    """The JSON of C_n's group algebra at conductor N, n = len(vectors),
+    with ``vectors`` as its counit."""
+    F = FiniteGroup.cyclic(len(vectors))
+    data = StructBialgebra.group_algebra(F.table, F.identity, conductor=N).to_json()
+    data["counit"] = vectors
+    return data
+
+
+@pytest.mark.parametrize("N", [1, 3, 12, 21])
+def test_from_json_coefficients_match_fraction_oracle(N):
+    """Every coefficient vector parses to the element that Fraction long
+    division by Phi_N gives, and to the Cyclo of the same Fractions."""
+    rng = random.Random(f"from_json:{N}")
+    deg = len(cyclotomic_polynomial(N)) - 1
+
+    def text(f: Fraction) -> str:
+        # "p/q" scaled by k = 1..3, so non-reduced forms such as "2/4" and
+        # "-3/6" occur, or a bare integer
+        if f.denominator == 1 and rng.random() < 0.5:
+            return str(f.numerator)
+        k = rng.randrange(1, 4)
+        return f"{f.numerator * k}/{f.denominator * k}"
+
+    vectors = [[], ["2/4"], ["-3/6", "0", "7"], ["0"] * (deg + 3), ["1"] * (2 * deg + 1)]
+    for length in (1, deg - 1, deg, deg + 1, 2 * deg + 5, N + 3):
+        vectors.append([text(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)))
+                        for _ in range(max(length, 0))])
+    vectors += vectors  # repeats reach the per-call memo
+    H = StructBialgebra.from_json(_with_counit(N, vectors))
+    for vec, c in zip(vectors, H.counit):
+        fracs = [Fraction(s) for s in vec]
+        assert c == Cyclo(N, fracs)
+        assert c.N == N and list(c.coeffs) == _remainder_mod_phi(fracs, N)
+        assert c.den > 0 and math.gcd(c.den, *c.nums) == 1
+
+
+def test_from_json_calls_share_no_coefficient():
+    """The same strings parse afresh under each conductor: deg Phi_N is 2
+    for N = 3, 4 and 6, so a shared entry would carry the wrong N."""
+    vectors = [["1", "1"], ["1/2", "-1"], ["0", "0", "1"]]
+    for N in (3, 4, 6, 3):
+        H = StructBialgebra.from_json(_with_counit(N, vectors))
+        for vec, c in zip(vectors, H.counit):
+            assert c.N == N
+            assert list(c.coeffs) == _remainder_mod_phi(vec, N)
 
 
 # ---------------------------------------------------------------------------

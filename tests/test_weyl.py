@@ -149,6 +149,31 @@ def test_orbit_rank2():
         assert reflect_datum(orb.nodes[tgt], p) == orb.nodes[src]
 
 
+@pytest.mark.parametrize("max_nodes", [1024, 40])
+def test_orbit_reflects_each_undirected_edge_once(monkeypatch, max_nodes):
+    """The rank-4 reference orbit has 1440 directed edges, none a loop;
+    the search computes one reflection per undirected edge and takes the
+    reverse edge from the involution."""
+    calls = []
+    reflect = _OrbitKernel.reflect
+
+    def counting(self, key, payload, p):
+        calls.append((key, p))
+        return reflect(self, key, payload, p)
+
+    monkeypatch.setattr(_OrbitKernel, "reflect", counting)
+    orb = weyl_orbit(cases.rank4_klein_datum(), max_nodes=max_nodes)
+    monkeypatch.undo()
+    edges = set(orb.edges)
+    assert len(edges) == len(orb.edges)
+    assert all((tgt, p, src) in edges for src, p, tgt in orb.edges)
+    assert all(src != tgt for src, _, tgt in orb.edges)
+    if not orb.truncated:
+        assert len(orb.nodes) == 360 and len(orb.edges) == 1440
+        assert len(calls) == len(set(calls)) == 720
+    assert check_consistent_coloring(orb)
+
+
 def test_orbit_truncation_flag():
     orb = weyl_orbit(cases.rank4_klein_datum(), max_nodes=5)
     assert orb.truncated
