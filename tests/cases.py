@@ -5,6 +5,7 @@ Each constructor returns a fresh object so tests can mutate copies freely.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from chroma.datum import BraidingMatrix, Datum, ScalarMatrix, datum_from_twisted
@@ -13,7 +14,7 @@ from chroma.extensions import (ExtAutomorphism, FiniteGroup, FiniteRing,
                                ring_family)
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.hopfcheck import MonomialMatrix, StructBialgebra
-from chroma.scalars import Rational01, Scalar, parse_scalar as P
+from chroma.scalars import Cyclo, Rational01, Scalar, parse_scalar as P
 
 R0 = Rational01(0, 1)
 RH = Rational01(1, 2)
@@ -294,3 +295,106 @@ def mod5_ring_family():
     eta = [R0] * 5
     theta = [Rational01(3 * x, 5) for x in range(5)]
     return ring_family(R, Gamma, nu, psi, phi, eta, theta)
+
+
+# ---------------------------------------------------------------------------
+# non-semisimple Hopf algebras
+# ---------------------------------------------------------------------------
+
+
+def sweedler_h4() -> StructBialgebra:
+    """Sweedler's 4-dim Hopf algebra, basis (1, g, x, gx): g^2 = 1, x^2 = 0,
+    xg = -gx, g grouplike and Delta(x) = x (x) 1 + g (x) x; conductor 1."""
+    one = Cyclo.one(1)
+    m1 = -one
+    mult = [[((0, one),), ((1, one),), ((2, one),), ((3, one),)],
+            [((1, one),), ((0, one),), ((3, one),), ((2, one),)],
+            [((2, one),), ((3, m1),), (), ()],
+            [((3, one),), ((2, m1),), (), ()]]
+    comult = [((0, 0, one),), ((1, 1, one),),
+              ((2, 0, one), (1, 2, one)), ((3, 1, one), (0, 3, one))]
+    return StructBialgebra(dim=4, conductor=1, mult=mult, comult=comult,
+                           unit={0: one}, counit=[one, one, Cyclo.zero(1), Cyclo.zero(1)])
+
+
+def color_quantum_linear_space(G: FinAbGroup, beta: Bicharacter, degrees) -> StructBialgebra:
+    """The color quantum linear space on primitive generators x_i of degree
+    g_i = degrees[i], with q_ij = beta(g_i, g_j) and q_ij q_ji = 1 for i != j:
+    x_i^(N_i) = 0 for N_i the order of q_ii > 1, and x_i x_j = q_ij x_j x_i.
+
+    The basis is the monomials x_1^a_1 ... x_r^a_r, 0 <= a_i < N_i, in
+    lexicographic order of (a_1, ..., a_r).  The coproduct of a monomial is
+    Delta(x_1)^a_1 ... Delta(x_r)^a_r, multiplied out in the braided tensor
+    square: (a (x) b)(c (x) d) = beta(|b|, |c|) ac (x) bd.
+    """
+    r = len(degrees)
+    q = [[beta.eval(g, h) for h in degrees] for g in degrees]
+    assert all((q[i][j] + q[j][i]).is_zero() for i in range(r) for j in range(i))
+    orders = [q[i][i].order for i in range(r)]
+    assert min(orders) > 1
+    N = math.lcm(*(x.order for row in q for x in row))
+    monomials = list(itertools.product(*(range(o) for o in orders)))
+    index = {a: k for k, a in enumerate(monomials)}
+
+    def root(exponent: Rational01) -> Cyclo:
+        return Cyclo.embed(exponent, N)
+
+    def twist(a, b) -> Rational01:
+        # beta(|x^a|, |x^b|)
+        return sum((q[i][j].scale(a[i] * b[j]) for i in range(r) for j in range(r)), R0)
+
+    def product(a, b):
+        # x^a x^b = prod_{i > j} q_ij^(a_i b_j) x^(a + b), or None when zero
+        c = tuple(s + t for s, t in zip(a, b))
+        if any(s >= o for s, o in zip(c, orders)):
+            return None
+        return c, sum((q[i][j].scale(a[i] * b[j]) for i in range(r) for j in range(i)), R0)
+
+    def tensor_product(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for (a, b), s in u.items():
+            for (c, d), t in v.items():
+                left, right = product(a, c), product(b, d)
+                if left and right:
+                    key = (left[0], right[0])
+                    w = s * t * root(twist(b, c) + left[1] + right[1])
+                    w = out.pop(key, Cyclo.zero(N)) + w
+                    if not w.is_zero():
+                        out[key] = w
+        return out
+
+    def cell(a, b) -> tuple:
+        p = product(a, b)
+        return () if p is None else ((index[p[0]], root(p[1])),)
+
+    def degree(a):
+        g = G.identity()
+        for d, k in zip(degrees, a):
+            g = g * d ** k
+        return g
+
+    zero_mono = (0,) * r
+    one = Cyclo.one(N)
+    mult = [[cell(a, b) for b in monomials] for a in monomials]
+    comult = []
+    for a in monomials:
+        delta = {(zero_mono, zero_mono): one}
+        for i in range(r):
+            x = tuple(int(t == i) for t in range(r))
+            for _ in range(a[i]):
+                delta = tensor_product(delta, {(x, zero_mono): one, (zero_mono, x): one})
+        comult.append(tuple(sorted((index[b], index[c], w) for (b, c), w in delta.items())))
+    return StructBialgebra(dim=len(monomials), conductor=N, mult=mult, comult=comult,
+                           unit={0: one},
+                           counit=[one if not any(a) else Cyclo.zero(N) for a in monomials],
+                           grading=tuple(degree(a) for a in monomials), group=G, beta=beta)
+
+
+def color_quantum_plane() -> StructBialgebra:
+    """The 9-dim color quantum plane over C3 x C3, beta = [[1/3, 1/3],
+    [2/3, 1/3]]: q_11 = q_22 = q_12 = zeta_3 and q_21 = zeta_3^-1, so beta
+    is not symmetric on the degrees of x_1 and x_2."""
+    G = FinAbGroup.of(3, 3)
+    beta = Bicharacter(G, [[Rational01(1, 3), Rational01(1, 3)],
+                           [Rational01(2, 3), Rational01(1, 3)]])
+    return color_quantum_linear_space(G, beta, (G.generator(0), G.generator(1)))

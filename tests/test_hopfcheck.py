@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -9,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 import cases
+from chroma import hopfcheck
 from chroma.extensions import (FiniteGroup, MatchedPair, SigmaCocycle,
                                TauCocycle, action_from_generator_images,
                                build_bicrossed, kac_condition)
 from chroma.groups import Bicharacter, FinAbGroup
-from chroma.hopfcheck import (ActionError, MonomialMatrix, StructBialgebra,
+from chroma.hopfcheck import (ActionError, Echelon, MonomialMatrix, StructBialgebra,
                               antipode_matrix_invertible, bosonize,
                               bosonization_antipode_formula, check_axioms,
                               check_flip, grade_by_action, invert_columns,
@@ -71,17 +73,24 @@ def test_kac_violation_breaks_an_axiom():
     assert not report["all_ok"]
 
 
-def test_no_antipode_detected():
+def _idempotent_bialgebra():
     # a bialgebra-like table without convolution inverse: the 2-dim algebra
     # k[x]/(x^2 - x) with x grouplike has no antipode (x is idempotent)
     N = 1
     one = Cyclo.one(N)
     mult = [[((0, one),), ((1, one),)], [((1, one),), ((1, one),)]]
     comult = [((0, 0, one),), ((1, 1, one),)]
-    H = StructBialgebra(dim=2, conductor=N, mult=mult, comult=comult,
-                        unit={0: one}, counit=[one, one])
+    return StructBialgebra(dim=2, conductor=N, mult=mult, comult=comult,
+                           unit={0: one}, counit=[one, one])
+
+
+def test_no_antipode_detected():
+    H = _idempotent_bialgebra()
     assert check_axioms(H, "plain")["all_ok"]
     assert solve_antipode(H) is None
+    # with a zero counit there is no convolution unit eta epsilon to invert to
+    zero = [Cyclo.zero(1)] * 4
+    assert solve_antipode(dataclasses.replace(cases.klein_group_algebra(), counit=zero)) is None
 
 
 def swap_graded_group_algebra(beta):
@@ -176,16 +185,18 @@ def test_bosonize_color_group_algebra():
     assert all(SB[j] == formula[j] for j in range(HB.dim))
 
 
+def _trivially_graded_c3():
+    G = FinAbGroup.of(2)
+    F = FiniteGroup.cyclic(3)
+    return StructBialgebra.group_algebra(F.table, F.identity, conductor=2,
+                                         grading=(G.identity(),) * 3, group=G,
+                                         beta=Bicharacter(G, [[R01_HALF]]))
+
+
 def test_bosonize_trivial_grading_is_tensor_product():
     # trivial grading: the twist never fires, so the smash multiplication
     # is componentwise with the group algebra
-    G = FinAbGroup.of(2)
-    beta = Bicharacter(G, [[R01_HALF]])
-    F = FiniteGroup.cyclic(3)
-    H = StructBialgebra.group_algebra(F.table, F.identity, conductor=2,
-                                      grading=(G.identity(),) * 3,
-                                      group=G, beta=beta)
-    HB = bosonize(H)
+    HB = bosonize(_trivially_graded_c3())
     assert HB.dim == 6
     assert check_axioms(HB, "plain")["all_ok"]
     for i in range(3):
@@ -859,3 +870,285 @@ def test_terms_sum_back_to_the_coefficient(N):
         assert _cyclo_sum(_terms(c, N), N) == c
     with pytest.raises(ValueError):
         _terms(Cyclo.one(N), 2 * N)
+
+
+# ---------------------------------------------------------------------------
+# the antipode's exponent and Krylov paths, and the generator sweep
+# ---------------------------------------------------------------------------
+
+def _trivial_bicrossed(mp):
+    return build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
+
+
+def _c5c4_bicrossed():
+    """L = C5, Gamma = C4 acting by multiplication with 2: dim 20, conductor 1."""
+    L, Gamma = FiniteGroup.cyclic(5), FiniteGroup.cyclic(4)
+    return _trivial_bicrossed(MatchedPair(
+        L, Gamma, [[l * pow(2, g, 5) % 5 for g in range(4)] for l in range(5)],
+        [[g for g in range(4)] for _ in range(5)]))
+
+
+# every structure the tests build that has an antipode to compare, with
+# its mode; the ones without a finite exponent up to dim H take the
+# Krylov path
+ANTIPODE_STRUCTURES = {
+    **SWEEP_STRUCTURES,
+    "c3-group-algebra": (lambda: cyclic_group_algebra(3), "plain"),
+    "c5-group-algebra-n5": (lambda: cyclic_group_algebra(5).lifted(5), "plain"),
+    "klein-group-algebra": (cases.klein_group_algebra, "plain"),
+    "c5c4-bicrossed": (_c5c4_bicrossed, "plain"),
+    "c7c3-bicrossed": (lambda: _trivial_bicrossed(cases.squaring_matched_pair()), "plain"),
+    "c12c3-bicrossed": (lambda: _trivial_bicrossed(cases.mixed_c12_matched_pair()), "plain"),
+    "c4-graded": (_c4_graded, "color"),
+    "c2c4-graded": (lambda: _graded(*cases.c2c4_color_group_case()), "color"),
+    "klein-trivial": (lambda: swap_graded_group_algebra(Bicharacter.trivial(FinAbGroup.of(2))),
+                      "color"),
+    "c4-graded-bosonized": (lambda: bosonize(_c4_graded()), "plain"),
+    "c3-trivially-graded-bosonized": (lambda: bosonize(_trivially_graded_c3()), "plain"),
+    "idempotent": (_idempotent_bialgebra, "plain"),
+    "sweedler": (cases.sweedler_h4, "plain"),
+    "quantum-plane": (cases.color_quantum_plane, "color"),
+}
+NO_FINITE_EXPONENT = {"idempotent", "sweedler", "quantum-plane"}
+
+
+def _spy(monkeypatch, owner, name: str) -> list:
+    """The list to which every later call of owner.name appends its arguments."""
+    real = getattr(owner, name)
+    calls: list = []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _antipode_outcome(H: StructBialgebra, mode: str):
+    try:
+        S = solve_antipode(H, mode)
+    except AssertionError:
+        return "braided laws fail"
+    return None if S is None else [sorted(col.items()) for col in S]
+
+
+@pytest.mark.parametrize("name", sorted(ANTIPODE_STRUCTURES))
+def test_exponent_and_krylov_paths_give_the_same_antipode(name, monkeypatch):
+    build, mode = ANTIPODE_STRUCTURES[name]
+    calls = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
+    outcome = _antipode_outcome(build(), mode)
+    assert bool(calls) == (name in NO_FINITE_EXPONENT)
+    assert (outcome is None) == (name == "idempotent")
+    monkeypatch.setattr(hopfcheck, "_finite_exponent", lambda *args: None)
+    assert _antipode_outcome(build(), mode) == outcome
+
+
+def test_sweedler_antipode_by_the_krylov_fallback(monkeypatch):
+    H = cases.sweedler_h4()
+    assert check_axioms(H)["all_ok"]
+    calls = _spy(monkeypatch, Echelon, "add")
+    S = solve_antipode(H)
+    # id^{*0}, id and id^{*2} are independent; id^{*3} closes the relation
+    assert len(calls) == 4
+    one = H.one()
+    # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
+    assert S == [{0: one}, {1: one}, {3: -one}, {2: one}]
+
+
+def _gaussian_binomial(n: int, k: int, q: Rational01, N: int) -> Cyclo:
+    """[n choose k]_q by Pascal's rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k in (0, n):
+        return Cyclo.one(N)
+    return (_gaussian_binomial(n - 1, k - 1, q, N)
+            + Cyclo.embed(q.scale(k), N) * _gaussian_binomial(n - 1, k, q, N))
+
+
+def test_color_quantum_plane_matches_the_q_binomial_oracle(monkeypatch):
+    """x1 and x2 of degrees g1, g2 in C3 x C3, q_ij = beta(g_i, g_j),
+    basis x1^a x2^b at index 3a + b:
+    x1^a x2^b x1^c x2^d = q21^(bc) x1^(a+c) x2^(b+d),
+    Delta(x1^a x2^b) = sum [a, k]_q11 [b, l]_q22 q12^((a-k) l)
+                       x1^k x2^l (x) x1^(a-k) x2^(b-l),
+    S(x1^a x2^b) = (-1)^(a+b) q11^(a(a-1)/2) q22^(b(b-1)/2) x1^a x2^b."""
+    H = cases.color_quantum_plane()
+    N = H.conductor
+    g = (H.group.generator(0), H.group.generator(1))
+    q = [[H.beta.eval(x, y) for y in g] for x in g]
+    assert q[0][1] != q[1][0]
+    root = functools.partial(Cyclo.embed, N=N)
+    monomials = list(itertools.product(range(3), repeat=2))
+    for (a, b), (c, d) in itertools.product(monomials, repeat=2):
+        expected = () if a + c > 2 or b + d > 2 else (
+            (3 * (a + c) + b + d, root(q[1][0].scale(b * c))),)
+        assert H.mult[3 * a + b][3 * c + d] == expected
+    for a, b in monomials:
+        expected = {(3 * k + l, 3 * (a - k) + b - l):
+                    _gaussian_binomial(a, k, q[0][0], N) * _gaussian_binomial(b, l, q[1][1], N)
+                    * root(q[0][1].scale((a - k) * l))
+                    for k in range(a + 1) for l in range(b + 1)}
+        assert {(j, k): c for j, k, c in H.comult[3 * a + b]} == expected
+    assert check_axioms(H, "color")["all_ok"]
+    assert not check_axioms(H, "plain")["coproduct_multiplicative"]["ok"]
+    assert not check_flip(H)
+    calls = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
+    S = solve_antipode(H, "color")
+    assert calls
+    sign = [H.one(), -H.one()]
+    assert S == [{3 * a + b: sign[(a + b) % 2]
+                  * root(q[0][0].scale(a * (a - 1) // 2) + q[1][1].scale(b * (b - 1) // 2))}
+                 for a, b in monomials]
+
+
+def _with_cells(H: StructBialgebra, cells: dict) -> StructBialgebra:
+    mult = [list(row) for row in H.mult]
+    for (i, j), cell in cells.items():
+        mult[i][j] = cell
+    return dataclasses.replace(H, mult=mult)
+
+
+def _single_entry_mutants(H: StructBialgebra):
+    """Copies of H with one mult cell or one comult entry changed: its first
+    coefficient doubled, or its first term moved to another basis index
+    (the comult legs swapped where they differ); an empty cell gets e_0.
+    A graded H also gets each basis element moved to every other degree."""
+    n, one = H.dim, H.one()
+
+    def moved(terms, width):
+        head, rest = terms[0], terms[1:]
+        used = {t[:width] for t in rest}
+        key = head[:width][::-1] if width == 2 and head[0] != head[1] else (
+            head[:width - 1] + ((head[width - 1] + 1) % n,))
+        return None if key in used else (key + head[width:],) + rest
+
+    for i, j in itertools.product(range(n), repeat=2):
+        cell = H.mult[i][j]
+        changed = [((cell[0][0], cell[0][1] + cell[0][1]),) + cell[1:], moved(cell, 1)] \
+            if cell else [((0, one),)]
+        for new in filter(None, changed):
+            yield _with_cells(H, {(i, j): new})
+    for i, entry in enumerate(H.comult):
+        for new in filter(None, [((entry[0][0], entry[0][1], entry[0][2] + entry[0][2]),)
+                                 + entry[1:], moved(entry, 2)]):
+            comult = list(H.comult)
+            comult[i] = new
+            yield dataclasses.replace(H, comult=comult)
+    for k in range(n) if H.grading is not None else ():
+        for g in H.group.elements():
+            if g != H.grading[k]:
+                yield dataclasses.replace(H, grading=H.grading[:k] + (g,) + H.grading[k + 1:])
+
+
+@pytest.mark.parametrize("name, build, mode", [
+    ("klein", cases.klein_group_algebra, "plain"),
+    ("c3-dihedral", _c3_dihedral_bicrossed, "plain"),
+    ("c5c4", _c5c4_bicrossed, "plain"),
+    ("sweedler", cases.sweedler_h4, "plain"),
+    ("quantum-plane", cases.color_quantum_plane, "color"),
+    ("c4-graded", _c4_graded, "color"),
+])
+def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypatch):
+    """On every single-entry mutant the report, counterexamples included, is
+    the one of the full coproduct sweep (generators = the whole basis)."""
+    H = build()
+    assert len(hopfcheck._algebra_generators(H)) < H.dim
+    mutants = list(_single_entry_mutants(H))
+    reports = [check_axioms(M, mode) for M in mutants]
+    monkeypatch.setattr(hopfcheck, "_algebra_generators", lambda H: list(range(H.dim)))
+    assert reports == [check_axioms(M, mode) for M in mutants]
+    # the sweep on generators alone ran and failed on some mutants
+    assert any(not r["coproduct_multiplicative"]["ok"] and r["associativity"]["ok"]
+               and r["unit"]["ok"] and r["unit_comultiplicative"]["ok"] for r in reports)
+
+
+def _generated_dimension(H: StructBialgebra, generators: list) -> int:
+    """The dimension of the span of the unit and the e_s, s in
+    ``generators``, closed under products, in Cyclo arithmetic."""
+    zero = Cyclo.zero(H.conductor)
+    echelon, spanning = Echelon(), []
+
+    def add(vec):
+        vec = {k: c for k, c in vec.items() if not c.is_zero()}
+        if vec and echelon.add(vec) is None:
+            spanning.append(vec)
+            return True
+        return False
+
+    for vec in [dict(H.unit)] + [{s: H.one()} for s in generators]:
+        add(vec)
+    grew = True
+    while grew:
+        grew = False
+        for u, v in itertools.product(list(spanning), repeat=2):
+            w: dict = {}
+            for (a, x), (b, y) in itertools.product(u.items(), v.items()):
+                for k, c in H.mult[a][b]:
+                    w[k] = w.get(k, zero) + x * y * c
+            grew = add(w) or grew
+    return len(spanning)
+
+
+def _two_term_products():
+    """e_0 the unit, e_3 e_3 = e_1 + e_2, e_3 e_1 = e_2 + e_1 and every other
+    product of e_1, e_2, e_3 zero: neither e_1 nor e_2 is a product alone."""
+    one = Cyclo.one(1)
+    mult = [[((j, one),) for j in range(4)]] + [[((i, one),), (), (), ()] for i in range(1, 4)]
+    mult[3][3], mult[3][1] = ((1, one), (2, one)), ((2, one), (1, one))
+    return StructBialgebra(dim=4, conductor=1, mult=mult, comult=[((i, i, one),) for i in range(4)],
+                           unit={0: one}, counit=[one] * 4)
+
+
+# the last three are tables that a closure over every nonzero cell would
+# get wrong: a zero unit is no generator, and Sweedler's x gx written as 0 g
+# reaches no g
+GENERATOR_TABLES = {
+    "klein": cases.klein_group_algebra,
+    "c3-dihedral": _c3_dihedral_bicrossed,
+    "sweedler": cases.sweedler_h4,
+    "quantum-plane": cases.color_quantum_plane,
+    "c4-graded": _c4_graded,
+    "plane-zero-unit": lambda: dataclasses.replace(cases.color_quantum_plane(),
+                                                   unit={0: Cyclo.zero(3)}),
+    "sweedler-zero-cell": lambda: _with_cells(cases.sweedler_h4(),
+                                              {(2, 3): ((1, Cyclo.zero(1)),)}),
+    "two-term-products": _two_term_products,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_TABLES))
+def test_algebra_generators_generate(name):
+    H = GENERATOR_TABLES[name]()
+    generators = hopfcheck._algebra_generators(H)
+    assert _generated_dimension(H, generators) == H.dim
+
+
+def test_generator_sweep_needs_the_unit_laws():
+    """Two associative tables on which every generator row holds but Delta
+    is not multiplicative; each fails one precondition of the generator
+    sweep, so the full sweep runs and reports the failing pair."""
+    one = Cyclo.one(1)
+    # e_0 is the unit and x = e_1 has x^2 = 2x, but e_1 is declared the unit:
+    # the generator e_0 holds, and the pair (1, 1) gives 2 x (x) x != 4 x (x) x
+    fake_unit = StructBialgebra(
+        dim=2, conductor=1, mult=[[((0, one),), ((1, one),)], [((1, one),), ((1, one + one),)]],
+        comult=[((0, 0, one),), ((1, 1, one),)], unit={1: one}, counit=[one, one])
+    # k[x]/(x^2 - x) with Delta(1) = 1 (x) 1 + z, z = (1 - x) (x) (1 - x): the
+    # generator x holds, as Delta(x) z = 0, and only the pair (0, 0) fails
+    split_unit = dataclasses.replace(_idempotent_bialgebra(), comult=[
+        ((0, 0, one + one), (0, 1, -one), (1, 0, -one), (1, 1, one)), ((1, 1, one),)])
+    for H, failed, ce in ((fake_unit, "unit", (1, 1)),
+                          (split_unit, "unit_comultiplicative", (0, 0))):
+        report = check_axioms(H)
+        assert report["associativity"]["ok"] and not report[failed]["ok"]
+        assert report["coproduct_multiplicative"] == {"ok": False, "counterexample": ce}
+
+
+def test_term_tables_write_each_coefficient_object_once(monkeypatch):
+    """The memo of one build: parsed tables share one Cyclo per distinct
+    vector, so _terms runs once per distinct coefficient, and again for the
+    next structure."""
+    data = _c5c4_bicrossed().lifted(12).to_json()
+    calls = _spy(monkeypatch, hopfcheck, "_terms")
+    for _ in range(2):
+        H = StructBialgebra.from_json(data)
+        hopfcheck._term_tables(H)
+        coefficients = {id(c) for row in H.mult for cell in row for _, c in cell}
+        coefficients |= {id(c) for entry in H.comult for _, _, c in entry}
+        coefficients |= {id(c) for c in H.counit} | {id(c) for c in H.unit.values()}
+        assert len(calls) == len(coefficients) < 5
+        calls.clear()
