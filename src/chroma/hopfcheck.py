@@ -731,10 +731,12 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     is compared with eta epsilon, one zero test per column, before any
     elimination.  Without a hit in that budget, S comes from the minimal
     polynomial of id in the convolution algebra (exact Gaussian elimination
-    on the Krylov vectors, reusing the powers).  Either way both one-sided
-    convolution inverses are then verified, so the output is the unique
-    two-sided inverse, and the budget changes only speed.  In color mode
-    the braided antipode laws are verified as well and a failure raises.
+    on the Krylov vectors, reusing the powers; so such an H pays for all
+    dim H powers first).  Either way both one-sided convolution inverses
+    are then verified (on the exponent path S * id is the hit itself), so
+    the output is the unique two-sided inverse, and the budget changes only
+    speed.  In color mode the braided antipode laws are verified as well
+    and a failure raises.
     """
     n, N = H.dim, H.conductor
     mult, comult, unit, counit = _term_tables(H)
@@ -752,12 +754,18 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     if _same_columns(powers[0], [()] * n, N):
         return None     # id^{*0} vanishes: there is no convolution unit
     e = _finite_exponent(power, n, N)
-    S = (_krylov_inverse(power, n, N) if e is None else
-         [_as_cyclo(_sum(_add_terms, col, 0, 1, N), N) for col in powers[e - 1]])
-    if S is None:
-        return None
-    cols = [_combo_terms(col.items(), N) for col in S]
-    for f, g in ((cols, identity), (identity, cols)):
+    if e is None:
+        S = _krylov_inverse(power, n, N)
+        if S is None:
+            return None
+        cols = [_combo_terms(col.items(), N) for col in S]
+        sides = ((cols, identity), (identity, cols))
+    else:
+        # S * id is id^{*e}, the power just compared with eta epsilon
+        cols = powers[e - 1]
+        S = [_as_cyclo(_sum(_add_terms, col, 0, 1, N), N) for col in cols]
+        sides = ((identity, cols),)
+    for f, g in sides:
         if not _same_columns(_term_columns(_convolve(f, g, mult, comult, N)), powers[0], N):
             return None
     if mode == "color":

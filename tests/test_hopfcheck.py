@@ -93,6 +93,30 @@ def test_no_antipode_detected():
     assert solve_antipode(dataclasses.replace(cases.klein_group_algebra(), counit=zero)) is None
 
 
+def _nonassociative_loop_algebra():
+    # basis 1, a, b with a.a = b, a.b = -1, b.a = 1, b.b = -a, all grouplike:
+    # the left-nested powers give id^{*3} = eta epsilon, so S = id^{*2}
+    # (S(a) = b, S(b) = -a) is a right convolution inverse of id, but
+    # a S(a) = a.b = -1, so it is not a left one
+    one = Cyclo.one(1)
+    mult = [[((0, one),), ((1, one),), ((2, one),)],
+            [((1, one),), ((2, one),), ((0, -one),)],
+            [((2, one),), ((0, one),), ((1, -one),)]]
+    return StructBialgebra(dim=3, conductor=1, mult=mult,
+                           comult=[((i, i, one),) for i in range(3)],
+                           unit={0: one}, counit=[one] * 3)
+
+
+def test_a_right_convolution_inverse_alone_is_no_antipode(monkeypatch):
+    H = _nonassociative_loop_algebra()
+    assert not check_axioms(H)["associativity"]["ok"]
+    krylov = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
+    assert solve_antipode(H) is None
+    assert not krylov       # the exponent path found e = 3
+    monkeypatch.setattr(hopfcheck, "_finite_exponent", lambda *args: None)
+    assert solve_antipode(H) is None
+
+
 def swap_graded_group_algebra(beta):
     """The Klein group algebra graded by C2 through the order-2 swap."""
     G = FinAbGroup.of(2)
