@@ -602,7 +602,7 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
                   for gam in Gamma.elements()]
         aut = ExtAutomorphism(g, h, ftilde)
         m = aut.matrix(mp)
-        cols = [m.column(j, Hc.conductor) for j in range(m.dim)]
+        cols = [m.term_column(j, Hc.conductor) for j in range(m.dim)]
         if not is_morphism(cols):
             raise AssertionError("solver output failed certification")
         out.append(aut)

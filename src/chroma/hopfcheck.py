@@ -11,18 +11,20 @@ polynomial; either way it is verified on both sides.
 Every product, coproduct, tensor and map image runs in the group ring of
 mu_N: each coefficient becomes exponent terms (e, r) standing for
 r zeta_N^e (a root of unity is one term), products add exponents mod N,
-and sums reduce mod Phi_N in one fold.  The axiom sweep, the morphism
-test, the antipode's convolution powers and braided laws, and the change
-of basis in ``grade_by_action`` all use it; each equation lhs = rhs is one
-zero test of lhs - rhs, which folds only when the terms do not cancel
-exactly.
+and sums reduce mod Phi_N in ``scalars._reduce_mod_phi``, the one fold
+``Cyclo`` uses too, in memory linear in N.  The axiom sweep, the
+morphism test, the antipode's convolution powers and braided laws, and
+the change of basis in ``grade_by_action`` all use it; each equation
+lhs = rhs is one zero test of lhs - rhs, which folds only when the terms
+do not cancel exactly.
 
 ``Cyclo`` is used only where a field inverse is taken or a ``Cyclo``
-table is built: ``Echelon``, the one incremental Gauss-Jordan
-elimination behind the antipode's Krylov fallback, ``matrix_rank``,
-``invert_columns`` and ``grade_by_action``, accumulates (key, Cyclo)
-terms with ``lc_add_scaled``, which drops zeros.  Monomial dual-group actions are validated and projected onto
-isotypic components by ``validated_action`` and ``projector_column``.
+table is built.  ``Echelon``, the one incremental Gauss-Jordan
+elimination (rank, ``invert_columns``, ``grade_by_action`` and the
+antipode's Krylov fallback), accumulates (key, Cyclo) terms with
+``lc_add_scaled``, which drops zeros.  Monomial dual-group actions are
+validated and projected onto isotypic components by ``validated_action``
+and ``projector_column``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Bicharacter, Character, FinAbGroup
-from .scalars import Cyclo, Rational01, _parse_rational, _power_table, _substitute
+from .scalars import Cyclo, Rational01, _parse_rational, _reduce_mod_phi, _substitute
 
 
 class ActionError(ValueError):
@@ -111,8 +113,9 @@ class MonomialMatrix:
     def __hash__(self):
         return hash((self.perm, self.scal))
 
-    def column(self, j: int, N: int) -> dict:
-        return {self.perm[j]: Cyclo.embed(self.scal[j], N)}
+    def term_column(self, j: int, N: int) -> tuple:
+        """The image of e_j as the one exponent term (perm[j], k, 1), zeta_N^k = scal[j]."""
+        return ((self.perm[j], _exponent(self.scal[j], N), 1),)
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm), "scal": [str(s) for s in self.scal]}
@@ -360,10 +363,21 @@ def lift_cyclo(c: Cyclo, M: int) -> Cyclo:
 # for the zero test and for the conversion back to ``Cyclo``.
 
 
-@functools.lru_cache(maxsize=None)
-def _root_exponents(N: int) -> dict:
-    # power-basis numerators of zeta_N^k -> k; Cyclo is canonical, so exact
-    return {row: k for k, row in enumerate(_power_table(N))}
+def _root_exponent(nums: tuple, N: int):
+    """k with ``nums`` the power-basis numerators of zeta_N^k, or None: a
+    lone 1 at index j is zeta^j, and any other root zeta^k has k >= deg,
+    so m = N - k <= N - deg multiplications by zeta take it to 1."""
+    deg = len(nums)
+    if nums.count(0) == deg - 1 and 1 in nums:
+        return nums.index(1)
+    if not any(nums):
+        return None
+    one, v = [1] + [0] * (deg - 1), list(nums)
+    for m in range(1, N - deg + 1):
+        v = _reduce_mod_phi([0] + v, N)
+        if v == one:
+            return N - m
+    return None
 
 
 def _terms(c: Cyclo, N: int) -> tuple:
@@ -371,7 +385,7 @@ def _terms(c: Cyclo, N: int) -> tuple:
     if c.N != N:
         raise ValueError(f"conductor mismatch: {c.N} vs {N}")
     if c.den == 1:
-        k = _root_exponents(N).get(c.nums)
+        k = _root_exponent(c.nums, N)
         if k is not None:
             return ((k, 1),)
         return tuple((e, a) for e, a in enumerate(c.nums) if a)
@@ -455,23 +469,20 @@ def _nonzero_keys(acc: dict, N: int) -> dict:
     """The keys k at which the sum of w zeta^e over acc's ((k, e), w) is
     nonzero, each with that sum's power-basis coefficients.
 
-    Exact cancellation is the common case.  Otherwise each key's exponent
-    vector is folded through the power table, i.e. reduced mod Phi_N: at
-    N = 2, for instance, 1 + zeta = 0.
+    Exact cancellation is the common case.  Otherwise each key's weights
+    are summed into an exponent vector of length N and folded once mod
+    Phi_N: at N = 2, for instance, 1 + zeta = 0.
     """
     if not any(acc.values()):
         return {}
-    table = _power_table(N)
     folded: dict = {}
     for (k, e), w in acc.items():
         if w:
             vec = folded.get(k)
             if vec is None:
-                vec = folded[k] = [0] * len(table[0])
-            for j, t in enumerate(table[e]):
-                if t:
-                    vec[j] += w * t
-    return {k: vec for k, vec in folded.items() if any(vec)}
+                vec = folded[k] = [0] * N
+            vec[e] += w
+    return {k: vec for k, vec in folded.items() if any(_reduce_mod_phi(vec, N))}
 
 
 def _as_cyclo(acc: dict, N: int) -> dict:
@@ -775,8 +786,8 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
 
 
 def _finite_exponent(power, n: int, N: int):
-    """The least e in [2, n] with id^{*e} = id^{*0} = eta epsilon, or None."""
-    return next((m for m in range(2, n + 1) if _same_columns(power(m), power(0), N)), None)
+    """The least e in [1, n] with id^{*e} = id^{*0} = eta epsilon, or None."""
+    return next((m for m in range(1, n + 1) if _same_columns(power(m), power(0), N)), None)
 
 
 def _krylov_inverse(power, n: int, N: int):
@@ -1077,17 +1088,15 @@ def is_bialgebra_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
 
     Each equation is one zero test of lhs - rhs in exponent terms.
     """
-    return _morphism_check(H)(columns)
+    return _morphism_check(H)([_combo_terms(col.items(), H.conductor) for col in columns])
 
 
 def _morphism_check(H: StructBialgebra):
-    """``is_bialgebra_morphism`` on H, with H's term tables built once."""
+    """``is_bialgebra_morphism`` on H for term columns, H's tables built once."""
     n, N = H.dim, H.conductor
     mult, comult, unit, counit = _term_tables(H)
 
-    def check(columns: list[dict]) -> bool:
-        cols = [_combo_terms(col.items(), N) for col in columns]
-
+    def check(cols: list) -> bool:
         def unital(acc):
             _add_mapped(acc, unit, cols, 1, N)
             _add_terms(acc, unit, 0, -1, N)

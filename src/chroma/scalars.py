@@ -321,56 +321,39 @@ def solve_power(a: Scalar, b: Scalar) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # exact division of integer polynomials by a monic divisor
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, dj in enumerate(den):
-            num[i - deg_d + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, low degree first."""
+    """Integer coefficients of Phi_n, low degree first.
+
+    Phi_n(x) = Phi_m(x^(n/m)) with m the product of the primes of n, and
+    for m > 1 Phi_m is the product of (1 - x^d)^mu(m/d) over d | m: each
+    factor is applied in one pass to a power series cut at degree phi(m).
+    """
     if n < 1:
         raise ValueError("conductor must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            if any(rem):
-                raise AssertionError(f"dividing by Phi_{d} left a remainder")
-    return tuple(poly)
-
-
-@functools.lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # x^k mod Phi_n for 0 <= k < n; integral because Phi_n is monic
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    table = []
-    current = [1] + [0] * (deg - 1)
-    for _ in range(n):
-        table.append(tuple(current))
-        # multiply by x
-        carry = current[-1]
-        current = [0] + current[:-1]
-        if carry:
-            for j in range(deg):
-                current[j] -= carry * phi[j]
-    return tuple(table)
+    primes, rest, p = [], n, 1
+    while rest > 1:
+        p = p + 1 if p * p < rest else rest
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    deg = math.prod(p - 1 for p in primes)
+    divisors = [(1, (-1) ** len(primes))]  # (d, mu(m/d)) over d | m
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    series = [1] + [0] * deg
+    for d, mu in divisors:
+        if mu > 0:  # times 1 - x^d
+            for i in range(deg, d - 1, -1):
+                series[i] -= series[i - d]
+        else:  # times 1/(1 - x^d) = 1 + x^d + x^(2d) + ...
+            for i in range(d, deg + 1):
+                series[i] += series[i - d]
+    t = n // math.prod(primes)
+    return tuple(0 if i % t else series[i // t] for i in range(deg * t + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -399,13 +382,18 @@ def _substitute(c: "Cyclo", k: int, M: int) -> "Cyclo":
     k = M/N embeds Q(zeta_N) into Q(zeta_M); M = N with k prime to N is
     the Galois automorphism sigma_k.
     """
-    table = _power_table(M)
-    nums = [0] * len(table[0])
+    nums = [0] * M
     for e, a in enumerate(c.nums):
-        if a:
-            for j, t in enumerate(table[k * e % M]):
-                nums[j] += a * t
-    return Cyclo._make(M, tuple(nums), c.den)
+        nums[k * e % M] += a
+    return Cyclo._make(M, tuple(_reduce_mod_phi(nums, M)), c.den)
+
+
+def _root_nums(N: int, k: int) -> tuple:
+    """The power-basis numerators of zeta_N^k, 0 <= k < N."""
+    deg = _phi_tail(N)[0]
+    if k < deg:
+        return (0,) * k + (1,) + (0,) * (deg - k - 1)
+    return tuple(_reduce_mod_phi([0] * k + [1], N))
 
 
 def _conductor_mismatch(a: "Cyclo", b: "Cyclo") -> ValueError:
@@ -473,7 +461,7 @@ class Cyclo:
 
     @classmethod
     def one(cls, N: int) -> "Cyclo":
-        return cls._make(N, _power_table(N)[0], 1)
+        return cls._make(N, _root_nums(N, 0), 1)
 
     @classmethod
     def from_rational(cls, q, N: int) -> "Cyclo":
@@ -486,8 +474,7 @@ class Cyclo:
         """The root of unity exp(2*pi*i*r) as an element of Q(zeta_N)."""
         if N % r.den != 0:
             raise ValueError(f"order {r.den} does not divide conductor {N}")
-        k = (N // r.den) * r.num
-        return cls._make(N, _power_table(N)[k % N], 1)
+        return cls._make(N, _root_nums(N, N // r.den * r.num), 1)
 
     # -- ring/field operations ----------------------------------------------
 

@@ -581,12 +581,11 @@ def test_triangular_degenerate_beta_report_pinned(orders, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_triangular_degenerate_beta_large_group_exits_0(tmp_path):
-    """beta = 0 on Z/100000: the radical is all of G, and the quotient's Smith
-    form is rank x (rank + |G|) with only rank x rank transforms, so it fits
-    in 1 GiB and ends well within the timeout."""
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps({"group": {"orders": [100000]}, "beta": [["0/1"]]}))
+def _run_capped(command: str, payload: dict, tmp_path):
+    """``python -m chroma.cli command`` on ``payload`` in a child process under
+    a 1 GiB address space; returns the process and the report path."""
+    path, report = tmp_path / "input.json", tmp_path / "report.out"
+    path.write_text(json.dumps(payload))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -595,12 +594,33 @@ def test_triangular_degenerate_beta_large_group_exits_0(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "chroma.cli", "triangular", "--input", str(path),
-         "--output", str(tmp_path / "report.out")],
+        [sys.executable, "-m", "chroma.cli", command, "--input", str(path),
+         "--output", str(report)],
         capture_output=True, text=True, env=env, timeout=10,
         preexec_fn=cap_address_space)
+    return proc, report
+
+
+def test_triangular_degenerate_beta_large_group_exits_0(tmp_path):
+    """beta = 0 on Z/100000: the radical is all of G, and the quotient's Smith
+    form is rank x (rank + |G|) with only rank x rank transforms, so it fits
+    in 1 GiB and ends well within the timeout."""
+    proc, report = _run_capped(
+        "triangular", {"group": {"orders": [100000]}, "beta": [["0/1"]]}, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "report.out").read_text())["G_prime"] == {"orders": []}
+    assert json.loads(report.read_text())["G_prime"] == {"orders": []}
+
+
+@pytest.mark.parametrize("N", [10007, 16384, 30030, 100003])
+def test_verify_one_dimensional_at_a_large_conductor_exits_0(N, tmp_path):
+    """The group algebra of the trivial group over Q(zeta_N): reduction mod
+    Phi_N keeps memory linear in N, so this fits in 1 GiB.  The input is
+    written by hand, so no Cyclo at conductor N is built in this process."""
+    proc, report = _run_capped("verify", {
+        "dim": 1, "conductor": N, "mult": [[[[0, "0/1"]]]], "comult": [[[0, 0, "0/1"]]],
+        "unit": [[0, "0/1"]], "counit": ["0/1"]}, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(report.read_text())["antipode_exists"] is True
 
 
 def _c2_pair(**entries) -> dict:

@@ -72,3 +72,9 @@ def test_canonical_form(N):
         product = a * a.inverse()
         assert (product.N, product.nums, product.den) == (N, Cyclo.one(N).nums, 1)
     assert (a.scale(6) / Cyclo.from_rational(6, N)) == a
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    for N in [*range(1, 301), 2310]:
+        expected = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(N) == tuple(int(c) for c in expected), N

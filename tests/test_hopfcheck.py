@@ -21,7 +21,7 @@ from chroma.hopfcheck import (ActionError, Echelon, MonomialMatrix, StructBialge
                               check_flip, grade_by_action, invert_columns,
                               is_bialgebra_morphism, lc_add_scaled,
                               lift_cyclo, matrix_rank, solve_antipode,
-                              verify_color_antipode, _nonzero_keys, _terms)
+                              verify_color_antipode, _combo_terms, _nonzero_keys, _terms)
 from chroma.scalars import (Cyclo, R01_HALF, R01_ZERO, Rational01,
                             cyclotomic_polynomial)
 
@@ -262,12 +262,19 @@ def test_term_tables_built_once_per_structure():
 
 def test_is_bialgebra_morphism_detects_failure():
     H = cyclic_group_algebra(3)
-    good = MonomialMatrix((0, 2, 1))  # inversion automorphism of C3
-    cols = [good.column(j, 1) for j in range(3)]
-    assert is_bialgebra_morphism(H, cols)
-    bad = MonomialMatrix((1, 0, 2))  # not a group automorphism
-    cols = [bad.column(j, 1) for j in range(3)]
-    assert not is_bialgebra_morphism(H, cols)
+    good = (0, 2, 1)  # inversion automorphism of C3
+    assert is_bialgebra_morphism(H, [{good[j]: Cyclo.one(1)} for j in range(3)])
+    bad = (1, 0, 2)  # not a group automorphism
+    assert not is_bialgebra_morphism(H, [{bad[j]: Cyclo.one(1)} for j in range(3)])
+
+
+def test_term_column_is_the_embedded_root_as_one_term():
+    # at N = 14, deg Phi_14 = 6: zeta^10 and zeta^7 have several power-basis terms
+    m = MonomialMatrix((2, 0, 1), (Rational01(5, 7), R01_ZERO, Rational01(1, 2)))
+    for j in range(3):
+        column = [(m.perm[j], Cyclo.embed(m.scal[j], 14))]
+        assert m.term_column(j, 14) == _combo_terms(column, 14)
+    assert m.term_column(0, 14) == ((2, 10, 1),)
 
 
 def test_lift_cyclo():
@@ -883,7 +890,8 @@ def test_exponent_zero_test_matches_cyclo(N):
     assert {_cyclo_sum(terms, N).is_zero() for terms in sums} == {True, False}
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 21])
+# N = 30, 64 and 105 have N - deg Phi_N large: most roots zeta^k have k >= deg
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 21, 30, 64, 105])
 def test_terms_sum_back_to_the_coefficient(N):
     rng = random.Random(f"terms:{N}")
     for k in range(N):
@@ -973,6 +981,15 @@ def test_sweedler_antipode_by_the_krylov_fallback(monkeypatch):
     one = H.one()
     # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
     assert S == [{0: one}, {1: one}, {3: -one}, {2: one}]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 12])
+def test_one_dimensional_antipode_takes_the_exponent_path(N, monkeypatch):
+    """On H = k, id = eta epsilon: the exponent is 1, and no elimination runs."""
+    H = cyclic_group_algebra(1).lifted(N)
+    calls = _spy(monkeypatch, Echelon, "add")
+    assert solve_antipode(H) == [{0: Cyclo.one(N)}]
+    assert not calls
 
 
 def _gaussian_binomial(n: int, k: int, q: Rational01, N: int) -> Cyclo:
