@@ -142,8 +142,8 @@ def _cmd_check_extension(data: dict, args):
         if "beta" in data:
             beta = Bicharacter.from_json(group, data["beta"])
     if "z" in data and group is not None:
-        z = extensions.ZMap(mp, group,
-                            [[group.element(r) for r in row] for row in data["z"]])
+        z = extensions.ZMap(mp, group, [group.elements_from_json(row, "each z row")
+                                        for row in hopfcheck._array(data["z"], None, "z")])
         checks["z_map"] = extensions.validate_z(z)
         if beta is not None:
             checks["color_compatibility"] = extensions.color_compatibility(
@@ -152,9 +152,12 @@ def _cmd_check_extension(data: dict, args):
     checks["hopf_axioms"] = hopfcheck.check_axioms(H, "plain")["all_ok"]
     if "action" in data and group is not None and beta is not None:
         dual = FinAbGroup(group.orders)
-        action = {dual.element(entry["element"]):
-                  hopfcheck.MonomialMatrix.from_json(entry["matrix"])
-                  for entry in data["action"]}
+        entries = data["action"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError('action must be an array of {"element", "matrix"} objects')
+        elements = dual.elements_from_json([e["element"] for e in entries], "action elements")
+        action = {a: hopfcheck.MonomialMatrix.from_json(e["matrix"])
+                  for a, e in zip(elements, entries)}
         sup = extensions.support(H, action, group)
         report["support"] = [list(g.residues) for g in sorted(
             sup, key=lambda e: e.residues)]

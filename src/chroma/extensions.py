@@ -594,7 +594,6 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
     out = []
     H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
     Hc = H.lifted(math.lcm(H.conductor, N))
-    is_morphism = _morphism_check(Hc)
     for sol in sorted(solutions):
         if not _solves(equations, sol, N):
             raise AssertionError("solver produced an invalid automorphism")
@@ -603,7 +602,7 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
         aut = ExtAutomorphism(g, h, ftilde)
         m = aut.matrix(mp)
         cols = [m.term_column(j, Hc.conductor) for j in range(m.dim)]
-        if not is_morphism(cols):
+        if not _morphism_check(Hc, cols):
             raise AssertionError("solver output failed certification")
         out.append(aut)
     return out

@@ -297,6 +297,8 @@ class Bicharacter:
 
     @classmethod
     def from_json(cls, group: FinAbGroup, rows: list) -> "Bicharacter":
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("beta must be an array of arrays of roots")
         return cls(group, [[Rational01.parse(b) for b in row] for row in rows])
 
 

@@ -1,10 +1,14 @@
 """Structure-constant (co)algebras over exact cyclotomic arithmetic.
 
 ``StructBialgebra`` stores multiplication and comultiplication tables
-with coefficients in Q(zeta_N); the axiom checker runs exhaustively over
-basis tuples, in plain or color mode (color mode twists the product on
-the tensor square by the bicharacter of the grading group).  The
-antipode is the convolution inverse of the identity: a convolution power
+with coefficients in Q(zeta_N); the axiom checker runs over basis tuples,
+in plain or color mode (color mode twists the product on the tensor
+square by the bicharacter of the grading group).  A product law holds
+once it holds on the pairs (s, j) with s an algebra generator, given the
+law's precondition: the unit laws; for epsilon and Delta also
+associativity and the law at 1; for Delta in color mode a graded product.
+Any failure reruns the sweep of all pairs for the first counterexample.
+The antipode is the convolution inverse of the identity: a convolution power
 of it when H has a finite exponent, otherwise read off its minimal
 polynomial; either way it is verified on both sides.
 
@@ -122,7 +126,12 @@ class MonomialMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialMatrix":
-        return cls(data["perm"], [Rational01.parse(s) for s in data["scal"]])
+        perm = data["perm"] if isinstance(data, dict) else None
+        if not isinstance(perm, list) or not all(type(k) is int for k in perm):
+            raise ValueError('an action matrix must be an object with a "perm" array of '
+                             "basis indices")
+        scal = _array(data["scal"], len(perm), "action matrix scal")
+        return cls(perm, [Rational01.parse(s) for s in scal])
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +223,14 @@ class StructBialgebra:
 
     @classmethod
     def group_algebra(cls, table: list[list[int]], identity: int,
-                      conductor: int = 1, grading=None, group=None,
-                      beta=None) -> "StructBialgebra":
+                      conductor: int = 1) -> "StructBialgebra":
         """The group algebra of a finite group given by its Cayley table."""
         n = len(table)
         one = Cyclo.one(conductor)
         mult = [[((table[i][j], one),) for j in range(n)] for i in range(n)]
         comult = [((i, i, one),) for i in range(n)]
-        unit = {identity: one}
-        counit = [one for _ in range(n)]
         return cls(dim=n, conductor=conductor, mult=mult, comult=comult,
-                   unit=unit, counit=counit, grading=grading, group=group,
-                   beta=beta)
+                   unit={identity: one}, counit=[one] * n)
 
     def lifted(self, conductor: int) -> "StructBialgebra":
         """The same structure with coefficients in a larger cyclotomic field."""
@@ -505,6 +510,11 @@ def _holds(equation, N: int, *t) -> bool:
     return not _nonzero_keys(acc, N)
 
 
+def _cyclo_columns(cols: list, N: int) -> list:
+    """Term columns as combinations key -> nonzero Cyclo."""
+    return [_as_cyclo(_sum(_add_terms, col, 0, 1, N), N) for col in cols]
+
+
 def _exponent(r: Rational01, N: int) -> int:
     """k with exp(2 pi i r) = zeta_N^k."""
     if r.num and N % r.den:
@@ -559,12 +569,14 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     basis tuple.  Each equation is one zero test of lhs - rhs in exponent
     terms.
 
-    Once associativity, the unit laws and Delta(1) = 1 (x) 1 hold, and in
-    color mode the product respects the grading, Delta is multiplicative
-    as soon as it is on the pairs (s, j) with s in the algebra generators
-    that ``_algebra_generators`` picks; only those pairs are tested.  Any
-    failure there reruns the full sweep, so the counterexample is still the
-    first failing pair.
+    The product laws (associativity, epsilon and Delta multiplicative) are
+    tested only on the pairs (s, j), s in ``_algebra_generators(H)``, once
+    a precondition holds: for associativity the unit laws; for epsilon also
+    associativity and epsilon(1) = 1; for Delta the unit laws, associativity,
+    Delta(1) = 1 (x) 1 and, in color mode, a graded product.  The x that
+    satisfy the law for every y then form a subalgebra that holds 1 and
+    the generators, so it is H.  Any failure reruns the full sweep for the
+    first failing pair (for associativity (i, j, the least k)).
     """
     if mode not in ("plain", "color"):
         raise ValueError("mode must be 'plain' or 'color'")
@@ -576,6 +588,7 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     basis = [((i, 0, 1),) for i in range(n)]
     singles = [(i,) for i in range(n)]
     pairs = list(itertools.product(range(n), repeat=2))
+    generators = _algebra_generators(H)
 
     def record(name, ok, counterexample=None):
         report[name] = {"ok": ok, "counterexample": counterexample}
@@ -584,6 +597,13 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
         ce = next((t for t in tuples
                    if not all(_holds(eq, N, *t) for eq in equations)), None)
         record(name, ce is None, ce)
+
+    def product_law(name, equation, precondition):
+        # the x that satisfy the law for all y form a subalgebra: 1 by the
+        # precondition, ab with a and b by associativity (or by the law itself)
+        rows = itertools.product(generators, range(n))
+        holds = precondition and all(_holds(equation, N, *t) for t in rows)
+        sweep(name, () if holds else pairs, equation)
 
     def associativity(acc, i, j):
         # (e_i e_j) e_k - e_i (e_j e_k) for every k at once, keyed by (k, m)
@@ -651,41 +671,31 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
                 if x and y:
                     _add_tensor(acc, x, y, e1 + e2 + tw[a2], -r1 * r2, N)
 
-    ce = None
-    for i, j in pairs:
-        acc: dict = {}
-        associativity(acc, i, j)
-        failing = _nonzero_keys(acc, N)
-        if failing:
-            ce = (i, j, min(k for k, _ in failing))
-            break
-    record("associativity", ce is None, ce)
     sweep("unit", singles, unit_left, unit_right)
+    product_law("associativity", associativity, report["unit"]["ok"])
+    ce = report["associativity"]["counterexample"]
+    if ce:  # with the least k at which (e_i e_j) e_k != e_i (e_j e_k)
+        k = min(_nonzero_keys(_sum(associativity, *ce), N))[0]
+        record("associativity", False, ce + (k,))
+    associative = report["unit"]["ok"] and ce is None  # a unital associative algebra
     sweep("coassociativity", singles, coassociativity)
     sweep("counit", singles, counit_left, counit_right)
     if _holds(counit_of_unit, N):
-        sweep("counit_multiplicative", pairs, counit_multiplicative)
+        product_law("counit_multiplicative", counit_multiplicative, associative)
     else:
         record("counit_multiplicative", False, ("unit",))
     record("unit_comultiplicative", _holds(unit_comultiplicative, N))
 
     # grading compatibility: the first violation, in sweep order; the
-    # product's half comes first, since the generator sweep needs it
+    # product's half comes first, since the coproduct's precondition needs it
     deg = H.grading
     ce = None if deg is None else next(
         (("mult", i, j, k) for i, j in pairs for k, _ in H.mult[i][j]
          if deg[k] != deg[i] * deg[j]), None)
-    # Delta is multiplicative once it is on generators s: the x with
-    # Delta(xy) = Delta(x) Delta(y) for all y form a subspace that holds 1
-    # (by the unit laws) and is closed under products (by associativity of
-    # H and of the braided H (x) H, which needs a graded product)
-    if (all(report[k]["ok"] for k in ("associativity", "unit", "unit_comultiplicative"))
-            and (mode == "plain" or ce is None)
-            and all(_holds(coproduct_multiplicative, N, s, j)
-                    for s in _algebra_generators(H) for j in range(n))):
-        record("coproduct_multiplicative", True)
-    else:
-        sweep("coproduct_multiplicative", pairs, coproduct_multiplicative)
+    # the braided H (x) H is associative only for a graded product
+    product_law("coproduct_multiplicative", coproduct_multiplicative,
+                associative and report["unit_comultiplicative"]["ok"]
+                and (mode == "plain" or ce is None))
 
     if deg is not None:
         ce = ce or next(itertools.chain(
@@ -774,7 +784,7 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     else:
         # S * id is id^{*e}, the power just compared with eta epsilon
         cols = powers[e - 1]
-        S = [_as_cyclo(_sum(_add_terms, col, 0, 1, N), N) for col in cols]
+        S = _cyclo_columns(cols, N)
         sides = ((identity, cols),)
     for f, g in sides:
         if not _same_columns(_term_columns(_convolve(f, g, mult, comult, N)), powers[0], N):
@@ -797,7 +807,7 @@ def _krylov_inverse(power, n: int, N: int):
     powers = []
     echelon = Echelon()
     for m in range(n * n + 2):
-        powers.append([_as_cyclo(_sum(_add_terms, col, 0, 1, N), N) for col in power(m)])
+        powers.append(_cyclo_columns(power(m), N))
         relation = echelon.add({(i, k): c for i, col in enumerate(powers[m])
                                 for k, c in col.items()}, {m: one})
         if relation is not None:
@@ -1084,40 +1094,35 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
 
 
 def is_bialgebra_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
-    """Does e_j -> columns[j] define a bialgebra endomorphism of H?
-
-    Each equation is one zero test of lhs - rhs in exponent terms.
-    """
-    return _morphism_check(H)([_combo_terms(col.items(), H.conductor) for col in columns])
+    """Does e_j -> columns[j] define a bialgebra endomorphism of H?"""
+    return _morphism_check(H, [_combo_terms(col.items(), H.conductor) for col in columns])
 
 
-def _morphism_check(H: StructBialgebra):
-    """``is_bialgebra_morphism`` on H for term columns, H's tables built once."""
+def _morphism_check(H: StructBialgebra, cols: list) -> bool:
+    """``is_bialgebra_morphism`` on term columns.  The product law is swept on
+    all n^2 pairs: ``check_axioms``'s generator rule needs H associative."""
     n, N = H.dim, H.conductor
     mult, comult, unit, counit = _term_tables(H)
 
-    def check(cols: list) -> bool:
-        def unital(acc):
-            _add_mapped(acc, unit, cols, 1, N)
-            _add_terms(acc, unit, 0, -1, N)
+    def unital(acc):
+        _add_mapped(acc, unit, cols, 1, N)
+        _add_terms(acc, unit, 0, -1, N)
 
-        def counital(acc, i):
-            _add_mapped(acc, cols[i], counit, 1, N)
-            _add_terms(acc, counit[i], 0, -1, N)
+    def counital(acc, i):
+        _add_mapped(acc, cols[i], counit, 1, N)
+        _add_terms(acc, counit[i], 0, -1, N)
 
-        def multiplicative(acc, i, j):
-            _add_mapped(acc, mult[i][j], cols, 1, N)
-            _add_product(acc, cols[i], cols[j], mult, 0, -1, N)
+    def multiplicative(acc, i, j):
+        _add_mapped(acc, mult[i][j], cols, 1, N)
+        _add_product(acc, cols[i], cols[j], mult, 0, -1, N)
 
-        def comultiplicative(acc, i):
-            _add_mapped(acc, cols[i], comult, 1, N)
-            for (j, k), e, r in comult[i]:
-                _add_tensor(acc, cols[j], cols[k], e, -r, N)
+    def comultiplicative(acc, i):
+        _add_mapped(acc, cols[i], comult, 1, N)
+        for (j, k), e, r in comult[i]:
+            _add_tensor(acc, cols[j], cols[k], e, -r, N)
 
-        return (_holds(unital, N)
-                and all(_holds(counital, N, i) for i in range(n))
-                and all(_holds(multiplicative, N, i, j)
-                        for i, j in itertools.product(range(n), repeat=2))
-                and all(_holds(comultiplicative, N, i) for i in range(n)))
-
-    return check
+    return (_holds(unital, N)
+            and all(_holds(counital, N, i) for i in range(n))
+            and all(_holds(multiplicative, N, i, j)
+                    for i, j in itertools.product(range(n), repeat=2))
+            and all(_holds(comultiplicative, N, i) for i in range(n)))

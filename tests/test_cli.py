@@ -430,19 +430,32 @@ def test_verify_grading_without_group_exit_2(tmp_path, capsys):
     ("check-datum", lambda d: dict(d, q=[[1, "1"], ["1", 1]])),
     ("verify", lambda d: (lambda p: dict(p, grading=[5] + p["grading"][1:]))(
         _graded_structure(group={"orders": [3]}))),
+    ("triangular", lambda d: {"group": {"orders": [3]}, "beta": 5}),
+    ("verify", lambda d: dict(_graded_structure(group={"orders": [1]}), beta=5)),
+    ("check-datum", lambda d: dict(d, beta=5)),
+    ("check-extension", lambda d: _c2_pair(z=5, **_GRADED_C2)),
+    ("check-extension", lambda d: _c2_pair(z=[1, 2, 3], **_GRADED_C2)),
+    ("check-extension", lambda d: _c2_pair(action=5, **_GRADED_C2)),
+    ("check-extension", lambda d: _c2_pair(
+        action=[{"element": [0], "matrix": {"perm": 5, "scal": []}}], **_GRADED_C2)),
 ], ids=["orders-string", "orders-float", "orders-bool", "orders-zero",
         "group-not-object", "datum-not-object", "triangular-orders-string",
         "triangular-not-object", "verify-grading-orders-string",
         "verify-grading-orders-float", "triangular-beta-not-string",
         "degree-not-list", "braiding-entry-not-string",
-        "verify-grading-entry-not-list"])
+        "verify-grading-entry-not-list", "triangular-beta-int", "verify-beta-int",
+        "check-datum-beta-int", "z-int", "z-flat", "action-int", "action-perm-int"])
 def test_malformed_group_exit_2(command, payload, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload(cases.rank2_c3_datum().to_json())))
     code = main([command, "--input", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# a graded C2 x C2 pair: check-extension then reads its "z" and "action"
+_GRADED_C2 = {"group": {"orders": [2]}, "beta": [["0/1"]]}
 
 
 def _graded_structure(group):

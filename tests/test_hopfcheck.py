@@ -187,9 +187,8 @@ def test_flip_trivial_grading():
     G = FinAbGroup.of(4)
     beta = Bicharacter(G, [[Rational01(1, 4)]])
     F = FiniteGroup.cyclic(2)
-    H = StructBialgebra.group_algebra(F.table, F.identity, conductor=4,
-                                      grading=(G.identity(), G.identity()),
-                                      group=G, beta=beta)
+    H = dataclasses.replace(StructBialgebra.group_algebra(F.table, F.identity, conductor=4),
+                            grading=(G.identity(), G.identity()), group=G, beta=beta)
     assert check_flip(H)
 
 
@@ -212,9 +211,9 @@ def test_bosonize_color_group_algebra():
 def _trivially_graded_c3():
     G = FinAbGroup.of(2)
     F = FiniteGroup.cyclic(3)
-    return StructBialgebra.group_algebra(F.table, F.identity, conductor=2,
-                                         grading=(G.identity(),) * 3, group=G,
-                                         beta=Bicharacter(G, [[R01_HALF]]))
+    return dataclasses.replace(StructBialgebra.group_algebra(F.table, F.identity, conductor=2),
+                               grading=(G.identity(),) * 3, group=G,
+                               beta=Bicharacter(G, [[R01_HALF]]))
 
 
 def test_bosonize_trivial_grading_is_tensor_product():
@@ -1047,7 +1046,8 @@ def _single_entry_mutants(H: StructBialgebra):
     """Copies of H with one mult cell or one comult entry changed: its first
     coefficient doubled, or its first term moved to another basis index
     (the comult legs swapped where they differ); an empty cell gets e_0.
-    A graded H also gets each basis element moved to every other degree."""
+    Each counit value is also raised by 1, and a graded H gets each basis
+    element moved to every other degree."""
     n, one = H.dim, H.one()
 
     def moved(terms, width):
@@ -1069,6 +1069,8 @@ def _single_entry_mutants(H: StructBialgebra):
             comult = list(H.comult)
             comult[i] = new
             yield dataclasses.replace(H, comult=comult)
+    for k in range(n):
+        yield dataclasses.replace(H, counit=H.counit[:k] + [H.counit[k] + one] + H.counit[k + 1:])
     for k in range(n) if H.grading is not None else ():
         for g in H.group.elements():
             if g != H.grading[k]:
@@ -1085,16 +1087,26 @@ def _single_entry_mutants(H: StructBialgebra):
 ])
 def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypatch):
     """On every single-entry mutant the report, counterexamples included, is
-    the one of the full coproduct sweep (generators = the whole basis)."""
+    the one of the full sweeps of the product laws (generators = the whole
+    basis)."""
     H = build()
     assert len(hopfcheck._algebra_generators(H)) < H.dim
     mutants = list(_single_entry_mutants(H))
     reports = [check_axioms(M, mode) for M in mutants]
     monkeypatch.setattr(hopfcheck, "_algebra_generators", lambda H: list(range(H.dim)))
     assert reports == [check_axioms(M, mode) for M in mutants]
-    # the sweep on generators alone ran and failed on some mutants
-    assert any(not r["coproduct_multiplicative"]["ok"] and r["associativity"]["ok"]
-               and r["unit"]["ok"] and r["unit_comultiplicative"]["ok"] for r in reports)
+    # each law's sweep on generators alone ran and failed on some mutant,
+    # one whose report shows that law's precondition holding
+    unital = [r for r in reports if r["unit"]["ok"]]
+    assert any(not r["associativity"]["ok"] for r in unital)
+    associative = [r for r in unital if r["associativity"]["ok"]]
+    # epsilon(1) = 1 held where the counterexample is a pair, not ("unit",)
+    assert any(len(r["counit_multiplicative"]["counterexample"] or ()) == 2
+               for r in associative)
+    # the product was graded where no "mult" degree fails
+    assert any(not r["coproduct_multiplicative"]["ok"] and r["unit_comultiplicative"]["ok"]
+               and "mult" not in (r.get("grading", {}).get("counterexample") or ())
+               for r in associative)
 
 
 def _generated_dimension(H: StructBialgebra, generators: list) -> int:
@@ -1159,12 +1171,13 @@ def test_algebra_generators_generate(name):
 
 
 def test_generator_sweep_needs_the_unit_laws():
-    """Two associative tables on which every generator row holds but Delta
-    is not multiplicative; each fails one precondition of the generator
-    sweep, so the full sweep runs and reports the failing pair."""
+    """Tables on which every generator row of a product law holds but the
+    law does not; each fails one precondition of the generator rule, so the
+    full sweep runs and reports the first failing pair."""
     one = Cyclo.one(1)
     # e_0 is the unit and x = e_1 has x^2 = 2x, but e_1 is declared the unit:
     # the generator e_0 holds, and the pair (1, 1) gives 2 x (x) x != 4 x (x) x
+    # and epsilon(2x) = 2 != 1
     fake_unit = StructBialgebra(
         dim=2, conductor=1, mult=[[((0, one),), ((1, one),)], [((1, one),), ((1, one + one),)]],
         comult=[((0, 0, one),), ((1, 1, one),)], unit={1: one}, counit=[one, one])
@@ -1172,11 +1185,31 @@ def test_generator_sweep_needs_the_unit_laws():
     # generator x holds, as Delta(x) z = 0, and only the pair (0, 0) fails
     split_unit = dataclasses.replace(_idempotent_bialgebra(), comult=[
         ((0, 0, one + one), (0, 1, -one), (1, 0, -one), (1, 1, one)), ((1, 1, one),)])
-    for H, failed, ce in ((fake_unit, "unit", (1, 1)),
-                          (split_unit, "unit_comultiplicative", (0, 0))):
+    # e_0 is a left identity, but e_1 is declared the unit, e_1 e_0 = 0 and
+    # e_1 e_1 = e_1: the generator row e_0 associates, the pair (1, 0) does not
+    left_unit = dataclasses.replace(fake_unit, mult=[[((0, one),), ((1, one),)],
+                                                     [(), ((1, one),)]])
+    # e_0 the unit and x = e_2 with x x = x e_1 = e_1 x = e_1, e_1 e_1 = 0 and
+    # epsilon = 1: (x x) e_2 != x (x e_2), the generator row x is
+    # multiplicative for epsilon, the pair (1, 1) is not
+    e, x = ((1, one),), ((2, one),)
+    nonassociative = StructBialgebra(
+        dim=3, conductor=1, mult=[[((0, one),), e, x], [e, (), e], [x, e, e]],
+        comult=[((i, i, one),) for i in range(3)], unit={0: one}, counit=[one] * 3)
+    preconditions = {"associativity": ["unit"],
+                     "counit_multiplicative": ["unit", "associativity"],
+                     "coproduct_multiplicative": ["unit", "associativity",
+                                                  "unit_comultiplicative"]}
+    for H, failed, law, ce in ((fake_unit, "unit", "coproduct_multiplicative", (1, 1)),
+                               (fake_unit, "unit", "counit_multiplicative", (1, 1)),
+                               (split_unit, "unit_comultiplicative",
+                                "coproduct_multiplicative", (0, 0)),
+                               (left_unit, "unit", "associativity", (1, 0, 1)),
+                               (nonassociative, "associativity", "counit_multiplicative",
+                                (1, 1))):
         report = check_axioms(H)
-        assert report["associativity"]["ok"] and not report[failed]["ok"]
-        assert report["coproduct_multiplicative"] == {"ok": False, "counterexample": ce}
+        assert [p for p in preconditions[law] if not report[p]["ok"]] == [failed]
+        assert report[law] == {"ok": False, "counterexample": ce}
 
 
 def test_term_tables_write_each_coefficient_object_once(monkeypatch):
