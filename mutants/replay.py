@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Replay the committed mutants of src/chroma against the tests that must kill them.
 
-    python3 mutants/replay.py [name ...]
+    python3 mutants/replay.py
 
 Run from the root of a checkout; it needs pytest.  ``mutants.json`` lists
 the mutants, each an object with:
@@ -49,14 +49,9 @@ def copy_of_src(work: str) -> str:
     return src
 
 
-def main(argv: list) -> int:
+def main() -> int:
     with open(ENTRIES, encoding="utf-8") as fh:
         entries = json.load(fh)
-    unknown = set(argv) - {e["name"] for e in entries}
-    if unknown:
-        print(f"no mutant named {', '.join(sorted(unknown))}")
-        return 2
-    entries = [e for e in entries if not argv or e["name"] in argv]
     for e in entries:
         with open(os.path.join(ROOT, e["file"]), encoding="utf-8") as fh:
             if fh.read().count(e["old"]) != 1 or not e["tests"]:
@@ -87,4 +82,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

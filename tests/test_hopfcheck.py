@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -1107,6 +1108,37 @@ def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypa
     assert any(not r["coproduct_multiplicative"]["ok"] and r["unit_comultiplicative"]["ok"]
                and "mult" not in (r.get("grading", {}).get("counterexample") or ())
                for r in associative)
+
+
+@pytest.mark.parametrize("name, build, mode", [
+    ("c3-dihedral", _c3_dihedral_bicrossed, "plain"),
+    ("c4-graded", _c4_graded, "color"),
+])
+def test_failed_generator_row_tests_no_held_pair_again(name, build, mode, monkeypatch):
+    """When a generator row fails a product law, the search for the first
+    failing pair skips the pairs that already held: only the counterexample
+    is tested twice."""
+    laws = ("associativity", "counit_multiplicative", "coproduct_multiplicative")
+    holds, tested = hopfcheck._holds, []
+
+    def counting(equation, N, *t):
+        tested.append((equation.__name__, t))
+        return holds(equation, N, *t)
+
+    monkeypatch.setattr(hopfcheck, "_holds", counting)
+    failed = set()
+    for M in _single_entry_mutants(build()):
+        tested.clear()
+        report = check_axioms(M, mode)
+        for law in laws:
+            twice = {t for t, c in collections.Counter(t for eq, t in tested if eq == law).items()
+                     if c > 1}
+            ce = report[law]["counterexample"]
+            assert twice <= {ce and ce[:2]}
+            if twice:
+                failed.add(law)
+    # each law had a failing generator row on some mutant
+    assert failed == set(laws)
 
 
 def _generated_dimension(H: StructBialgebra, generators: list) -> int:
