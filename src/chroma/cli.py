@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict
 from functools import cache, partial
 
 from . import dynkin, doubles, extensions, hopfcheck, triangular, weyl
@@ -229,18 +230,21 @@ def _cmd_aut_ext(data: dict, args):
 # ---------------------------------------------------------------------------
 
 
+_PADS = tuple("\n" + "  " * depth for depth in range(64))  # newline, indent of a depth
+
+
 def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
-    A compatibility shim, to be deleted when Python 3.12 leaves the CI
-    matrix: before 3.13, ``json.dumps`` runs its pure-Python encoder
-    whenever ``indent`` is set.  This one handles str-keyed dicts, lists,
-    tuples, str (through the C string encoder), exact ints, bools and
-    None.  A list of exact ints is rendered by one join, memoised by
-    (depth, *values) for this call only.  Any other value (a float, a
-    non-str key) hands the whole object to ``json.dumps``.
+    A compatibility shim, deleted once Python 3.12 leaves the CI matrix:
+    before 3.13, ``json.dumps`` runs its pure-Python encoder whenever
+    ``indent`` is set.  This one handles str-keyed dicts, lists, tuples,
+    str, exact ints, bools and None, nested under 64 deep; anything else
+    hands the whole object to ``json.dumps``.  A list of exact ints is
+    rendered by one join, memoised by object within its depth (by ``id``,
+    one dict per depth) and looked up in the parent's loop.
     """
-    chunks, int_lists = [], {}
+    chunks, memos = [], defaultdict(dict)  # depth -> {id of an int list: its text}
     put, quote = chunks.append, json.encoder.encode_basestring_ascii
 
     def emit(o, depth):
@@ -253,38 +257,34 @@ def _dumps(obj) -> str:
             put("null" if o is None else "true" if o else "false")
         elif not o and kind in (dict, list, tuple):
             put("{}" if kind is dict else "[]")
+        elif kind in (list, tuple) and type(o[0]) is int and all(type(v) is int for v in o):
+            text = ("," + _PADS[depth + 1]).join(map(repr, o))
+            put(memos[depth].setdefault(id(o), f"[{_PADS[depth + 1]}{text}{_PADS[depth]}]"))
         elif kind in (list, tuple):
-            pad = "\n" + "  " * (depth + 1)
-            if all(type(v) is int for v in o):
-                key = (depth, *o)
-                text = int_lists.get(key)
-                if text is None:
-                    text = int_lists[key] = ("[" + pad + ("," + pad).join(map(repr, o))
-                                             + "\n" + "  " * depth + "]")
-                put(text)
-                return
-            sep = "[" + pad
+            memo, sep, comma = memos[depth + 1], "[" + _PADS[depth + 1], "," + _PADS[depth + 1]
             for v in o:
                 put(sep)
-                emit(v, depth + 1)
-                sep = "," + pad
-            put("\n" + "  " * depth + "]")
+                if text := memo.get(id(v)):
+                    put(text)
+                else:
+                    emit(v, depth + 1)
+                sep = comma
+            put(_PADS[depth] + "]")
         elif kind is dict:
-            pad = "\n" + "  " * (depth + 1)
-            sep = "{" + pad
+            pad, sep = _PADS[depth + 1], "{"
             for k in sorted(o):
                 if type(k) is not str:
                     raise TypeError("non-str key")
-                put(sep + quote(k) + ": ")
+                put(sep + pad + quote(k) + ": ")
                 emit(o[k], depth + 1)
-                sep = "," + pad
-            put("\n" + "  " * depth + "}")
+                sep = ","
+            put(_PADS[depth] + "}")
         else:
             raise TypeError(f"{kind.__name__} value")
 
     try:
         emit(obj, 0)
-    except TypeError:
+    except (TypeError, IndexError):
         return json.dumps(obj, sort_keys=True, indent=2)
     return "".join(chunks)
 

@@ -589,8 +589,9 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
         for v, c in eq:
             row[v] += c
         if any(row):
-            rows.append(row)
-    solutions = solve_homogeneous_mod(rows, N)
+            rows.append(tuple(row))
+    # a repeated row adds nothing to the Smith form but its cost
+    solutions = solve_homogeneous_mod(list(dict.fromkeys(rows)), N)
     out = []
     H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
     Hc = H.lifted(math.lcm(H.conductor, N))

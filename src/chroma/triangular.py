@@ -38,7 +38,13 @@ class CocycleTable:
         return self._table.items()
 
     def to_json(self) -> list:
-        return [[list(x), list(y), str(v)]
+        """Rows [x, y, str(value)] in sorted (x, y) order.  Rows share one
+        list per residue and one str per distinct value object; the sort
+        is a linear pass over a table built in this order."""
+        lists = {g.residues: list(g.residues) for g in self.group.elements()}
+        distinct = {id(v): v for v in self._table.values()}
+        texts = {key: str(v) for key, v in distinct.items()}
+        return [[lists[x], lists[y], texts[id(v)]]
                 for (x, y), v in sorted(self._table.items())]
 
 
@@ -93,7 +99,7 @@ def scheunert_cocycle(beta_p: Bicharacter) -> CocycleTable:
     n = G.rank
     if any(ints[i][i] % e for i in range(n)):
         raise ValueError("diagonal of the bicharacter must be trivial")
-    residues = [x.residues for x in G.elements()]
+    residues = sorted(x.residues for x in G.elements())   # the report's order
     roots = {0: R01_ZERO}   # exponent over e -> its Rational01, built once
     table = {}
     for x in residues:

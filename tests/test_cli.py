@@ -810,8 +810,25 @@ def test_emitter_matches_json_dumps(value):
     assert cli._dumps(value) == _json_dumps(value)
 
 
-@pytest.mark.parametrize("value", [{"a": 1.5}, [0, [2.0]], {1: [1, 2]}, {"a": {3: None}}],
-                         ids=["float", "nested-float", "int-key", "nested-int-key"])
+_SHARED_INTS, _SHARED_TUPLE, _SHARED_MIXED = [1, 2], (3, 4), [True, 1]
+
+
+@pytest.mark.parametrize("value", [
+    [_SHARED_INTS, [_SHARED_INTS, [_SHARED_INTS]]],
+    {"a": _SHARED_INTS, "b": {"c": _SHARED_INTS, "d": [_SHARED_INTS]}},
+    (_SHARED_INTS, (_SHARED_INTS, (_SHARED_INTS,))),
+    [[_SHARED_INTS, 0], _SHARED_INTS, ({"e": [[_SHARED_INTS]]}, _SHARED_INTS)],
+    [_SHARED_TUPLE, [_SHARED_TUPLE, _SHARED_TUPLE], {"t": _SHARED_TUPLE}],
+    [_SHARED_MIXED, [_SHARED_MIXED, _SHARED_MIXED], {"m": _SHARED_MIXED}],
+], ids=["lists", "dicts", "tuples", "mixed", "tuple-of-ints", "bool-and-int"])
+def test_emitter_renders_one_shared_object_at_each_depth(value):
+    """One object at several depths: the memo by object must keep its depth."""
+    assert cli._dumps(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{"a": 1.5}, [0, [2.0]], {1: [1, 2]}, {"a": {3: None}},
+                                   json.loads("[" * 70 + "0" + "]" * 70)],
+                         ids=["float", "nested-float", "int-key", "nested-int-key", "70-deep"])
 def test_emitter_falls_back_to_json_dumps(value, monkeypatch):
     expected = _json_dumps(value)
     calls = []

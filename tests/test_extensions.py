@@ -183,6 +183,38 @@ def test_aut_ext_rejects_a_solution_off_its_equations(monkeypatch):
         aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
 
 
+@pytest.mark.parametrize("pair,k,hk,N", [("squaring", -1, 1, 7), ("mixed_c12", 7, 1, 3),
+                                          ("mixed_c12", 11, 2, 3)])
+def test_aut_ext_solves_distinct_rows(pair, k, hk, N, monkeypatch):
+    """The Smith form gets each equation row once, and the solutions are
+    those of the full system."""
+    import chroma.extensions as ext
+    from chroma.zlinalg import solve_homogeneous_mod
+    mp = getattr(cases, f"{pair}_matched_pair")()
+    g, h = GroupAut.by_power(mp.L, k), GroupAut.by_power(mp.Gamma, hk)
+    full = []
+    for eq in ext._ftilde_equations(mp, g, h):
+        row = [0] * (mp.Gamma.n * mp.L.n)
+        for v, c in eq:
+            row[v] += c
+        if any(row):
+            full.append(row)
+    seen = []
+    monkeypatch.setattr(ext, "solve_homogeneous_mod",
+                        lambda rows, N: seen.append(rows) or solve_homogeneous_mod(rows, N))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sols = aut_ext_solve(mp, g, h, N)
+    (rows,) = seen
+    assert len(set(map(tuple, rows))) == len(rows) < len(full)
+    assert set(map(tuple, rows)) == set(map(tuple, full))
+    n = mp.L.n
+    assert sols and [a.ftilde for a in sols] == [
+        tuple(tuple(Rational01(x[gam * n + l], N) for l in range(n))
+              for gam in range(mp.Gamma.n))
+        for x in sorted(solve_homogeneous_mod(full, N))]
+
+
 def test_all_automorphisms_and_default_bound():
     from chroma.extensions import all_automorphisms, default_root_bound
     c7 = FiniteGroup.cyclic(7)

@@ -10,7 +10,7 @@ import pytest
 from chroma.cli import main
 from chroma.groups import Bicharacter, FinAbGroup, QuotientMap
 from chroma.scalars import R01_HALF, R01_ZERO, Rational01
-from chroma.triangular import (NotCommutationFactor, drinfeld_u,
+from chroma.triangular import (CocycleTable, NotCommutationFactor, drinfeld_u,
                                emit_triangular, kappa_bicharacter,
                                reduce_commutation_factor, scheunert_cocycle)
 
@@ -251,6 +251,18 @@ def assert_tables_match_oracle(beta: Bicharacter):
     data = reduce_commutation_factor(beta)
     assert {g.residues: v for g, v in data.u.items()} == per_term_u(beta)
     assert dict(data.gamma_prime.items()) == per_term_gamma(data.beta_prime)
+
+
+def test_cocycle_table_emits_rows_in_sorted_order():
+    """to_json sorts whatever order the table was built in: a shuffled
+    table, and the Scheunert cocycle on C3^4 (built in report order)."""
+    gamma = scheunert_cocycle(seeded_commutation_factor(random.Random("order"), (3, 3, 3, 3)))
+    items = list(gamma.items())
+    random.Random("shuffle").shuffle(items)
+    expected = [[list(x), list(y), str(v)] for (x, y), v in sorted(items)]
+    assert len(expected) == 81 * 81
+    for table in (gamma, CocycleTable(gamma.group, dict(items))):
+        assert table.to_json() == expected
 
 
 def test_integer_tables_match_per_term_oracle_exhaustive():
