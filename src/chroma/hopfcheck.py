@@ -5,10 +5,10 @@ with coefficients in Q(zeta_N); the axiom checker runs over basis tuples,
 in plain or color mode (color mode twists the product on the tensor
 square by the bicharacter of the grading group).  A product law holds
 once it holds on the pairs (s, j) with s an algebra generator, given the
-law's precondition: the unit laws; for epsilon and Delta also
+law's precondition: the unit laws; for epsilon, Delta and a morphism also
 associativity and the law at 1; for Delta in color mode a graded product.
-Otherwise all pairs are swept for the first counterexample, skipping
-the generator rows that held before a failing one.
+Otherwise all pairs are swept for the first counterexample.  The joins
+walk only nonzero products, through each mult row's nonempty cells.
 The antipode is the convolution inverse of the identity: a convolution power
 of it when H has a finite exponent, otherwise read off its minimal
 polynomial; either way it is verified on both sides.
@@ -400,11 +400,14 @@ def _combo_terms(pairs, N: int) -> tuple:
 
 
 def _term_tables(H: StructBialgebra) -> tuple:
-    """H's mult, comult, unit and counit as term combinations.
+    """H's mult, comult, unit and counit as term combinations, and each
+    mult row's nonempty cells as (j, cell) pairs.
 
     Comult keys are pairs (j, k); counit values are combinations over the
-    one key ().  Built once per structure and kept on it, so the axiom
-    sweep, the antipode and its braided laws share one build.  Each
+    one key ().  The joins of the axiom sweep walk only the nonempty cells:
+    in the bases of a bicrossed product most products are zero.  Built
+    once per structure and kept on it, so the axiom sweep, the morphism
+    check, the antipode and its braided laws share one build.  Each
     coefficient object is written as terms once per build: parsed tables
     share one ``Cyclo`` per distinct vector, and H keeps every one alive,
     so its ``id`` is a sound key.
@@ -426,7 +429,8 @@ def _term_tables(H: StructBialgebra) -> tuple:
         mult = [[combo(cell) for cell in row] for row in H.mult]
         comult = [combo(((j, k), c) for j, k, c in entry) for entry in H.comult]
         tables = H._tables = (mult, comult, combo(H.unit.items()),
-                              [combo((((), c),)) for c in H.counit])
+                              [combo((((), c),)) for c in H.counit],
+                              [[(j, cell) for j, cell in enumerate(row) if cell] for row in mult])
     return tables
 
 
@@ -556,6 +560,61 @@ def _algebra_generators(H: StructBialgebra) -> list:
     return generators
 
 
+def _product_law(equation, precondition: bool, generators: list, n: int, N: int):
+    """The first pair (i, j) failing the product law ``equation``, or None.
+
+    Given the precondition, the x that satisfy the law for all y form a
+    subalgebra (1 by the precondition, ab by associativity or the law
+    itself), so only the generator rows (s, j) are tested.  Else all pairs
+    are swept, skipping the generator rows before the first failing one,
+    ce, which held; ce = (-1,) skips none.
+    """
+    rows = itertools.product(sorted(generators), range(n))
+    ce = next((t for t in rows if not _holds(equation, N, *t)), None) if precondition else (-1,)
+    pairs = (t for t in itertools.product(range(n), repeat=2) if t[0] not in generators or t >= ce)
+    return next((t for t in pairs if not _holds(equation, N, *t)), None) if ce else None
+
+
+def _algebra_laws(H: StructBialgebra) -> tuple:
+    """(``_algebra_generators(H)``, the first (i,) failing a unit law, the
+    first (i, j, k) failing associativity), None where a law holds; kept on
+    H like ``_term_tables`` for ``check_axioms`` and ``_morphism_check``."""
+    laws = getattr(H, "_laws", None)
+    if laws is None:
+        n, N = H.dim, H.conductor
+        mult, _, unit, _, nonempty = _term_tables(H)
+        basis = [((i, 0, 1),) for i in range(n)]
+
+        def unit_law(acc, x, y, i):
+            # x y - e_i, with x or y the unit and the other e_i
+            _add_product(acc, x, y, mult, 0, 1, N)
+            _add_terms(acc, ((i, 0, 1),), 0, -1, N)
+
+        def associativity(acc, i, j):
+            # (e_i e_j) e_k - e_i (e_j e_k) for every k at once, keyed by (k, m)
+            row_i = mult[i]
+            for l, e1, r1 in row_i[j]:
+                for k, cell in nonempty[l]:
+                    for m, e2, r2 in cell:
+                        key = ((k, m), (e1 + e2) % N)
+                        acc[key] = acc.get(key, 0) + r1 * r2
+            for k, cell in nonempty[j]:
+                for l, e1, r1 in cell:
+                    for m, e2, r2 in row_i[l]:
+                        key = ((k, m), (e1 + e2) % N)
+                        acc[key] = acc.get(key, 0) - r1 * r2
+
+        unit_ce = next(((i,) for i in range(n) if not (_holds(unit_law, N, unit, basis[i], i)
+                                                     and _holds(unit_law, N, basis[i], unit, i))),
+                       None)
+        generators = _algebra_generators(H)
+        ce = _product_law(associativity, unit_ce is None, generators, n, N)
+        if ce:  # with the least k at which (e_i e_j) e_k != e_i (e_j e_k)
+            ce += (min(_nonzero_keys(_sum(associativity, *ce), N))[0],)
+        laws = H._laws = (generators, unit_ce, ce)
+    return laws
+
+
 def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     """Exhaustive (co)algebra and bialgebra axioms; per-axiom results.
 
@@ -568,14 +627,15 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
 
     The product laws (associativity, epsilon and Delta multiplicative) are
     tested only on the pairs (s, j), s in ``_algebra_generators(H)``, once
-    a precondition holds: for associativity the unit laws; for epsilon also
-    associativity and epsilon(1) = 1; for Delta the unit laws, associativity,
-    Delta(1) = 1 (x) 1 and, in color mode, a graded product.  The x that
-    satisfy the law for every y then form a subalgebra that holds 1 and
-    the generators, so it is H.  Without the precondition all n^2 pairs are
-    swept; after a failing generator row, the pairs before it that are not
-    in generator rows.  Either way the counterexample is the first failing
-    pair (for associativity (i, j, the least k)).
+    a precondition holds (``_product_law``): for associativity the unit
+    laws (``_algebra_laws``); for epsilon also associativity and
+    epsilon(1) = 1; for Delta the unit laws, associativity,
+    Delta(1) = 1 (x) 1 and, in color mode, a graded product.  Otherwise
+    all n^2 pairs are swept.  Either way the counterexample is the first
+    failing pair (for associativity (i, j, the least k)).  Associativity
+    walks only the nonempty mult cells, and Delta's law meets each term
+    (a2, b2) of Delta(e_j) only with the terms (a, b) of Delta(e_i) with
+    e_a e_a2 != 0, indexed on first use of the row i.
     """
     if mode not in ("plain", "color"):
         raise ValueError("mode must be 'plain' or 'color'")
@@ -583,55 +643,31 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
         raise ValueError("color mode needs grading and braiding data")
     report: dict = {}
     n, N = H.dim, H.conductor
-    mult, comult, unit, counit = _term_tables(H)
+    mult, comult, unit, counit, nonempty = _term_tables(H)
     basis = [((i, 0, 1),) for i in range(n)]
     singles = [(i,) for i in range(n)]
     pairs = list(itertools.product(range(n), repeat=2))
-    generators = _algebra_generators(H)
+    generators, unit_ce, ce = _algebra_laws(H)
 
-    def record(name, ok, counterexample=None):
-        report[name] = {"ok": ok, "counterexample": counterexample}
+    def record(name, counterexample, ok=None):
+        report[name] = {"ok": counterexample is None if ok is None else ok,
+                        "counterexample": counterexample}
 
     def sweep(name, tuples, *equations):
-        ce = next((t for t in tuples
-                   if not all(_holds(eq, N, *t) for eq in equations)), None)
-        record(name, ce is None, ce)
+        record(name, next((t for t in tuples
+                           if not all(_holds(eq, N, *t) for eq in equations)), None))
 
     def product_law(name, equation, precondition):
-        # the x that satisfy the law for all y form a subalgebra: 1 by the
-        # precondition, ab with a and b by associativity (or by the law itself).
-        # Else sweep in pair order, skipping the generator rows before the
-        # first failing one, ce, which held; ce = (-1,) skips none
-        rows = itertools.product(sorted(generators), range(n))
-        ce = next((t for t in rows if not _holds(equation, N, *t)), None) if precondition else (-1,)
-        sweep(name, (t for t in pairs if t[0] not in generators or t >= ce) if ce else (), equation)
-
-    def associativity(acc, i, j):
-        # (e_i e_j) e_k - e_i (e_j e_k) for every k at once, keyed by (k, m)
-        row_i = mult[i]
-        for l, e1, r1 in row_i[j]:
-            for k, cell in enumerate(mult[l]):
-                for m, e2, r2 in cell:
-                    key = ((k, m), (e1 + e2) % N)
-                    acc[key] = acc.get(key, 0) + r1 * r2
-        for k, cell in enumerate(mult[j]):
-            for l, e1, r1 in cell:
-                for m, e2, r2 in row_i[l]:
-                    key = ((k, m), (e1 + e2) % N)
-                    acc[key] = acc.get(key, 0) - r1 * r2
-
-    def unit_left(acc, i):
-        _add_product(acc, unit, basis[i], mult, 0, 1, N)
-        _add_terms(acc, basis[i], 0, -1, N)
-
-    def unit_right(acc, i):
-        _add_product(acc, basis[i], unit, mult, 0, 1, N)
-        _add_terms(acc, basis[i], 0, -1, N)
+        record(name, _product_law(equation, precondition, generators, n, N))
 
     def coassociativity(acc, i):
         for (j, k), e, r in comult[i]:
-            _add_terms(acc, [((a, b, k), e2, r2) for (a, b), e2, r2 in comult[j]], e, r, N)
-            _add_terms(acc, [((j, a, b), e2, r2) for (a, b), e2, r2 in comult[k]], e, -r, N)
+            for (a, b), e2, r2 in comult[j]:
+                key = ((a, b, k), (e + e2) % N)
+                acc[key] = acc.get(key, 0) + r * r2
+            for (a, b), e2, r2 in comult[k]:
+                key = ((j, a, b), (e + e2) % N)
+                acc[key] = acc.get(key, 0) - r * r2
 
     def counit_left(acc, i):
         # (id (x) counit) Delta(e_i) = e_i
@@ -661,31 +697,34 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
         _add_tensor(acc, unit, unit, 0, -1, N)
 
     twist = _twist_table(H) if mode == "color" else [[0] * n] * n
+    partners: dict = {}
 
     def coproduct_multiplicative(acc, i, j):
-        # Delta(e_i e_j) = Delta(e_i) Delta(e_j), beta-twisted in color mode
+        # Delta(e_i e_j) = Delta(e_i) Delta(e_j), beta-twisted in color mode; partners[i][a2]
+        # holds (e_a e_a2, row b, e1 + beta(|b|, |a2|)'s exponent, r1) if e_a e_a2 != 0
+        index = partners.get(i)
+        if index is None:
+            index = partners[i] = {}
+            for (a, b), e1, r1 in comult[i]:
+                for a2, x in nonempty[a]:
+                    index.setdefault(a2, []).append((x, mult[b], e1 + twist[b][a2], r1))
         _add_mapped(acc, mult[i][j], comult, 1, N)
-        for (a, b), e1, r1 in comult[i]:
-            row_a, row_b, tw = mult[a], mult[b], twist[b]
-            for (a2, b2), e2, r2 in comult[j]:
-                x, y = row_a[a2], row_b[b2]
-                if x and y:
-                    _add_tensor(acc, x, y, e1 + e2 + tw[a2], -r1 * r2, N)
+        for (a2, b2), e2, r2 in comult[j]:
+            for x, row_b, e1, r1 in index.get(a2, ()):
+                y = row_b[b2]
+                if y:
+                    _add_tensor(acc, x, y, e1 + e2, -r1 * r2, N)
 
-    sweep("unit", singles, unit_left, unit_right)
-    product_law("associativity", associativity, report["unit"]["ok"])
-    ce = report["associativity"]["counterexample"]
-    if ce:  # with the least k at which (e_i e_j) e_k != e_i (e_j e_k)
-        k = min(_nonzero_keys(_sum(associativity, *ce), N))[0]
-        record("associativity", False, ce + (k,))
-    associative = report["unit"]["ok"] and ce is None  # a unital associative algebra
+    record("unit", unit_ce)
+    record("associativity", ce)
+    associative = unit_ce is None and ce is None  # a unital associative algebra
     sweep("coassociativity", singles, coassociativity)
     sweep("counit", singles, counit_left, counit_right)
     if _holds(counit_of_unit, N):
         product_law("counit_multiplicative", counit_multiplicative, associative)
     else:
-        record("counit_multiplicative", False, ("unit",))
-    record("unit_comultiplicative", _holds(unit_comultiplicative, N))
+        record("counit_multiplicative", ("unit",))
+    record("unit_comultiplicative", None, _holds(unit_comultiplicative, N))
 
     # grading compatibility: the first violation, in sweep order; the
     # product's half comes first, since the coproduct's precondition needs it
@@ -705,7 +744,7 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
             (("unit", i) for i in H.unit if not deg[i].is_identity()),
             (("counit", i) for i in range(n)
              if not H.counit[i].is_zero() and not deg[i].is_identity())), None)
-        record("grading", ce is None, ce)
+        record("grading", ce)
 
     report["all_ok"] = all(v["ok"] for k, v in report.items() if k != "all_ok")
     return report
@@ -761,7 +800,7 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     and a failure raises.
     """
     n, N = H.dim, H.conductor
-    mult, comult, unit, counit = _term_tables(H)
+    mult, comult, unit, counit, _ = _term_tables(H)
     identity = [((i, 0, 1),) for i in range(n)]
     # id^{*m} as term columns, from id^{*0} = eta epsilon: e_i -> epsilon(e_i) 1
     # maps through ``unit`` as the column of the counit's one key ()
@@ -838,7 +877,7 @@ def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
     if H.grading is None or H.beta is None:
         raise ValueError("color antipode laws need grading and braiding")
     n, N = H.dim, H.conductor
-    mult, comult, _, _ = _term_tables(H)
+    mult, comult, *_ = _term_tables(H)
     twist = _twist_table(H)
     cols = [_combo_terms(col.items(), N) for col in S]
 
@@ -1060,7 +1099,7 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
                 "projector image is not an eigenvector; the table is not "
                 "a group action")
     T_inv = [_combo_terms(col.items(), N) for col in invert_columns(T, n, Cyclo.one(N))]
-    mult, comult, unit, counit = _term_tables(H.lifted(N))
+    mult, comult, unit, counit, _ = _term_tables(H.lifted(N))
 
     def product(acc, a, b):
         # T^-1 (T e_a T e_b)
@@ -1098,10 +1137,12 @@ def is_bialgebra_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
 
 
 def _morphism_check(H: StructBialgebra, cols: list) -> bool:
-    """``is_bialgebra_morphism`` on term columns.  The product law is swept on
-    all n^2 pairs: ``check_axioms``'s generator rule needs H associative."""
+    """``is_bialgebra_morphism`` on term columns.  f(xy) = f(x) f(y) is a
+    product law (``_product_law``) whose precondition is f unital, tested
+    first, and H's unit laws and associativity (``_algebra_laws``); without
+    them, which ``aut-ext`` never checks, all n^2 pairs are swept."""
     n, N = H.dim, H.conductor
-    mult, comult, unit, counit = _term_tables(H)
+    mult, comult, unit, counit, _ = _term_tables(H)
 
     def unital(acc):
         _add_mapped(acc, unit, cols, 1, N)
@@ -1120,8 +1161,8 @@ def _morphism_check(H: StructBialgebra, cols: list) -> bool:
         for (j, k), e, r in comult[i]:
             _add_tensor(acc, cols[j], cols[k], e, -r, N)
 
+    generators, *failures = _algebra_laws(H)
     return (_holds(unital, N)
             and all(_holds(counital, N, i) for i in range(n))
-            and all(_holds(multiplicative, N, i, j)
-                    for i, j in itertools.product(range(n), repeat=2))
+            and _product_law(multiplicative, failures == [None, None], generators, n, N) is None
             and all(_holds(comultiplicative, N, i) for i in range(n)))

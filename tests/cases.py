@@ -398,3 +398,16 @@ def color_quantum_plane() -> StructBialgebra:
     beta = Bicharacter(G, [[Rational01(1, 3), Rational01(1, 3)],
                            [Rational01(2, 3), Rational01(1, 3)]])
     return color_quantum_linear_space(G, beta, (G.generator(0), G.generator(1)))
+
+
+def rank3_color_quantum_space() -> StructBialgebra:
+    """The 8-dim color quantum linear space of rank 3 over C4 x C4, beta =
+    [[0, 1/4], [3/4, 1/2]], degrees (0, 1), (0, 3) and (1, 1): q_ii = -1,
+    q_12 = q_21 = -1, q_13 = q_32 = zeta_4 and q_31 = q_23 = zeta_4^-1, so
+    each x_i squares to 0 and beta is not symmetric on the degrees of x_3
+    and the others.  Delta(x_1 x_2 x_3) has 8 terms."""
+    G = FinAbGroup.of(4, 4)
+    beta = Bicharacter(G, [[Rational01(0, 1), Rational01(1, 4)],
+                           [Rational01(3, 4), Rational01(1, 2)]])
+    return color_quantum_linear_space(
+        G, beta, (G.element((0, 1)), G.element((0, 3)), G.element((1, 1))))

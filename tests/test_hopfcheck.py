@@ -12,9 +12,9 @@ import pytest
 
 import cases
 from chroma import hopfcheck
-from chroma.extensions import (FiniteGroup, MatchedPair, SigmaCocycle,
+from chroma.extensions import (FiniteGroup, GroupAut, MatchedPair, SigmaCocycle,
                                TauCocycle, action_from_generator_images,
-                               build_bicrossed, kac_condition)
+                               aut_ext_solve, build_bicrossed, kac_condition)
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.hopfcheck import (ActionError, Echelon, MonomialMatrix, StructBialgebra,
                               antipode_matrix_invertible, bosonize,
@@ -240,7 +240,7 @@ def test_antipode_unique_both_sides():
     # (S * id)(e_i) == epsilon(e_i) 1
     from chroma.hopfcheck import _as_cyclo, _combo_terms, _convolve, _term_tables
     N = H.conductor
-    mult, comult, _, _ = _term_tables(H)
+    mult, comult, *_ = _term_tables(H)
     cols = [_combo_terms(col.items(), N) for col in S]
     identity = [((i, 0, 1),) for i in range(H.dim)]
     left = _convolve(cols, identity, mult, comult, N)
@@ -940,8 +940,9 @@ ANTIPODE_STRUCTURES = {
     "idempotent": (_idempotent_bialgebra, "plain"),
     "sweedler": (cases.sweedler_h4, "plain"),
     "quantum-plane": (cases.color_quantum_plane, "color"),
+    "rank3-quantum-space": (cases.rank3_color_quantum_space, "color"),
 }
-NO_FINITE_EXPONENT = {"idempotent", "sweedler", "quantum-plane"}
+NO_FINITE_EXPONENT = {"idempotent", "sweedler", "quantum-plane", "rank3-quantum-space"}
 
 
 def _spy(monkeypatch, owner, name: str) -> list:
@@ -1084,6 +1085,7 @@ def _single_entry_mutants(H: StructBialgebra):
     ("c5c4", _c5c4_bicrossed, "plain"),
     ("sweedler", cases.sweedler_h4, "plain"),
     ("quantum-plane", cases.color_quantum_plane, "color"),
+    ("rank3-quantum-space", cases.rank3_color_quantum_space, "color"),
     ("c4-graded", _c4_graded, "color"),
 ])
 def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypatch):
@@ -1092,10 +1094,10 @@ def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypa
     basis)."""
     H = build()
     assert len(hopfcheck._algebra_generators(H)) < H.dim
-    mutants = list(_single_entry_mutants(H))
-    reports = [check_axioms(M, mode) for M in mutants]
+    reports = [check_axioms(M, mode) for M in _single_entry_mutants(H)]
     monkeypatch.setattr(hopfcheck, "_algebra_generators", lambda H: list(range(H.dim)))
-    assert reports == [check_axioms(M, mode) for M in mutants]
+    # fresh copies: the unit and associativity verdicts are kept on each structure
+    assert reports == [check_axioms(M, mode) for M in _single_entry_mutants(H)]
     # each law's sweep on generators alone ran and failed on some mutant,
     # one whose report shows that law's precondition holding
     unital = [r for r in reports if r["unit"]["ok"]]
@@ -1186,6 +1188,7 @@ GENERATOR_TABLES = {
     "c3-dihedral": _c3_dihedral_bicrossed,
     "sweedler": cases.sweedler_h4,
     "quantum-plane": cases.color_quantum_plane,
+    "rank3-quantum-space": cases.rank3_color_quantum_space,
     "c4-graded": _c4_graded,
     "plane-zero-unit": lambda: dataclasses.replace(cases.color_quantum_plane(),
                                                    unit={0: Cyclo.zero(3)}),
@@ -1258,3 +1261,311 @@ def test_term_tables_write_each_coefficient_object_once(monkeypatch):
         coefficients |= {id(c) for c in H.counit} | {id(c) for c in H.unit.values()}
         assert len(calls) == len(coefficients) < 5
         calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# the rank-3 color quantum linear space over C4 x C4
+# ---------------------------------------------------------------------------
+
+def test_rank3_color_quantum_space_matches_its_formulas(monkeypatch):
+    """x_1, x_2, x_3 with x_i^2 = 0, basis x^a = x_1^a1 x_2^a2 x_3^a3 at
+    index 4 a1 + 2 a2 + a3:
+    x^a x^b = prod_{i > j} q_ij^(a_i b_j) x^(a + b), 0 if some a_i + b_i = 2,
+    Delta(x^a) = sum_{b + c = a} prod_{i < j} q_ij^(c_i b_j) x^b (x) x^c,
+    S(x^a) = (-1)^(a1 + a2 + a3) x^a.
+    The antipode comes from the Krylov path, and the bosonization is a
+    bialgebra whose closed-form antipode is a convolution inverse of id."""
+    H = cases.rank3_color_quantum_space()
+    N, one, zero = H.conductor, H.one(), Cyclo.zero(H.conductor)
+    x = [4, 2, 1]
+    q = [[H.beta.eval(H.grading[i], H.grading[j]) for j in x] for i in x]
+    assert H.group.orders != (3, 3) and q[0][2] != q[2][0]
+    monomials = list(itertools.product(range(2), repeat=3))
+    index = {a: 4 * a[0] + 2 * a[1] + a[2] for a in monomials}
+
+    def root(pairs):
+        return Cyclo.embed(sum((q[i][j].scale(m) for i, j, m in pairs), R01_ZERO), N)
+
+    for a, b in itertools.product(monomials, repeat=2):
+        c = tuple(s + t for s, t in zip(a, b))
+        expected = () if 2 in c else (
+            (index[c], root((i, j, a[i] * b[j]) for i in range(3) for j in range(i))),)
+        assert H.mult[index[a]][index[b]] == expected
+    for a in monomials:
+        expected = {}
+        for b in itertools.product(*(range(s + 1) for s in a)):
+            c = tuple(s - t for s, t in zip(a, b))
+            expected[index[b], index[c]] = root(
+                (i, j, c[i] * b[j]) for i in range(3) for j in range(i + 1, 3))
+        assert {(j, k): w for j, k, w in H.comult[index[a]]} == expected
+    assert len(H.comult[7]) == 8
+    assert check_axioms(H, "color")["all_ok"]
+    assert not check_axioms(H, "plain")["coproduct_multiplicative"]["ok"]
+    assert not check_flip(H)
+    calls = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
+    S = solve_antipode(H, "color")
+    assert calls
+    assert S == [{index[a]: one if sum(a) % 2 == 0 else -one} for a in monomials]
+    HB = bosonize(H)
+    assert HB.dim == 8 * 16
+    assert check_axioms(HB, "plain")["all_ok"]
+    SB = bosonization_antipode_formula(H, S)
+    epsilon = [{k: c * HB.counit[i] for k, c in HB.unit.items()} for i in range(HB.dim)]
+    for i in range(HB.dim):
+        for side in (0, 1):
+            acc: dict = {}
+            for j, k, c in HB.comult[i]:
+                left, right = (SB[j], {k: one}) if side == 0 else ({j: one}, SB[k])
+                for (a, s), (b, t) in itertools.product(left.items(), right.items()):
+                    for m, w in HB.mult[a][b]:
+                        acc[m] = acc.get(m, zero) + c * s * t * w
+            assert {m: w for m, w in acc.items() if not w.is_zero()} == {
+                m: w for m, w in epsilon[i].items() if not w.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the joins of the axiom sweep and the morphism check
+# ---------------------------------------------------------------------------
+
+class _Dense:
+    """Products, coproducts and counits of combinations {index: Cyclo} of
+    H's basis, straight from H's Cyclo tables: every cell of every pair
+    is read, empty or not, and nothing is indexed."""
+
+    def __init__(self, H: StructBialgebra):
+        self.H, self.zero = H, Cyclo.zero(H.conductor)
+
+    def combo(self, pairs) -> dict:
+        out: dict = {}
+        for k, c in pairs:
+            out[k] = out.get(k, self.zero) + c
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    def product(self, x: dict, y: dict) -> dict:
+        return self.combo((k, a * b * c) for i, a in x.items() for j, b in y.items()
+                          for k, c in self.H.mult[i][j])
+
+    def coproduct(self, x: dict) -> dict:
+        return self.combo(((j, k), a * c) for i, a in x.items() for j, k, c in self.H.comult[i])
+
+    def counit(self, x: dict) -> Cyclo:
+        return sum((a * self.H.counit[i] for i, a in x.items()), self.zero)
+
+    def tensor(self, u: dict, v: dict, twist) -> dict:
+        """u v in H (x) H: (a (x) b)(a2 (x) b2) = twist(b, a2) a a2 (x) b b2."""
+        return self.combo(((k, m), s * t * c * d * twist(b, a2))
+                          for (a, b), s in u.items() for (a2, b2), t in v.items()
+                          for k, c in self.H.mult[a][a2] for m, d in self.H.mult[b][b2])
+
+
+def _dense_report(H: StructBialgebra, mode: str) -> dict:
+    """check_axioms' report from sweeps over every basis tuple in order, in
+    Cyclo arithmetic: each law's counterexample is its first failing tuple."""
+    n, N, one = H.dim, H.conductor, H.one()
+    D = _Dense(H)
+    e = [{i: one} for i in range(n)]
+    unit = D.combo(H.unit.items())
+    prod = [[D.product(e[i], e[j]) for j in range(n)] for i in range(n)]
+    delta = [D.coproduct(e[i]) for i in range(n)]
+    pairs = list(itertools.product(range(n), repeat=2))
+
+    def first(tuples, holds) -> dict:
+        ce = next((t for t in tuples if not holds(*t)), None)
+        return {"ok": ce is None, "counterexample": ce}
+
+    def twist(b, a2):
+        # beta(|b|, |a2|) in color mode
+        return Cyclo.embed(H.beta.eval(H.grading[b], H.grading[a2]), N) if mode == "color" else one
+
+    def coassociative(i):
+        left = D.combo(((a, b, k), c * d) for (j, k), c in delta[i].items()
+                       for (a, b), d in delta[j].items())
+        right = D.combo(((j, a, b), c * d) for (j, k), c in delta[i].items()
+                        for (a, b), d in delta[k].items())
+        return left == right
+
+    def counital(i):
+        return (D.combo((j, c * H.counit[k]) for (j, k), c in delta[i].items()) == e[i]
+                == D.combo((k, c * H.counit[j]) for (j, k), c in delta[i].items()))
+
+    report = {
+        "unit": first(((i,) for i in range(n)),
+                      lambda i: D.product(unit, e[i]) == e[i] == D.product(e[i], unit)),
+        "associativity": first(
+            itertools.product(range(n), repeat=3),
+            lambda i, j, k: D.product(prod[i][j], e[k]) == D.product(e[i], prod[j][k])),
+        "coassociativity": first(((i,) for i in range(n)), coassociative),
+        "counit": first(((i,) for i in range(n)), counital),
+        "counit_multiplicative": first(pairs, lambda i, j: D.counit(prod[i][j])
+                                       == H.counit[i] * H.counit[j])
+        if D.counit(unit) == one else {"ok": False, "counterexample": ("unit",)},
+        "unit_comultiplicative": {"ok": D.coproduct(unit) == D.combo(
+            ((a, b), s * t) for a, s in unit.items() for b, t in unit.items()),
+            "counterexample": None},
+        "coproduct_multiplicative": first(pairs, lambda i, j: D.coproduct(prod[i][j]) == D.tensor(
+            delta[i], delta[j], twist)),
+    }
+    deg = H.grading
+    if deg is not None:
+        # every term a cell or an entry lists, as check_axioms reads them
+        ce = next(itertools.chain(
+            (("mult", i, j, k) for i, j in pairs for k, _ in H.mult[i][j]
+             if deg[k] != deg[i] * deg[j]),
+            (("comult", i, j, k) for i in range(n) for j, k, _ in H.comult[i]
+             if deg[j] * deg[k] != deg[i]),
+            (("unit", i) for i in H.unit if not deg[i].is_identity()),
+            (("counit", i) for i in range(n)
+             if not H.counit[i].is_zero() and not deg[i].is_identity())), None)
+        report["grading"] = {"ok": ce is None, "counterexample": ce}
+    report["all_ok"] = all(v["ok"] for v in report.values())
+    return report
+
+
+def _rebased_c3_group_algebra() -> StructBialgebra:
+    """The group algebra of C3 = <g> in the basis f_a = 1 + g + ... + g^a:
+    g^i = f_i - f_(i-1), so Delta(f_a) = sum_(i <= a) g^i (x) g^i has two or
+    more terms on each left leg, and f_a f_b has up to three terms."""
+    n, one = 3, Cyclo.one(1)
+
+    def in_f(c: list) -> tuple:
+        # sum c_k g^k = sum (c_k - c_(k+1)) f_k
+        c = c + [0]
+        return tuple((k, one.scale(Fraction(c[k] - c[k + 1]))) for k in range(n)
+                     if c[k] != c[k + 1])
+
+    def gk(i) -> list:
+        # g^i as its f coordinates, f_(-1) = 0
+        return [(i, 1)] + ([(i - 1, -1)] if i else [])
+
+    mult = [[in_f([sum(1 for i in range(a + 1) for j in range(b + 1) if (i + j) % n == k)
+                   for k in range(n)]) for b in range(n)] for a in range(n)]
+    comult = []
+    for a in range(n):
+        acc: dict = {}
+        for i in range(a + 1):
+            for (s, u), (t, v) in itertools.product(gk(i), repeat=2):
+                acc[s, t] = acc.get((s, t), 0) + u * v
+        comult.append(tuple((s, t, one.scale(Fraction(w))) for (s, t), w in sorted(acc.items())
+                            if w))
+    return StructBialgebra(dim=n, conductor=1, mult=mult, comult=comult, unit={0: one},
+                           counit=[one.scale(Fraction(a + 1)) for a in range(n)])
+
+
+def _folding_cells_bicrossed() -> StructBialgebra:
+    """The C3-by-C2 bicrossed product over Q(zeta_3), every empty mult cell
+    written as 1 + zeta + zeta^2 times e_0: nonempty, but 0 mod Phi_3."""
+    H = _c3_dihedral_bicrossed().lifted(3)
+    fold = tuple((0, Cyclo.embed(Rational01(k, 3), 3)) for k in range(3))
+    return _with_cells(H, {(i, j): fold for i, j in itertools.product(range(H.dim), repeat=2)
+                           if not H.mult[i][j]})
+
+
+ORACLE_STRUCTURES = {
+    **SWEEP_STRUCTURES,
+    "rebased-c3-group-algebra": (_rebased_c3_group_algebra, "plain"),
+    "folding-cells": (_folding_cells_bicrossed, "plain"),
+    "rank3-quantum-space": (cases.rank3_color_quantum_space, "color"),
+}
+
+
+def test_targeted_oracle_structures_have_their_shape():
+    rebased = _rebased_c3_group_algebra()
+    assert any(len({j for j, _, _ in entry}) < len(entry) for entry in rebased.comult)
+    assert check_axioms(rebased)["all_ok"] and solve_antipode(rebased) is not None
+    folding = _folding_cells_bicrossed()
+    folded = [cell for row in folding.mult for cell in row if len(cell) == 3]
+    assert folded and all(sum((c for _, c in cell), Cyclo.zero(3)).is_zero() for cell in folded)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_STRUCTURES))
+def test_check_axioms_matches_the_dense_oracle(name):
+    """The report, counterexamples included, on the structure, its eight
+    seeded mutants of test_check_axioms_mutant_reports_pinned and, for the
+    targeted structures, every single-entry mutant."""
+    build, mode = ORACLE_STRUCTURES[name]
+    H = build()
+    rng = random.Random(f"sweep:{name}")
+    structures = [H] + [_mutant(H, rng) for _ in range(8)]
+    if name not in SWEEP_STRUCTURES:
+        structures += list(_single_entry_mutants(H))
+    for M in structures:
+        assert check_axioms(M, mode) == _dense_report(M, mode)
+
+
+def _dense_is_morphism(H: StructBialgebra, columns: list[dict]) -> bool:
+    """Whether e_j -> columns[j] is a bialgebra endomorphism of H, on every
+    pair, in Cyclo arithmetic."""
+    D = _Dense(H)
+    n = H.dim
+
+    def image(x: dict) -> dict:
+        return D.combo((k, a * c) for i, a in x.items() for k, c in columns[i].items())
+
+    return (image(D.combo(H.unit.items())) == D.combo(H.unit.items())
+            and all(D.counit(columns[i]) == H.counit[i] for i in range(n))
+            and all(image(D.product({i: H.one()}, {j: H.one()}))
+                    == D.product(columns[i], columns[j])
+                    for i, j in itertools.product(range(n), repeat=2))
+            and all(D.coproduct(columns[i]) == D.combo(
+                ((a, b), c * s * t) for (j, k), c in D.coproduct({i: H.one()}).items()
+                for a, s in columns[j].items() for b, t in columns[k].items())
+                for i in range(n)))
+
+
+def _c7c3_automorphism_columns(N: int) -> list:
+    """The columns, over Q(zeta_N), of aut-ext's seven solutions on the C7/C3
+    squaring pair over g = inversion, h = identity."""
+    mp = cases.squaring_matched_pair()
+    sols = aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
+    return [[{m.perm[j]: Cyclo.embed(m.scal[j], N)} for j in range(m.dim)]
+            for m in (a.matrix(mp) for a in sols)]
+
+
+def _single_entry_perturbations(columns: list[dict], N: int):
+    """columns with the one entry of every third column scaled by zeta_N,
+    or moved to the next basis index."""
+    n, zeta = len(columns), Cyclo.embed(Rational01(1, N), N)
+    for j in range(0, n, 3):
+        (k, c), = columns[j].items()
+        for new in ({k: c * zeta}, {(k + 1) % n: c}):
+            yield columns[:j] + [new] + columns[j + 1:]
+
+
+@pytest.mark.parametrize("sigma", [None, (1, 1, 1)], ids=["associative", "sigma-mutant"])
+def test_morphism_generator_rule_matches_the_all_pairs_oracle(sigma, monkeypatch):
+    """On the C7/C3 bicrossed product the multiplicative law is tested on the
+    generator rows alone; on its sigma mutant, which is unital but not
+    associative, every morphism verdict sweeps all n^2 pairs."""
+    mp = cases.squaring_matched_pair()
+    cocycle = SigmaCocycle.trivial(mp)
+    if sigma:
+        cocycle = cocycle.mutated(*sigma, Rational01(1, 2))
+    H0 = build_bicrossed(mp, cocycle, TauCocycle.trivial(mp))
+    N = math.lcm(H0.conductor, 7)
+    H, n = H0.lifted(N), H0.dim
+    report = check_axioms(H)
+    assert report["unit"]["ok"] and report["associativity"]["ok"] == (sigma is None)
+    solutions = _c7c3_automorphism_columns(N)
+    maps = [[{j: H.one()} for j in range(n)]] + solutions + [
+        p for cols in solutions for p in _single_entry_perturbations(cols, N)]
+    holds, multiplicative = hopfcheck._holds, []
+
+    def spy(equation, N, *t):
+        if equation.__name__ == "multiplicative":
+            multiplicative.append(t)
+        return holds(equation, N, *t)
+
+    monkeypatch.setattr(hopfcheck, "_holds", spy)
+    rows = {(s, j) for s in hopfcheck._algebra_generators(H) for j in range(n)}
+    verdicts = []
+    for cols in maps:
+        multiplicative.clear()
+        verdict = is_bialgebra_morphism(H, cols)
+        assert verdict == _dense_is_morphism(H, cols)
+        if verdict:
+            assert set(multiplicative) == (rows if sigma is None else set(
+                itertools.product(range(n), repeat=2)))
+        verdicts.append(verdict)
+    assert len(rows) < n * n
+    assert verdicts[0] and not all(verdicts)
+    assert all(verdicts[1:len(solutions) + 1]) == (sigma is None)
