@@ -588,7 +588,7 @@ def _algebra_laws(H: StructBialgebra) -> tuple:
         def unit_law(acc, x, y, i):
             # x y - e_i, with x or y the unit and the other e_i
             _add_product(acc, x, y, mult, 0, 1, N)
-            _add_terms(acc, ((i, 0, 1),), 0, -1, N)
+            _add_terms(acc, basis[i], 0, -1, N)
 
         def associativity(acc, i, j):
             # (e_i e_j) e_k - e_i (e_j e_k) for every k at once, keyed by (k, m)
