@@ -107,13 +107,12 @@ def _parse_matched_pair(data: dict) -> extensions.MatchedPair:
     return extensions.MatchedPair(L, Gamma, data["lact"], data["ract"])
 
 
-def _parse_cocycle(kind, mp, data, key):
-    """``data[key]`` as a table of roots of unity shaped like the trivial
-    cocycle, or the trivial cocycle."""
-    trivial = kind.trivial(mp)
+def _parse_cocycle(kind, outer, inner, data, key):
+    """``data[key]`` as a table of roots of unity indexed by the elements of
+    the ``outer``, ``inner`` and ``inner`` groups, or the trivial cocycle."""
     if key not in data:
-        return trivial
-    a, b = len(trivial.table), len(trivial.table[0])
+        return kind._zeros(outer, inner)
+    a, b = outer.n, inner.n
     table = data[key]
     if not (isinstance(table, list) and len(table) == a and all(
             isinstance(plane, list) and len(plane) == b
@@ -127,9 +126,13 @@ def _parse_cocycle(kind, mp, data, key):
 def _cmd_check_extension(data: dict, args):
     if "ring" in data:
         return _check_ring_extension(data)
+    for key, needed in (("beta", ["group"]), ("z", ["group"]), ("action", ["group", "beta"])):
+        missing = [k for k in needed if k not in data]
+        if key in data and missing:
+            raise ValueError(f"{key} needs {' and '.join(missing)}")
     mp = _parse_matched_pair(data)
-    sigma = _parse_cocycle(extensions.SigmaCocycle, mp, data, "sigma")
-    tau = _parse_cocycle(extensions.TauCocycle, mp, data, "tau")
+    sigma = _parse_cocycle(extensions.SigmaCocycle, mp.L, mp.Gamma, data, "sigma")
+    tau = _parse_cocycle(extensions.TauCocycle, mp.Gamma, mp.L, data, "tau")
     checks = {
         "matched_pair": extensions.validate_matched_pair(mp),
         "sigma_cocycle": sigma.validate(mp),
@@ -142,7 +145,7 @@ def _cmd_check_extension(data: dict, args):
         group = FinAbGroup.from_json(data["group"])
         if "beta" in data:
             beta = Bicharacter.from_json(group, data["beta"])
-    if "z" in data and group is not None:
+    if "z" in data:
         z = extensions.ZMap(mp, group, [group.elements_from_json(row, "each z row")
                                         for row in hopfcheck._array(data["z"], None, "z")])
         checks["z_map"] = extensions.validate_z(z)
@@ -151,7 +154,7 @@ def _cmd_check_extension(data: dict, args):
                 mp, sigma, tau, z, beta)
     H = extensions.build_bicrossed(mp, sigma, tau, z=z, group=group, beta=beta)
     checks["hopf_axioms"] = hopfcheck.check_axioms(H, "plain")["all_ok"]
-    if "action" in data and group is not None and beta is not None:
+    if "action" in data:
         dual = FinAbGroup(group.orders)
         entries = data["action"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -162,7 +165,7 @@ def _cmd_check_extension(data: dict, args):
         sup = extensions.support(H, action, group)
         report["support"] = [list(g.residues) for g in sorted(
             sup, key=lambda e: e.residues)]
-        report["is_color"] = extensions.is_color(H, action, group, beta)
+        report["is_color"] = beta.is_trivial_on(sup)
     return report, 0 if all(checks.values()) else 1
 
 
@@ -170,27 +173,19 @@ def _check_ring_extension(data: dict):
     """Build sigma/beta/z from finite-ring data and verify colorability."""
     R = extensions.FiniteRing.from_json(data["ring"])
     Gamma = extensions.FiniteGroup.from_json(data["Gamma"])
+    tau = _parse_cocycle(extensions.TauCocycle, Gamma, R.additive, data, "tau")
     fam = extensions.ring_family(R, Gamma, data["nu"], data["psi"], data["phi"],
-                                 _roots(data, "eta"), _roots(data, "theta"))
-    mp = fam.mp
-    tau = _parse_cocycle(extensions.TauCocycle, mp, data, "tau")
-    split = fam.split
-    if "tau" in data:
-        # ring_family checked the split conditions with trivial tau only
-        ztilde = [[fam.z.degree(l, g) for l in range(mp.L.n)]
-                  for g in range(mp.Gamma.n)]
-        split = extensions.check_split_color_extension(
-            mp, fam.sigma, tau, ztilde, fam.group, fam.beta)
-    H = extensions.build_bicrossed(mp, fam.sigma, tau, z=fam.z,
+                                 _roots(data, "eta"), _roots(data, "theta"), tau)
+    H = extensions.build_bicrossed(fam.mp, fam.sigma, tau, z=fam.z,
                                    group=fam.group, beta=fam.beta)
     axioms = hopfcheck.check_axioms(H, "color")
-    checks = {k: v for k, v in split.items() if k != "ok"}
+    checks = {k: v for k, v in fam.split.items() if k != "ok"}
     checks["color_axioms"] = axioms["all_ok"]
     return {
         "dim": H.dim,
         "beta": fam.beta.to_json(),
         "checks": checks,
-        "agrees_with_split_prediction": split["ok"] == axioms["all_ok"],
+        "agrees_with_split_prediction": fam.split["ok"] == axioms["all_ok"],
     }, 0 if all(checks.values()) else 1
 
 
@@ -212,7 +207,7 @@ def _automorphism(group: extensions.FiniteGroup, images, key: str) -> extensions
 
 def _cmd_aut_ext(data: dict, args):
     mp = _parse_matched_pair(data)
-    N = args.root_bound or extensions.default_root_bound(mp)
+    N = extensions.default_root_bound(mp) if args.root_bound is None else args.root_bound
     if args.enumerate_aut:
         pairs = [(g, h) for g in extensions.all_automorphisms(mp.L)
                  for h in extensions.all_automorphisms(mp.Gamma)]

@@ -59,6 +59,8 @@ class ScalarMatrix:
 
     @classmethod
     def from_json(cls, rows: list):
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError("scalar matrix must be an array of arrays of scalars")
         return cls([[parse_scalar(s) for s in row] for row in rows])
 
 

@@ -195,9 +195,6 @@ class GroupAut:
         return GroupAut(self.group, [self.images[other.images[x]]
                                      for x in range(self.group.n)])
 
-    def is_identity(self) -> bool:
-        return all(self.images[x] == x for x in range(self.group.n))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAut) and self.group == other.group
                 and self.images == other.images)
@@ -221,15 +218,12 @@ class MatchedPair:
     def __init__(self, L, Gamma, lact, ract):
         self.L = L
         self.Gamma = Gamma
+        shape = (L.n, Gamma.n)
         self.lact = _index_table(
-            lact, f"lact must be an array of arrays of L indices below {L.n}", L.n)
+            lact, f"lact must be an array of arrays of L indices below {L.n}", L.n, shape)
         self.ract = _index_table(
             ract, f"ract must be an array of arrays of Gamma indices below {Gamma.n}",
-            Gamma.n)
-        if len(self.lact) != L.n or any(len(r) != Gamma.n for r in self.lact):
-            raise ValueError("lact table has the wrong shape")
-        if len(self.ract) != L.n or any(len(r) != Gamma.n for r in self.ract):
-            raise ValueError("ract table has the wrong shape")
+            Gamma.n, shape)
 
     def la(self, l: int, g: int) -> int:
         return self.lact[l][g]
@@ -625,8 +619,7 @@ def support(H: StructBialgebra, action: dict, group: FinAbGroup) -> frozenset:
 def is_color(H: StructBialgebra, action: dict, group: FinAbGroup,
              beta: Bicharacter) -> bool:
     """True iff beta is identically 1 on the support of the action."""
-    sup = support(H, action, group)
-    return all(beta.eval(g, h).is_zero() for g in sup for h in sup)
+    return beta.is_trivial_on(support(H, action, group))
 
 
 def action_from_generator_images(group: FinAbGroup, images: list[MonomialMatrix]) -> dict:
@@ -663,83 +656,60 @@ def check_color_matched_pair(mp: MatchedPair, rho: dict, group: FinAbGroup,
     (the identity must map to the identity automorphism); each entry is
     validated.  Whether the table is multiplicative is reported but not
     required, since the support formula only consumes the table values.
+
+    Write A_(l, gamma) for the characters a whose rho(a) fixes
+    delta_l e_gamma, and G^u_eta for the g with chi_g in A_(u, eta).  For
+    all pairs (u, eta) and (l, gamma): (i) every character trivial on
+    G^u_eta lies in A_(l, gamma); (ii) some a in A_(l, gamma) agrees with
+    g -> ftilde^(chi_g)_eta(u) on G^u_eta; (iii) every such a has
+    ftilde^a_gamma(l) = 1.  A condition's witness is None when it holds,
+    else its first failing tuple (u, eta, l, gamma): (u, eta) is the outer
+    pair, and each pair runs l over L, then gamma over Gamma.  The witness
+    of (iii) also carries the residues of the first such a, in dual-group
+    order, with ftilde^a_gamma(l) != 1.
     """
     dual = FinAbGroup(group.orders)
-    auts = {}
-    for a in dual.elements():
+    elems = list(dual.elements())
+    for a in elems:
         if a not in rho:
             raise ValueError("rho must cover the whole dual group")
-        aut = rho[a]
-        if not aut.validate(mp):
+        if not rho[a].validate(mp):
             raise ValueError("rho contains an invalid extension automorphism")
-        auts[a.residues] = aut
-    identity_res = dual.identity().residues
-    if not (auts[identity_res].g.is_identity()
-            and auts[identity_res].h.is_identity()
-            and all(v.is_zero() for row in auts[identity_res].ftilde for v in row)):
+    if rho[dual.identity()] != ExtAutomorphism.identity(mp):
         raise ValueError("rho must send the trivial character to the identity")
-    is_hom = True
-    elems = list(dual.elements())
-    mats = {a.residues: auts[a.residues].matrix(mp) for a in elems}
-    for a in elems:
-        for b in elems:
-            if mats[(a * b).residues] != mats[a.residues] * mats[b.residues]:
-                is_hom = False
-                break
-        if not is_hom:
-            break
+    mats = {a: rho[a].matrix(mp) for a in elems}
+    pairs = [(l, gam) for l in mp.L.elements() for gam in mp.Gamma.elements()]
+    fixers = {(l, gam): [a for a in elems if rho[a].g(l) == l and rho[a].h(gam) == gam]
+              for l, gam in pairs}
+    chi = {g: beta.chi(g).as_element() for g in group.elements()}
 
-    L, Gamma = mp.L, mp.Gamma
-    pairs = [(l, gam) for l in L.elements() for gam in Gamma.elements()]
-    a_fix = {}
-    for l, gam in pairs:
-        a_fix[(l, gam)] = [a for a in elems
-                           if auts[a.residues].g(l) == l and auts[a.residues].h(gam) == gam]
-    chi_of = {g.residues: beta.chi(g).as_element() for g in group.elements()}
-    g_fix = {}
-    for key, fixers in a_fix.items():
-        fixer_set = {a.residues for a in fixers}
-        g_fix[key] = [g for g in group.elements() if chi_of[g.residues].residues in fixer_set]
+    def failures():
+        """(condition, witness) of every failing tuple, in witness order."""
+        for u, eta in pairs:
+            G_ue = [g for g in group.elements() if chi[g] in fixers[u, eta]]
+            trivial_on = perp(Subgroup._of_members(group, G_ue)).element_set
+            value = {g: rho[chi[g]].ftilde[eta][u] for g in G_ue}
+            for l, gam in pairs:
+                t = (u, eta, l, gam)
+                if not trivial_on <= {a.residues for a in fixers[l, gam]}:
+                    yield "i", t
+                matches = [a for a in fixers[l, gam]
+                           if all(Character(group, a.residues)(g) == value[g] for g in G_ue)]
+                if not matches:
+                    yield "ii", t
+                a = next((a for a in matches if not rho[a].ftilde[gam][l].is_zero()), None)
+                if a is not None:
+                    yield "iii", (*t, a.residues)
 
-    cond_i = True
-    cond_ii = True
-    cond_iii = True
-    witness = {"i": None, "ii": None, "iii": None}
-    for (u, eta) in pairs:
-        Gue = g_fix[(u, eta)]
-        # characters of A trivial on G^u_eta
-        perp_set = perp(Subgroup._of_members(group, Gue)).generators
-        chi_ue = {}
-        for g in Gue:
-            a = chi_of[g.residues]
-            chi_ue[g.residues] = auts[a.residues].ftilde[eta][u]
-        for (l, gam) in pairs:
-            fixers = {a.residues for a in a_fix[(l, gam)]}
-            if cond_i and not all(a.residues in fixers for a in perp_set):
-                cond_i = False
-                witness["i"] = (u, eta, l, gam)
-            matches = [a for a in a_fix[(l, gam)]
-                       if all(Character(group, a.residues)(g) == chi_ue[g.residues]
-                              for g in Gue)]
-            if not matches:
-                if cond_ii:
-                    cond_ii = False
-                    witness["ii"] = (u, eta, l, gam)
-                continue
-            for a in matches:
-                if not auts[a.residues].ftilde[gam][l].is_zero():
-                    if cond_iii:
-                        cond_iii = False
-                        witness["iii"] = (u, eta, l, gam, a.residues)
-                    break
-    return {
-        "rho_is_homomorphism": is_hom,
-        "condition_i": cond_i,
-        "condition_ii": cond_ii,
-        "condition_iii": cond_iii,
-        "all": cond_i and cond_ii and cond_iii,
-        "witness": witness,
-    }
+    witness = dict.fromkeys(("i", "ii", "iii"))
+    for cond, t in failures():
+        witness[cond] = witness[cond] or t
+    report = {"rho_is_homomorphism": all(mats[a * b] == mats[a] * mats[b]
+                                         for a in elems for b in elems)}
+    report.update({f"condition_{c}": w is None for c, w in witness.items()})
+    report["all"] = not any(witness.values())
+    report["witness"] = witness
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +879,7 @@ class RingFamilyData:
 
 
 def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
-                theta) -> RingFamilyData:
+                theta, tau: TauCocycle | None = None) -> RingFamilyData:
     """sigma, beta and z from ring data, with all side conditions verified.
 
     Inputs: nu a homomorphism Gamma -> units(R) (index list), psi a twisted
@@ -923,7 +893,9 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
 
     over the additive group of R, and checks the split-extension sigma
     compatibility so the output feeds straight into the colorability
-    machinery; that report is kept as ``split``.
+    machinery.  The split report, taken with ``tau`` (indexed
+    [gamma][l][t] over Gamma and the additive group; trivial by default),
+    is kept as ``split``.
     """
     G = R.add_group
     n, m = R.n, Gamma.n
@@ -948,8 +920,6 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
         for h in Gamma.elements():
             if nu[Gamma.mul(g, h)] != R.mul(nu[g], nu[h]):
                 raise ValueError("nu is not a homomorphism")
-    if nu[Gamma.identity] != R.one:
-        raise ValueError("nu must be unital")
     if psi[Gamma.identity] != R.zero:
         raise ValueError("psi must be normalized")
     for g in Gamma.elements():
@@ -1014,8 +984,8 @@ def ring_family(R: FiniteRing, Gamma: FiniteGroup, nu, psi, phi, eta,
 
     ztilde = [[elems[R.mul(l, psi[g])] for l in range(n)] for g in Gamma.elements()]
     z = ZMap.from_cocycle(mp, G, ztilde)
-    split = check_split_color_extension(mp, sigma, TauCocycle.trivial(mp),
-                                        ztilde, G, beta)
+    split = check_split_color_extension(
+        mp, sigma, TauCocycle.trivial(mp) if tau is None else tau, ztilde, G, beta)
     if not (split["ztilde_homomorphisms"] and split["ztilde_cocycle"]
             and split["sigma_compatibility"]):
         raise AssertionError("ring data violates the split compatibility")

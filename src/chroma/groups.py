@@ -228,6 +228,11 @@ class Bicharacter:
         e = self._exponent
         return Rational01(total, e) if total % e else R01_ZERO
 
+    def is_trivial_on(self, elements) -> bool:
+        """Whether beta(g, h) = 1 for all g, h among ``elements``."""
+        elements = set(elements)
+        return all(self.eval(g, h).is_zero() for g in elements for h in elements)
+
     def chi(self, g: Element) -> Character:
         """The character h -> beta(h, g)."""
         return self._character(self._ints, g)

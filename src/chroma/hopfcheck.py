@@ -942,8 +942,7 @@ def check_flip(H: StructBialgebra) -> bool:
     """
     if H.grading is None or H.beta is None:
         raise ValueError("flip criterion needs grading and braiding data")
-    degrees = set(H.grading)
-    return all(H.beta.eval(g, h).is_zero() for g in degrees for h in degrees)
+    return H.beta.is_trivial_on(H.grading)
 
 
 def _smash_basis(H: StructBialgebra):

@@ -62,10 +62,10 @@ def reflect_datum(E: Datum, p: int) -> Datum:
     The reflected twisted matrix must transform by the same rule as q;
     this identity is recomputed and enforced.
     """
-    a = cartan_row(E.q, p)
+    kernel, key, payload = _encoded(E)
+    a = kernel.cartan_row(key, p)
     if a is None:
         raise NotReflectable(f"vertex {p} has an infinite Cartan entry")
-    kernel, key, payload = _encoded(E)
     reflected = kernel.apply(key, payload, p, a)
     if reflected is None:
         raise DiagonalOne(f"reflection at vertex {p} gives a diagonal entry 1")

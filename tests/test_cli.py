@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cases
-from chroma import cli
+from chroma import cli, extensions
 from chroma.cli import main
 from chroma.datum import Datum
 from chroma.hopfcheck import StructBialgebra, check_axioms
+from chroma.scalars import Rational01
 from chroma.extensions import FiniteGroup, SigmaCocycle, TauCocycle, build_bicrossed
 
 
@@ -438,13 +439,18 @@ def test_verify_grading_without_group_exit_2(tmp_path, capsys):
     ("check-extension", lambda d: _c2_pair(action=5, **_GRADED_C2)),
     ("check-extension", lambda d: _c2_pair(
         action=[{"element": [0], "matrix": {"perm": 5, "scal": []}}], **_GRADED_C2)),
+    ("check-datum", lambda d: dict(d, q=5)),
+    ("check-datum", lambda d: dict(d, q=[5])),
+    ("check-datum", lambda d: dict(d, q="q")),
+    ("check-datum", lambda d: dict(d, q={"a": 1})),
 ], ids=["orders-string", "orders-float", "orders-bool", "orders-zero",
         "group-not-object", "datum-not-object", "triangular-orders-string",
         "triangular-not-object", "verify-grading-orders-string",
         "verify-grading-orders-float", "triangular-beta-not-string",
         "degree-not-list", "braiding-entry-not-string",
         "verify-grading-entry-not-list", "triangular-beta-int", "verify-beta-int",
-        "check-datum-beta-int", "z-int", "z-flat", "action-int", "action-perm-int"])
+        "check-datum-beta-int", "z-int", "z-flat", "action-int", "action-perm-int",
+        "braiding-int", "braiding-flat", "braiding-string", "braiding-object"])
 def test_malformed_group_exit_2(command, payload, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload(cases.rank2_c3_datum().to_json())))
@@ -689,6 +695,15 @@ def _ring_payload(**entries) -> dict:
                  "theta": ["0/1", "2/3", "1/3"]}, **entries)
 
 
+# R = T2(F2), the upper triangular 2 x 2 matrices over F2: (a, b, c) is
+# [[a, b], [0, c]] at index a + 2b + 4c, so (a, b, c)(x, y, z) is
+# (ax, ay + bz, cz) and the unit is index 5.  theta = b/2 is not trace
+# symmetric: theta(e11 e12) = 1/2, theta(e12 e11) = 0.
+_T2 = [[(a * x) % 2 + 2 * ((a * y + b * z) % 2) + 4 * ((c * z) % 2)
+        for z in (0, 1) for y in (0, 1) for x in (0, 1)]
+       for c in (0, 1) for b in (0, 1) for a in (0, 1)]
+
+
 _MUL_MESSAGE = "ring mul must be an array of shape 3 x 3 of element indices below 3"
 
 
@@ -708,12 +723,82 @@ _MUL_MESSAGE = "ring mul must be an array of shape 3 x 3 of element indices belo
     ({"theta": ["0/1"]}, "theta must have one root per ring element (3)"),
     ({"eta": ["0/1"]}, "eta must have one root per ring element (3)"),
     ({"eta": 5}, "eta must be an array of roots"),
+    # each side condition of ring_family broken alone; a non-unital nu
+    # breaks the homomorphism law
+    ({"nu": [1, 0]}, "nu must take values in the units"),
+    ({"Gamma": {"cyclic": 3}, "nu": [1, 2, 1], "psi": [0, 0, 0],
+      "phi": [[0] * 3 for _ in range(3)]}, "nu is not a homomorphism"),
+    ({"nu": [2, 2]}, "nu is not a homomorphism"),
+    ({"psi": [1, 0]}, "psi must be normalized"),
+    ({"nu": [1, 1]}, "psi is not a twisted 1-cocycle"),
+    ({"phi": [[0, 1], [0, 0]]}, "phi must be normalized"),
+    ({"phi": [[0, 0], [0, 1]]}, "phi is not a twisted 2-cocycle"),
+    ({"eta": ["1/3", "0/1", "0/1"]}, "eta and theta must be normalized at 0"),
+    ({"theta": ["1/3", "2/3", "1/3"]}, "eta and theta must be normalized at 0"),
+    ({"ring": {"orders": [2, 2, 2], "mul": _T2}, "Gamma": {"cyclic": 1}, "nu": [5],
+      "psi": [0], "phi": [[0]], "eta": ["0/1"] * 8,
+      "theta": ["0/1", "0/1", "1/2", "1/2"] * 2}, "theta violates trace symmetry"),
+    ({"theta": ["0/1", "1/3", "1/3"]}, "theta^2 is not bimultiplicative on products"),
 ], ids=["mul-int", "mul-string", "mul-out-of-range", "mul-negative", "ring-int",
         "orders-string", "nu-short", "psi-short", "psi-out-of-range",
-        "phi-out-of-range", "phi-flat", "theta-short", "eta-short", "eta-int"])
+        "phi-out-of-range", "phi-flat", "theta-short", "eta-short", "eta-int",
+        "nu-not-unit", "nu-not-homomorphism", "nu-not-unital", "psi-not-normalized",
+        "psi-not-cocycle", "phi-not-normalized", "phi-not-cocycle", "eta-at-0",
+        "theta-at-0", "theta-not-trace-symmetric", "theta-squared-not-bimultiplicative"])
 def test_malformed_ring_family_exits_2(entries, message, tmp_path, capsys):
     code, captured = _run_malformed("check-extension", _ring_payload(**entries),
                                     tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("with_tau", [False, True], ids=["trivial-tau", "own-tau"])
+def test_ring_job_takes_one_split_report(with_tau, tmp_path, monkeypatch):
+    """The ring job's split checks are one check_split_color_extension call,
+    with the job's tau, and the report shows exactly that call's result."""
+    payload = _ring_payload(tau=_TAU_MUTANT) if with_tau else _ring_payload()
+    fam = cases.mod3_ring_family()
+    mp = fam.mp
+    tau = TauCocycle([[[Rational01.parse(v) for v in row] for row in plane]
+                      for plane in _TAU_MUTANT]) if with_tau else TauCocycle.trivial(mp)
+    ztilde = [[fam.z.degree(l, g) for l in range(mp.L.n)] for g in range(mp.Gamma.n)]
+    direct = extensions.check_split_color_extension(mp, fam.sigma, tau, ztilde,
+                                                    fam.group, fam.beta)
+    assert direct["tau_gamma_cocycle"] is not with_tau
+    calls = []
+    real = extensions.check_split_color_extension
+    monkeypatch.setattr(extensions, "check_split_color_extension",
+                        lambda *a: calls.append(a) or real(*a))
+    path, out = tmp_path / "input.json", tmp_path / "report.out"
+    path.write_text(json.dumps(payload))
+    assert main(["check-extension", "--input", str(path), "--output", str(out)]) == int(with_tau)
+    assert len(calls) == 1
+    checks = json.loads(out.read_text())["checks"]
+    del checks["color_axioms"]
+    assert checks == {k: v for k, v in direct.items() if k != "ok"}
+
+
+def test_aut_ext_root_bound_0_exits_2(tmp_path, capsys):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(_c2_pair(g=[0, 1], h=[0, 1])))
+    code = main(["aut-ext", "--input", str(path), "--root-bound", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: root bound must be >= 1\n"
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"z": [[[0], [0]], [[0], [0]]]}, "z needs group"),
+    ({"beta": [["0/1"]]}, "beta needs group"),
+    ({"group": {"orders": [2]}, "action": []}, "action needs beta"),
+    ({"action": []}, "action needs group and beta"),
+], ids=["z-without-group", "beta-without-group", "action-without-beta", "action-alone"])
+def test_check_extension_input_without_its_group_exits_2(entries, message, tmp_path, capsys):
+    """z, beta and action are read over the grading group (action over beta
+    too): given without them, the input is rejected, not dropped."""
+    code, captured = _run_malformed("check-extension", _c2_pair(**entries), tmp_path, capsys)
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

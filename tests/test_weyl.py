@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cases
+from chroma import weyl
 from chroma.datum import BraidingMatrix, Datum, DiagonalOne, ScalarMatrix
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.scalars import Cyclo, Rational01, Scalar, order_of, solve_power
@@ -113,6 +114,21 @@ def test_rank2_reflection_matches_reference():
     assert E1.q[1, 1] == q.inverse() * w
     assert E1.q[0, 1] * E1.q[1, 0] == q * w * w
     assert [x.residues for x in E1.t] == [(2,), (2,)]
+
+
+def test_reflect_datum_encodes_one_datum(monkeypatch):
+    """The Cartan row comes from the kernel that reflects: one kernel, on E."""
+    built = []
+
+    class Counting(_OrbitKernel):
+        def __init__(self, nodes):
+            built.append(list(nodes))
+            super().__init__(nodes)
+
+    monkeypatch.setattr(weyl, "_OrbitKernel", Counting)
+    E = cases.rank2_c3_datum()
+    reflect_datum(E, 0)
+    assert built == [[E]]
 
 
 def test_involution():
