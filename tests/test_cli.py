@@ -14,8 +14,8 @@ from chroma import cli, extensions
 from chroma.cli import main
 from chroma.datum import Datum
 from chroma.hopfcheck import StructBialgebra, check_axioms
-from chroma.scalars import Rational01
 from chroma.extensions import FiniteGroup, SigmaCocycle, TauCocycle, build_bicrossed
+from chroma.scalars import Rational01
 
 
 @pytest.fixture
@@ -439,10 +439,10 @@ def test_verify_grading_without_group_exit_2(tmp_path, capsys):
     ("check-extension", lambda d: _c2_pair(action=5, **_GRADED_C2)),
     ("check-extension", lambda d: _c2_pair(
         action=[{"element": [0], "matrix": {"perm": 5, "scal": []}}], **_GRADED_C2)),
-    ("check-datum", lambda d: dict(d, q=5)),
-    ("check-datum", lambda d: dict(d, q=[5])),
-    ("check-datum", lambda d: dict(d, q="q")),
-    ("check-datum", lambda d: dict(d, q={"a": 1})),
+    ("check-datum", lambda d: dict(d, q=5, t=[[0]])),
+    ("check-datum", lambda d: dict(d, q=[5], t=[[0]])),
+    ("check-datum", lambda d: dict(d, q="q", t=[[0]])),
+    ("check-datum", lambda d: dict(d, q={"a": 1}, t=[[0]])),
 ], ids=["orders-string", "orders-float", "orders-bool", "orders-zero",
         "group-not-object", "datum-not-object", "triangular-orders-string",
         "triangular-not-object", "verify-grading-orders-string",
