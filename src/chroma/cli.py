@@ -171,6 +171,9 @@ def _cmd_check_extension(data: dict, args):
 
 def _check_ring_extension(data: dict):
     """Build sigma/beta/z from finite-ring data and verify colorability."""
+    if stray := [k for k in ("L", "lact", "ract", "sigma", "group", "beta", "z", "action")
+                 if k in data]:
+        raise ValueError(f"a ring input takes no matched-pair key: {', '.join(stray)}")
     R = extensions.FiniteRing.from_json(data["ring"])
     Gamma = extensions.FiniteGroup.from_json(data["Gamma"])
     tau = _parse_cocycle(extensions.TauCocycle, Gamma, R.additive, data, "tau")

@@ -155,6 +155,8 @@ class Datum:
         group = FinAbGroup.from_json(data["group"])
         beta = Bicharacter.from_json(group, data["beta"])
         q = BraidingMatrix.from_json(data["q"])
+        if not q.theta:
+            raise DimensionMismatch("a datum needs rank at least 1: q must not be empty")
         return cls(q, group, beta, group.elements_from_json(data["t"], "t"))
 
 

@@ -3,12 +3,14 @@
 ``StructBialgebra`` stores multiplication and comultiplication tables
 with coefficients in Q(zeta_N); the axiom checker runs over basis tuples,
 in plain or color mode (color mode twists the product on the tensor
-square by the bicharacter of the grading group).  A product law holds
-once it holds on the pairs (s, j) with s an algebra generator, given the
-law's precondition: the unit laws; for epsilon, Delta and a morphism also
-associativity and the law at 1; for Delta in color mode a graded product.
-Otherwise all pairs are swept for the first counterexample.  The joins
-walk only nonzero products, through each mult row's nonempty cells.
+square by the bicharacter of the grading group).  A law holds once it
+holds on the generators s of an irredundant set, on the pairs (s, j) for
+a product law, given its precondition: the unit laws; for epsilon, Delta
+and a morphism also associativity and the law at 1; for Delta in color
+mode a graded product; for coassociativity and the counit laws every
+bialgebra law and, in color mode, a graded H.  Otherwise all tuples are
+swept for the first counterexample.  The parse, the term tables and the
+joins walk only nonzero products: each mult row's nonempty cells.
 The antipode is the convolution inverse of the identity: a convolution power
 of it when H has a finite exponent, otherwise read off its minimal
 polynomial; either way it is verified on both sides.
@@ -309,7 +311,8 @@ class StructBialgebra:
                 raise ValueError(f"{what} repeats a basis index")
             return entries
 
-        mult = [[distinct(tuple((index(k), coeff(c)) for k, c in terms(cell, 2, "mult term")),
+        mult = [[() if cell == [] else
+                 distinct(tuple((index(k), coeff(c)) for k, c in terms(cell, 2, "mult term")),
                           1, "mult cell")
                  for cell in _array(row, dim, "mult row")]
                 for row in _array(data["mult"], dim, "mult")]
@@ -426,7 +429,7 @@ def _term_tables(H: StructBialgebra) -> tuple:
                 out += [(k, e, r) for e, r in terms]
             return tuple(out)
 
-        mult = [[combo(cell) for cell in row] for row in H.mult]
+        mult = [[combo(cell) if cell else () for cell in row] for row in H.mult]
         comult = [combo(((j, k), c) for j, k, c in entry) for entry in H.comult]
         tables = H._tables = (mult, comult, combo(H.unit.items()),
                               [combo((((), c),)) for c in H.counit],
@@ -537,42 +540,66 @@ def _twist_table(H: StructBialgebra) -> list:
 
 
 def _algebra_generators(H: StructBialgebra) -> list:
-    """Basis indices that, with the unit, generate H as an algebra.
-
-    Greedy, from the last index down: an index is reached when it is a
-    generator, the unit's one basis element, or a nonzero multiple of a
-    single-term product of two reached ones; each unreached index in turn
-    becomes a generator and the reached set is closed under products.
+    """An irredundant set of basis indices that, with the unit, generate H
+    as an algebra.  An index is reached when it is a generator, the unit's one
+    basis element, or a nonzero multiple of a single-term product of two
+    reached ones.  A pass makes each unreached candidate in turn a pick and
+    adds its closure: the first pass from the last index down, the second
+    over its picks back up.  From the last pick back, a pick goes when the
+    earlier picks and the kept later ones reach it: a closure that starts
+    from what the earlier picks reached and stops once it reaches the pick.
     """
-    todo = [u for u, c in H.unit.items() if len(H.unit) == 1 and not c.is_zero()]
-    reached: list = []
-    generators = []
-    for k in reversed(range(H.dim)):
+    n = H.dim
+    products: list = [[] for _ in range(n)]  # (b, k): e_a e_b or e_b e_a is c e_k, c != 0
+    for a, row in enumerate(H.mult):
+        for b, cell in enumerate(row):
+            if len(cell) == 1 and not cell[0][1].is_zero():
+                products[a].append((b, cell[0][0]))
+                products[b].append((a, cell[0][0]))
+
+    def close(reached: list, todo: list, stop=None) -> bool:
+        """Mark ``todo`` and all it reaches; whether ``stop`` is reached."""
         while todo:
             a = todo.pop()
-            if a not in reached:
-                reached.append(a)
-                todo += [cell[0][0] for b in reached for cell in (H.mult[a][b], H.mult[b][a])
-                         if len(cell) == 1 and not cell[0][1].is_zero()]
-        if k not in reached:
+            if not reached[a]:
+                if a == stop:
+                    return True
+                reached[a] = True
+                todo += [k for b, k in products[a] if reached[b] and not reached[k]]
+        return False
+
+    def picks(candidates):
+        """Yield the picks of a pass, each with what the earlier picks reached."""
+        reached = [False] * n
+        close(reached, [u for u, c in H.unit.items() if len(H.unit) == 1 and not c.is_zero()])
+        for k in candidates:
+            if not reached[k]:
+                yield k, reached[:]
+                close(reached, [k])
+
+    first = [k for k, _ in picks(reversed(range(n)))]
+    generators: list = []
+    for k, before in reversed(list(picks(reversed(first)))):
+        if not close(before, generators[:], k):
             generators.append(k)
-            todo.append(k)
     return generators
 
 
-def _product_law(equation, precondition: bool, generators: list, n: int, N: int):
-    """The first pair (i, j) failing the product law ``equation``, or None.
+def _product_law(equation, precondition: bool, generators: list, n: int, N: int, arity=2):
+    """The first (i, j), or (i,) at ``arity`` 1, failing the law ``equation``, or None.
 
     Given the precondition, the x that satisfy the law for all y form a
     subalgebra (1 by the precondition, ab by associativity or the law
-    itself), so only the generator rows (s, j) are tested.  Else all pairs
+    itself); at arity 1, the x on which two unital algebra maps agree.  So
+    only the generator rows (s, j), or (s,), are tested.  Else all tuples
     are swept, skipping the generator rows before the first failing one,
     ce, which held; ce = (-1,) skips none.
     """
-    rows = itertools.product(sorted(generators), range(n))
+    rest = [range(n)] * (arity - 1)
+    rows = itertools.product(sorted(generators), *rest)
     ce = next((t for t in rows if not _holds(equation, N, *t)), None) if precondition else (-1,)
-    pairs = (t for t in itertools.product(range(n), repeat=2) if t[0] not in generators or t >= ce)
-    return next((t for t in pairs if not _holds(equation, N, *t)), None) if ce else None
+    tuples = (t for t in itertools.product(range(n), *rest) if t[0] not in generators or t >= ce)
+    return next((t for t in tuples if not _holds(equation, N, *t)), None) if ce else None
 
 
 def _algebra_laws(H: StructBialgebra) -> tuple:
@@ -631,11 +658,13 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     laws (``_algebra_laws``); for epsilon also associativity and
     epsilon(1) = 1; for Delta the unit laws, associativity,
     Delta(1) = 1 (x) 1 and, in color mode, a graded product.  Otherwise
-    all n^2 pairs are swept.  Either way the counterexample is the first
-    failing pair (for associativity (i, j, the least k)).  Associativity
-    walks only the nonempty mult cells, and Delta's law meets each term
-    (a2, b2) of Delta(e_j) only with the terms (a, b) of Delta(e_i) with
-    e_a e_a2 != 0, indexed on first use of the row i.
+    all n^2 pairs are swept.  Coassociativity and the counit laws, given
+    all of these laws and in color mode a graded H, are tested on the
+    generators alone, else on all n indices.  Either way the counterexample
+    is the first failing tuple (for associativity (i, j, the least k)).
+    Associativity walks only the nonempty mult cells, and Delta's law meets
+    each term (a2, b2) of Delta(e_j) only with the terms (a, b) of
+    Delta(e_i) with e_a e_a2 != 0, indexed on first use of the row i.
     """
     if mode not in ("plain", "color"):
         raise ValueError("mode must be 'plain' or 'color'")
@@ -644,21 +673,14 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     report: dict = {}
     n, N = H.dim, H.conductor
     mult, comult, unit, counit, nonempty = _term_tables(H)
-    basis = [((i, 0, 1),) for i in range(n)]
-    singles = [(i,) for i in range(n)]
-    pairs = list(itertools.product(range(n), repeat=2))
     generators, unit_ce, ce = _algebra_laws(H)
 
     def record(name, counterexample, ok=None):
         report[name] = {"ok": counterexample is None if ok is None else ok,
                         "counterexample": counterexample}
 
-    def sweep(name, tuples, *equations):
-        record(name, next((t for t in tuples
-                           if not all(_holds(eq, N, *t) for eq in equations)), None))
-
-    def product_law(name, equation, precondition):
-        record(name, _product_law(equation, precondition, generators, n, N))
+    def product_law(name, equation, precondition, arity=2):
+        record(name, _product_law(equation, precondition, generators, n, N, arity))
 
     def coassociativity(acc, i):
         for (j, k), e, r in comult[i]:
@@ -669,19 +691,14 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
                 key = ((j, a, b), (e + e2) % N)
                 acc[key] = acc.get(key, 0) - r * r2
 
-    def counit_left(acc, i):
-        # (id (x) counit) Delta(e_i) = e_i
+    def counit_laws(acc, i):
+        # (id (x) counit) Delta(e_i) = e_i at keys (0, k), (counit (x) id) Delta(e_i) = e_i
+        # at keys (1, k): one zero test for both counit laws
         for (j, k), e, r in comult[i]:
-            for _, e2, r2 in counit[k]:
-                _add_terms(acc, basis[j], e + e2, r * r2, N)
-        _add_terms(acc, basis[i], 0, -1, N)
-
-    def counit_right(acc, i):
-        # (counit (x) id) Delta(e_i) = e_i
-        for (j, k), e, r in comult[i]:
-            for _, e2, r2 in counit[j]:
-                _add_terms(acc, basis[k], e + e2, r * r2, N)
-        _add_terms(acc, basis[i], 0, -1, N)
+            for side, x, y in ((0, j, k), (1, k, j)):
+                for _, e2, r2 in counit[y]:
+                    _add_terms(acc, (((side, x), 0, 1),), e + e2, r * r2, N)
+        _add_terms(acc, (((0, i), 0, 1), ((1, i), 0, 1)), 0, -1, N)
 
     def counit_of_unit(acc):
         _add_mapped(acc, unit, counit, 1, N)
@@ -718,8 +735,6 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     record("unit", unit_ce)
     record("associativity", ce)
     associative = unit_ce is None and ce is None  # a unital associative algebra
-    sweep("coassociativity", singles, coassociativity)
-    sweep("counit", singles, counit_left, counit_right)
     if _holds(counit_of_unit, N):
         product_law("counit_multiplicative", counit_multiplicative, associative)
     else:
@@ -730,8 +745,8 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
     # product's half comes first, since the coproduct's precondition needs it
     deg = H.grading
     ce = None if deg is None else next(
-        (("mult", i, j, k) for i, j in pairs for k, _ in H.mult[i][j]
-         if deg[k] != deg[i] * deg[j]), None)
+        (("mult", i, j, k) for i, row in enumerate(H.mult) for j, cell in enumerate(row)
+         for k, _ in cell if deg[k] != deg[i] * deg[j]), None)
     # the braided H (x) H is associative only for a graded product
     product_law("coproduct_multiplicative", coproduct_multiplicative,
                 associative and report["unit_comultiplicative"]["ok"]
@@ -745,6 +760,12 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
             (("counit", i) for i in range(n)
              if not H.counit[i].is_zero() and not deg[i].is_identity())), None)
         record("grading", ce)
+
+    # given every law so far, and a graded H in color mode, both sides of each
+    # coalgebra law are unital algebra maps from H to its (braided) tensor powers
+    bialgebra = all(v["ok"] for k, v in report.items() if k != "grading" or mode == "color")
+    product_law("coassociativity", coassociativity, bialgebra, 1)
+    product_law("counit", counit_laws, bialgebra, 1)
 
     report["all_ok"] = all(v["ok"] for k, v in report.items() if k != "all_ok")
     return report

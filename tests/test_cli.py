@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import cases
 from chroma import cli, extensions
 from chroma.cli import main
-from chroma.datum import Datum
+from chroma.datum import Datum, DimensionMismatch
 from chroma.hopfcheck import StructBialgebra, check_axioms
 from chroma.extensions import FiniteGroup, SigmaCocycle, TauCocycle, build_bicrossed
 from chroma.scalars import Rational01
@@ -407,6 +407,34 @@ def test_verify_repeated_malformed_coefficient_exit_2(vector, message, tmp_path,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cell", [{}, "", None, 0], ids=["object", "string", "null", "zero"])
+def test_verify_non_array_mult_cell_exit_2(cell, tmp_path, capsys):
+    """An empty mult cell is parsed with no per-cell call, but a falsy cell
+    that is no array still gets the message of any non-array cell, in the
+    place of a nonempty cell and of an empty one."""
+    mp = cases.squaring_matched_pair()
+    payload = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp)).to_json()
+    assert payload["mult"][0][0] and payload["mult"][0][3] == []
+    for i, j in ((0, 0), (0, 3)):
+        mutated = json.loads(json.dumps(payload))
+        mutated["mult"][i][j] = cell
+        code, captured = _run_malformed("verify", mutated, tmp_path, capsys)
+        assert code == 2
+        assert captured.err == "error: mult term must be an array\n"
+
+
+def test_rank_zero_datum_exits_2_when_parsed(tmp_path, capsys):
+    """An empty q is rejected by Datum.from_json with its own message, before
+    any orbit code runs."""
+    payload = dict(cases.rank2_c3_datum().to_json(), q=[], t=[])
+    with pytest.raises(DimensionMismatch, match="rank at least 1"):
+        Datum.from_json(payload)
+    for command in ("check-datum", "orbit", "diagram"):
+        code, captured = _run_malformed(command, payload, tmp_path, capsys)
+        assert code == 2
+        assert captured.err == "error: a datum needs rank at least 1: q must not be empty\n"
+
+
 def test_verify_grading_without_group_exit_2(tmp_path, capsys):
     payload = _graded_structure(group={"orders": [3]})
     del payload["group"]
@@ -739,12 +767,17 @@ _MUL_MESSAGE = "ring mul must be an array of shape 3 x 3 of element indices belo
       "psi": [0], "phi": [[0]], "eta": ["0/1"] * 8,
       "theta": ["0/1", "0/1", "1/2", "1/2"] * 2}, "theta violates trace symmetry"),
     ({"theta": ["0/1", "1/3", "1/3"]}, "theta^2 is not bimultiplicative on products"),
+    # a key of the matched-pair input, which the ring path would drop
+    ({"sigma": [[["1/2"]]]}, "a ring input takes no matched-pair key: sigma"),
+    ({"action": 5, "group": {"orders": [7]}},
+     "a ring input takes no matched-pair key: group, action"),
 ], ids=["mul-int", "mul-string", "mul-out-of-range", "mul-negative", "ring-int",
         "orders-string", "nu-short", "psi-short", "psi-out-of-range",
         "phi-out-of-range", "phi-flat", "theta-short", "eta-short", "eta-int",
         "nu-not-unit", "nu-not-homomorphism", "nu-not-unital", "psi-not-normalized",
         "psi-not-cocycle", "phi-not-normalized", "phi-not-cocycle", "eta-at-0",
-        "theta-at-0", "theta-not-trace-symmetric", "theta-squared-not-bimultiplicative"])
+        "theta-at-0", "theta-not-trace-symmetric", "theta-squared-not-bimultiplicative",
+        "sigma-key", "action-key"])
 def test_malformed_ring_family_exits_2(entries, message, tmp_path, capsys):
     code, captured = _run_malformed("check-extension", _ring_payload(**entries),
                                     tmp_path, capsys)

@@ -1079,6 +1079,45 @@ def _single_entry_mutants(H: StructBialgebra):
                 yield dataclasses.replace(H, grading=H.grading[:k] + (g,) + H.grading[k + 1:])
 
 
+def _klein_coproduct_twisted_by_swap():
+    """k[C2 x C2] with Delta(g) = s(g) (x) g, s the swap of gamma and eta:
+    an algebra map, so every law but the coalgebra laws holds, and those
+    fail at gamma and eta, one of which is a generator."""
+    H = cases.klein_group_algebra()
+    swap = (0, 2, 1, 3)
+    return dataclasses.replace(H, comult=[((swap[g], g, H.one()),) for g in range(4)])
+
+
+def _klein_counit_a_character():
+    """k[C2 x C2] with the counit the character (-1)^(gamma's coordinate):
+    multiplicative, but not counital at gamma and gamma + eta."""
+    H = cases.klein_group_algebra()
+    return dataclasses.replace(H, counit=[H.one(), -H.one(), H.one(), -H.one()])
+
+
+def _c4_counit_fails_off_the_generator():
+    """k[C4] over Q(zeta_2) with Delta(g^i) = c_i g^i (x) g^i, c = (1, 1, -1, 1),
+    degrees |g^i| = (0, 0), (1, 0), (1, 1), (0, 1) in C2 x C2 and
+    beta(x, y) = (-1)^(x1 y1 + x2 y2).  Delta is multiplicative in color mode,
+    c_(i+j) = c_i c_j beta(|g^i|, |g^j|), but not in plain mode, and the
+    product is not graded.  Only the counit law fails, at g^2 alone: the
+    generator g^3 holds it."""
+    G = FinAbGroup.of(2, 2)
+    F = FiniteGroup.cyclic(4)
+    H = StructBialgebra.group_algebra(F.table, F.identity, conductor=2)
+    one = H.one()
+    return dataclasses.replace(
+        H, comult=[((i, i, -one if i == 2 else one),) for i in range(4)],
+        grading=tuple(G.element(d) for d in ((0, 0), (1, 0), (1, 1), (0, 1))), group=G,
+        beta=Bicharacter(G, [[R01_HALF, R01_ZERO], [R01_ZERO, R01_HALF]]))
+
+
+# the coalgebra laws that some report of test_generator_sweep_reports_like_the_full_sweep
+# fails while every other law holds, so that their generator rows ran first
+COALGEBRA_FAILURES = {"klein-coproduct-swap": {"coassociativity", "counit"},
+                      "klein-counit-character": {"counit"}}
+
+
 @pytest.mark.parametrize("name, build, mode", [
     ("klein", cases.klein_group_algebra, "plain"),
     ("c3-dihedral", _c3_dihedral_bicrossed, "plain"),
@@ -1087,17 +1126,25 @@ def _single_entry_mutants(H: StructBialgebra):
     ("quantum-plane", cases.color_quantum_plane, "color"),
     ("rank3-quantum-space", cases.rank3_color_quantum_space, "color"),
     ("c4-graded", _c4_graded, "color"),
+    ("klein-coproduct-swap", _klein_coproduct_twisted_by_swap, "plain"),
+    ("klein-counit-character", _klein_counit_a_character, "plain"),
 ])
 def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypatch):
-    """On every single-entry mutant the report, counterexamples included, is
-    the one of the full sweeps of the product laws (generators = the whole
-    basis)."""
+    """On the table and every single-entry mutant the report,
+    counterexamples included, is the one of the full sweeps of the product
+    and coalgebra laws (generators = the whole basis)."""
     H = build()
     assert len(hopfcheck._algebra_generators(H)) < H.dim
-    reports = [check_axioms(M, mode) for M in _single_entry_mutants(H)]
+    reports = [check_axioms(M, mode) for M in [H, *_single_entry_mutants(H)]]
     monkeypatch.setattr(hopfcheck, "_algebra_generators", lambda H: list(range(H.dim)))
     # fresh copies: the unit and associativity verdicts are kept on each structure
-    assert reports == [check_axioms(M, mode) for M in _single_entry_mutants(H)]
+    assert reports == [check_axioms(M, mode) for M in [build(), *_single_entry_mutants(H)]]
+    # the coalgebra laws' sweep on generators alone ran and failed where
+    # every other law held
+    bialgebra = [r for r in reports if all(
+        v["ok"] for k, v in r.items() if k not in ("all_ok", "coassociativity", "counit"))]
+    assert {law for r in bialgebra for law in ("coassociativity", "counit")
+            if not r[law]["ok"]} == COALGEBRA_FAILURES.get(name, set())
     # each law's sweep on generators alone ran and failed on some mutant,
     # one whose report shows that law's precondition holding
     unital = [r for r in reports if r["unit"]["ok"]]
@@ -1110,6 +1157,47 @@ def test_generator_sweep_reports_like_the_full_sweep(name, build, mode, monkeypa
     assert any(not r["coproduct_multiplicative"]["ok"] and r["unit_comultiplicative"]["ok"]
                and "mult" not in (r.get("grading", {}).get("counterexample") or ())
                for r in associative)
+
+
+@pytest.mark.parametrize("build", [_klein_coproduct_twisted_by_swap, _klein_counit_a_character])
+def test_coalgebra_laws_test_the_generator_rows_first(build, monkeypatch):
+    """Each Klein table meets the precondition of the generator rule for the
+    coalgebra laws: a law that holds is tested on the generators eta and
+    gamma + eta alone, and a law that fails there is then swept from index
+    0 for its first failing index, gamma."""
+    holds, tested = hopfcheck._holds, []
+
+    def spy(equation, N, *t):
+        tested.append((equation.__name__, t))
+        return holds(equation, N, *t)
+
+    monkeypatch.setattr(hopfcheck, "_holds", spy)
+    H = build()
+    assert sorted(hopfcheck._algebra_generators(H)) == [2, 3]
+    report = check_axioms(H)
+    for law, equation in (("coassociativity", "coassociativity"), ("counit", "counit_laws")):
+        order = [t for eq, t in tested if eq == equation]
+        if report[law]["ok"]:
+            assert order == [(2,), (3,)]
+        else:
+            assert report[law]["counterexample"] == (1,) == order[-1]
+            assert order[0] == (2,) and (0,) in order
+
+
+@pytest.mark.parametrize("mode, failed", [
+    ("plain", {"coproduct_multiplicative", "grading", "counit"}),
+    ("color", {"grading", "counit"}),
+], ids=["plain", "color"])
+def test_coalgebra_generator_rule_needs_its_precondition(mode, failed):
+    """The C4 table holds the counit law on its one generator g^3 and fails
+    it at g^2.  Delta is not multiplicative in plain mode, and the product
+    is not graded, which color mode needs: either way the rule does not
+    apply, and the full sweep reports g^2."""
+    H = _c4_counit_fails_off_the_generator()
+    assert hopfcheck._algebra_generators(H) == [3]
+    report = check_axioms(H, mode)
+    assert {k for k, v in report.items() if k != "all_ok" and not v["ok"]} == failed
+    assert report["counit"]["counterexample"] == (2,)
 
 
 @pytest.mark.parametrize("name, build, mode", [
@@ -1203,6 +1291,63 @@ def test_algebra_generators_generate(name):
     H = GENERATOR_TABLES[name]()
     generators = hopfcheck._algebra_generators(H)
     assert _generated_dimension(H, generators) == H.dim
+
+
+def _reach(H: StructBialgebra, seeds) -> set:
+    """The indices reached from the unit's one basis element and ``seeds``
+    by single-term products with a nonzero coefficient."""
+    todo = [u for u, c in H.unit.items() if len(H.unit) == 1 and not c.is_zero()] + list(seeds)
+    reached: list = []
+    while todo:
+        a = todo.pop()
+        if a not in reached:
+            reached.append(a)
+            todo += [cell[0][0] for b in reached for cell in (H.mult[a][b], H.mult[b][a])
+                     if len(cell) == 1 and not cell[0][1].is_zero()]
+    return set(reached)
+
+
+def _downward_pass(H: StructBialgebra) -> list:
+    """The generators of one pass from the last index down, unpruned: each
+    index not reached by the unit and the generators so far is one."""
+    generators: list = []
+    reached: set = set()
+    for k in reversed(range(H.dim)):
+        if k not in reached:
+            generators.append(k)
+            reached = _reach(H, generators)
+    return generators
+
+
+# every table the tests build, and the bosonizations of the two color
+# quantum spaces (dims 81 and 128), with the size of their generator set
+# where it is the least possible
+GENERATOR_SETS = {
+    **{name: build for name, (build, _) in ANTIPODE_STRUCTURES.items()},
+    **GENERATOR_TABLES,
+    "klein-coproduct-swap": _klein_coproduct_twisted_by_swap,
+    "klein-counit-character": _klein_counit_a_character,
+    "c4-counit-off-generator": _c4_counit_fails_off_the_generator,
+    "quantum-plane-bosonized": lambda: bosonize(cases.color_quantum_plane()),
+    "rank3-quantum-space-bosonized": lambda: bosonize(cases.rank3_color_quantum_space()),
+}
+LEAST_GENERATORS = {"c7c3-bicrossed": 7, "c5c4-bicrossed": 5, "c12c3-bicrossed": 12,
+                    "quantum-plane": 2, "rank3-quantum-space": 3,
+                    "quantum-plane-bosonized": 4, "rank3-quantum-space-bosonized": 5}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_algebra_generators_prune_the_downward_pass(name):
+    """The set is a subset of the one-pass set, none of its generators is
+    reached by the others, and on a bicrossed product it has one generator
+    per element of L: the left index of a product is that of its first factor."""
+    H = GENERATOR_SETS[name]()
+    generators = hopfcheck._algebra_generators(H)
+    assert set(generators) <= set(_downward_pass(H))
+    assert _reach(H, generators) == set(range(H.dim))
+    assert not any(s in _reach(H, set(generators) - {s}) for s in generators)
+    if name in LEAST_GENERATORS:
+        assert len(generators) == LEAST_GENERATORS[name]
 
 
 def test_generator_sweep_needs_the_unit_laws():
