@@ -308,7 +308,8 @@ class Bicharacter:
 
 
 class Subgroup:
-    """A subgroup with generators and the full enumerated element set."""
+    """A subgroup: elements that generate it (``perp`` and ``quotient`` read
+    only these), and its full enumerated element set."""
 
     __slots__ = ("group", "generators", "element_set")
 
@@ -418,8 +419,8 @@ def perp(sub: Subgroup) -> Subgroup:
     e = G.exponent
     # testing on generators suffices since characters are homomorphisms;
     # a(s) = sum_i a_i s_i (e / orders_i) / e
-    test_points = [tuple(s * (e // o) for s, o in zip(r, G.orders)) for r in
-                   ([g.residues for g in sub.generators] or sorted(sub.element_set))]
+    test_points = [tuple(s * (e // o) for s, o in zip(g.residues, G.orders))
+                   for g in sub.generators]
     members = [a for a in dual.elements()
                if not any(sum(map(operator.mul, a.residues, s)) % e for s in test_points)]
     return Subgroup._of_members(dual, members)
@@ -448,8 +449,6 @@ def quotient(G: FinAbGroup, sub: Subgroup) -> QuotientMap:
         q = FinAbGroup(())
         return QuotientMap(q, Homomorphism(G, q, ()), [])
     gens = [list(g.residues) for g in sub.generators]
-    if not gens and sub.order > 1:
-        gens = [list(r) for r in sorted(sub.element_set)]
     # relation matrix: columns are diag(orders) plus subgroup generators
     M = [[G.orders[i] * int(i == j) for j in range(n)] + [g[i] for g in gens]
          for i in range(n)]

@@ -27,7 +27,7 @@ do not cancel exactly.
 
 ``Cyclo`` is used only where a field inverse is taken or a ``Cyclo``
 table is built.  ``Echelon``, the one incremental Gauss-Jordan
-elimination (rank, ``invert_columns``, ``grade_by_action`` and the
+elimination (rank, ``grade_by_action``'s basis and its inverse, and the
 antipode's Krylov fallback), accumulates (key, Cyclo) terms with
 ``lc_add_scaled``, which drops zeros.  Monomial dual-group actions are
 validated and projected onto isotypic components by ``validated_action``
@@ -302,8 +302,8 @@ class StructBialgebra:
             value = parsed[key] = Cyclo.from_ratios(N, ratios)
             return value
 
-        def terms(value, width: int, what: str):
-            return (_array(t, width, what) for t in _array(value, None, what))
+        def terms(value, width: int, what: str, container: str):
+            return (_array(t, width, what) for t in _array(value, None, container))
 
         def distinct(entries: tuple, width: int, what: str) -> tuple:
             # a repeated index would make the entry ambiguous
@@ -312,16 +312,17 @@ class StructBialgebra:
             return entries
 
         mult = [[() if cell == [] else
-                 distinct(tuple((index(k), coeff(c)) for k, c in terms(cell, 2, "mult term")),
+                 distinct(tuple((index(k), coeff(c))
+                                for k, c in terms(cell, 2, "mult term", "mult cell")),
                           1, "mult cell")
                  for cell in _array(row, dim, "mult row")]
                 for row in _array(data["mult"], dim, "mult")]
         comult = [distinct(tuple((index(j), index(k), coeff(c))
-                                 for j, k, c in terms(entry, 3, "comult term")),
+                                 for j, k, c in terms(entry, 3, "comult term", "comult entry")),
                            2, "comult entry")
                   for entry in _array(data["comult"], dim, "comult")]
         unit = dict(distinct(tuple((index(k), coeff(c))
-                                   for k, c in terms(data["unit"], 2, "unit term")),
+                                   for k, c in terms(data["unit"], 2, "unit term", "unit")),
                              1, "unit"))
         counit = [coeff(c) for c in _array(data["counit"], dim, "counit")]
         grading = group = beta = None
@@ -444,13 +445,12 @@ def _add_terms(acc: dict, x, e0: int, r0, N: int) -> None:
         acc[key] = acc.get(key, 0) + r0 * r
 
 
-def _add_mapped(acc: dict, x, columns, sign: int, N: int) -> None:
-    """acc += sign times the image of x under e_a -> columns[a]."""
+def _add_mapped(acc: dict, x, columns, N: int) -> None:
+    """acc += the image of x under e_a -> columns[a]."""
     for a, ea, ra in x:
-        f = sign * ra
         for k, e, r in columns[a]:
             key = (k, (ea + e) % N)
-            acc[key] = acc.get(key, 0) + f * r
+            acc[key] = acc.get(key, 0) + ra * r
 
 
 def _add_product(acc: dict, x, y, mult, e0: int, r0, N: int) -> None:
@@ -701,16 +701,16 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
         _add_terms(acc, (((0, i), 0, 1), ((1, i), 0, 1)), 0, -1, N)
 
     def counit_of_unit(acc):
-        _add_mapped(acc, unit, counit, 1, N)
+        _add_mapped(acc, unit, counit, N)
         _add_terms(acc, (((), 0, 1),), 0, -1, N)
 
     def counit_multiplicative(acc, i, j):
-        _add_mapped(acc, mult[i][j], counit, 1, N)
+        _add_mapped(acc, mult[i][j], counit, N)
         for _, e, r in counit[i]:
             _add_terms(acc, counit[j], e, -r, N)
 
     def unit_comultiplicative(acc):
-        _add_mapped(acc, unit, comult, 1, N)
+        _add_mapped(acc, unit, comult, N)
         _add_tensor(acc, unit, unit, 0, -1, N)
 
     twist = _twist_table(H) if mode == "color" else [[0] * n] * n
@@ -725,7 +725,7 @@ def check_axioms(H: StructBialgebra, mode: str = "plain") -> dict:
             for (a, b), e1, r1 in comult[i]:
                 for a2, x in nonempty[a]:
                     index.setdefault(a2, []).append((x, mult[b], e1 + twist[b][a2], r1))
-        _add_mapped(acc, mult[i][j], comult, 1, N)
+        _add_mapped(acc, mult[i][j], comult, N)
         for (a2, b2), e2, r2 in comult[j]:
             for x, row_b, e1, r1 in index.get(a2, ()):
                 y = row_b[b2]
@@ -825,7 +825,7 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
     identity = [((i, 0, 1),) for i in range(n)]
     # id^{*m} as term columns, from id^{*0} = eta epsilon: e_i -> epsilon(e_i) 1
     # maps through ``unit`` as the column of the counit's one key ()
-    powers = [_term_columns(_sum(_add_mapped, c, {(): unit}, 1, N) for c in counit),
+    powers = [_term_columns(_sum(_add_mapped, c, {(): unit}, N) for c in counit),
               identity]
 
     def power(m: int) -> list:
@@ -904,12 +904,12 @@ def verify_color_antipode(H: StructBialgebra, S: list) -> bool:
 
     def anti_multiplicative(acc, i, j):
         # S(e_i e_j) - beta(|i|, |j|) S(e_j) S(e_i)
-        _add_mapped(acc, mult[i][j], cols, 1, N)
+        _add_mapped(acc, mult[i][j], cols, N)
         _add_product(acc, cols[j], cols[i], mult, twist[i][j], -1, N)
 
     def braided_comultiplicative(acc, i):
         # Delta(S(e_i)) - sum r zeta^e beta(|j|, |k|) S(e_k) (x) S(e_j)
-        _add_mapped(acc, cols[i], comult, 1, N)
+        _add_mapped(acc, cols[i], comult, N)
         for (j, k), e, r in comult[i]:
             _add_tensor(acc, cols[k], cols[j], e + twist[j][k], -r, N)
 
@@ -928,24 +928,6 @@ def matrix_rank(columns: list[dict]) -> int:
     for col in columns:
         echelon.add(col)
     return len(echelon.rows)
-
-
-def invert_columns(columns: list[dict], dim: int, one: Cyclo) -> list[dict]:
-    """Inverse of the matrix whose j-th column is ``columns[j]`` (sparse).
-
-    Gauss-Jordan with exact arithmetic; raises ZeroDivisionError on
-    singular input.  Returns the inverse, again as a list of columns.
-    """
-    echelon = Echelon()
-    for j, col in enumerate(columns):
-        if echelon.add(col, {j: one}) is not None:
-            raise ZeroDivisionError("matrix is singular")
-    if len(echelon.rows) != dim:
-        raise ZeroDivisionError("matrix is singular")
-    # full rank: each row is e_pivot = sum_j tags[j] columns[j], so its
-    # tags are column ``pivot`` of the inverse
-    inverse = {pivot: tags for pivot, _, tags in echelon.rows}
-    return [inverse[c] for c in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -1091,24 +1073,29 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
     mats = validated_action(n, action, group)
     scal_orders = [s.den for _, m in mats for s in m.scal]
     N = math.lcm(H.conductor, group.exponent, *scal_orders)
-    T: list[dict] = []
+    cols: list = []  # the kept columns T e_0, T e_1, ... as terms
     degrees: list = []
     echelon = Echelon()
+    one = Cyclo.one(N)
     for g in group.elements():
         for j in range(n):
+            # tagged with its index in T, should it be kept
             col = projector_column(mats, group, g, j, N)
-            if echelon.add(col) is None:
-                T.append(col)
+            if echelon.add(col, {len(cols): one}) is None:
+                cols.append(_combo_terms(col.items(), N))
                 degrees.append(g)
-    if len(T) != n:
+    if len(cols) != n:
         raise ActionError(
-            f"projector images span dimension {len(T)} != {n}; "
+            f"projector images span dimension {len(cols)} != {n}; "
             "the table is not a group action")
-    cols = [_combo_terms(col.items(), N) for col in T]
+    # full rank: the row with pivot k is e_k = sum_j tags[j] T e_j, so its
+    # tags are column k of T^-1
+    T_inv = [_combo_terms(tags.items(), N) for _, _, tags in sorted(
+        echelon.rows, key=lambda row: row[0])]
 
     def eigenvector(acc, rho, a, g, col):
         # rho(a) col - a(g) col
-        _add_mapped(acc, col, rho, 1, N)
+        _add_mapped(acc, col, rho, N)
         _add_terms(acc, col, _exponent(Character(group, a.residues)(g), N), -1, N)
 
     # every chosen column must be a genuine simultaneous eigenvector
@@ -1118,17 +1105,16 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
             raise ActionError(
                 "projector image is not an eigenvector; the table is not "
                 "a group action")
-    T_inv = [_combo_terms(col.items(), N) for col in invert_columns(T, n, Cyclo.one(N))]
     mult, comult, unit, counit, _ = _term_tables(H.lifted(N))
 
     def product(acc, a, b):
         # T^-1 (T e_a T e_b)
         prod = _sum(_add_product, cols[a], cols[b], mult, 0, 1, N)
-        _add_mapped(acc, ((k, e, w) for (k, e), w in prod.items()), T_inv, 1, N)
+        _add_mapped(acc, ((k, e, w) for (k, e), w in prod.items()), T_inv, N)
 
     def coproduct(acc, a):
         # (T^-1 (x) T^-1) Delta(T e_a)
-        for ((j, k), e), w in _sum(_add_mapped, cols[a], comult, 1, N).items():
+        for ((j, k), e), w in _sum(_add_mapped, cols[a], comult, N).items():
             _add_tensor(acc, T_inv[j], T_inv[k], e, w, N)
 
     def cyclo(equation, *t) -> dict:
@@ -1140,8 +1126,8 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
               for a in range(n)],
         comult=[tuple((j, k, c) for (j, k), c in sorted(cyclo(coproduct, a).items()))
                 for a in range(n)],
-        unit=cyclo(_add_mapped, unit, T_inv, 1, N),
-        counit=[cyclo(_add_mapped, col, counit, 1, N).get((), Cyclo.zero(N))
+        unit=cyclo(_add_mapped, unit, T_inv, N),
+        counit=[cyclo(_add_mapped, col, counit, N).get((), Cyclo.zero(N))
                 for col in cols],
         grading=tuple(degrees), group=group, beta=beta)
 
@@ -1165,19 +1151,19 @@ def _morphism_check(H: StructBialgebra, cols: list) -> bool:
     mult, comult, unit, counit, _ = _term_tables(H)
 
     def unital(acc):
-        _add_mapped(acc, unit, cols, 1, N)
+        _add_mapped(acc, unit, cols, N)
         _add_terms(acc, unit, 0, -1, N)
 
     def counital(acc, i):
-        _add_mapped(acc, cols[i], counit, 1, N)
+        _add_mapped(acc, cols[i], counit, N)
         _add_terms(acc, counit[i], 0, -1, N)
 
     def multiplicative(acc, i, j):
-        _add_mapped(acc, mult[i][j], cols, 1, N)
+        _add_mapped(acc, mult[i][j], cols, N)
         _add_product(acc, cols[i], cols[j], mult, 0, -1, N)
 
     def comultiplicative(acc, i):
-        _add_mapped(acc, cols[i], comult, 1, N)
+        _add_mapped(acc, cols[i], comult, N)
         for (j, k), e, r in comult[i]:
             _add_tensor(acc, cols[j], cols[k], e, -r, N)
 

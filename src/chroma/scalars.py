@@ -489,14 +489,7 @@ class Cyclo:
         return Cyclo._make(self.N, nums, d * e)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        if self.N != other.N:
-            raise _conductor_mismatch(self, other)
-        d, e = self.den, other.den
-        if d == e:
-            nums = tuple([a - b for a, b in zip(self.nums, other.nums)])
-            return Cyclo._make(self.N, nums, d)
-        nums = tuple([a * e - b * d for a, b in zip(self.nums, other.nums)])
-        return Cyclo._make(self.N, nums, d * e)
+        return self + -other
 
     def __neg__(self) -> "Cyclo":
         return Cyclo._make(self.N, tuple([-a for a in self.nums]), self.den)

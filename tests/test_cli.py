@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,18 @@ def test_aut_ext_malformed_group_exits_2(L, message, tmp_path, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+def test_aut_ext_enumeration_past_the_limit_exits_2_at_once(tmp_path, capsys):
+    """C11 is past ``AUT_ENUM_LIMIT``: rejected before any of its 11! image
+    tables is tried (trying them all takes about 20 s)."""
+    payload = {"L": {"cyclic": 11}, "Gamma": {"cyclic": 1},
+               "lact": [[l] for l in range(11)], "ract": [[0]] * 11}
+    start = time.perf_counter()
+    code, captured = _run_malformed("aut-ext", payload, tmp_path, capsys, "--enumerate-aut")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert captured.err == "error: automorphism enumeration is limited to order 10\n"
+
+
 @pytest.mark.parametrize("command", ["aut-ext", "check-extension"])
 @pytest.mark.parametrize("key, table", [
     ("lact", [[0, 0], [1, 9]]),
@@ -420,7 +433,22 @@ def test_verify_non_array_mult_cell_exit_2(cell, tmp_path, capsys):
         mutated["mult"][i][j] = cell
         code, captured = _run_malformed("verify", mutated, tmp_path, capsys)
         assert code == 2
-        assert captured.err == "error: mult term must be an array\n"
+        assert captured.err == "error: mult cell must be an array\n"
+
+
+@pytest.mark.parametrize("value", [{}, 5], ids=["object", "int"])
+def test_verify_non_array_container_named_as_itself_exit_2(value, tmp_path, capsys):
+    """A comult entry or the unit that is no array is named as itself, like
+    a mult cell; a term in a cell, an entry or the unit that is no array
+    keeps the term's name."""
+    for payload, message in (
+            (_c2_group_algebra(comult0=value), "comult entry must be an array"),
+            (_c2_group_algebra(unit=value), "unit must be an array"),
+            (_c2_group_algebra(mult00=[value]), "mult term must be an array of length 2"),
+            (_c2_group_algebra(comult0=[value]), "comult term must be an array of length 3"),
+            (_c2_group_algebra(unit=[value]), "unit term must be an array of length 2")):
+        code, captured = _run_malformed("verify", payload, tmp_path, capsys)
+        assert (code, captured.err) == (2, f"error: {message}\n")
 
 
 def test_rank_zero_datum_exits_2_when_parsed(tmp_path, capsys):
@@ -675,10 +703,10 @@ def _c2_pair(**entries) -> dict:
                  "lact": [[0, 0], [1, 1]], "ract": [[0, 1], [0, 1]]}, **entries)
 
 
-def _run_malformed(command, payload, tmp_path, capsys):
+def _run_malformed(command, payload, tmp_path, capsys, *options):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
-    code = main([command, "--input", str(path)])
+    code = main([command, "--input", str(path), *options])
     return code, capsys.readouterr()
 
 
@@ -771,16 +799,54 @@ _MUL_MESSAGE = "ring mul must be an array of shape 3 x 3 of element indices belo
     ({"sigma": [[["1/2"]]]}, "a ring input takes no matched-pair key: sigma"),
     ({"action": 5, "group": {"orders": [7]}},
      "a ring input takes no matched-pair key: group, action"),
+    # 2 * 2 = 0: associative, but (1 + 1) * 2 != 1 * 2 + 1 * 2
+    ({"ring": {"orders": [3], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 0]]}},
+     "right distributivity fails"),
 ], ids=["mul-int", "mul-string", "mul-out-of-range", "mul-negative", "ring-int",
         "orders-string", "nu-short", "psi-short", "psi-out-of-range",
         "phi-out-of-range", "phi-flat", "theta-short", "eta-short", "eta-int",
         "nu-not-unit", "nu-not-homomorphism", "nu-not-unital", "psi-not-normalized",
         "psi-not-cocycle", "phi-not-normalized", "phi-not-cocycle", "eta-at-0",
         "theta-at-0", "theta-not-trace-symmetric", "theta-squared-not-bimultiplicative",
-        "sigma-key", "action-key"])
+        "sigma-key", "action-key", "mul-not-right-distributive"])
 def test_malformed_ring_family_exits_2(entries, message, tmp_path, capsys):
     code, captured = _run_malformed("check-extension", _ring_payload(**entries),
                                     tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _rank2(**entries) -> dict:
+    return dict(cases.rank2_c3_datum().to_json(), **entries)
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["check-datum"], _rank2(q=[["q", "1"], ["1"]]), "scalar matrix must be square"),
+    (["triangular"], {"group": {"orders": [3]}, "beta": [["1/3", "0/1"]]},
+     "bicharacter matrix has wrong shape"),
+    (["orbit", "--max-nodes", "0"], _rank2(), "max_nodes must be >= 1"),
+    (["aut-ext"], _c2_pair(L={"table": [[0, 1], [1]]}, g=[0, 1], h=[0, 1]),
+     "Cayley table must be square"),
+    (["aut-ext"], _c2_pair(L={"table": [[0, 0], [0, 0]]}, g=[0, 1], h=[0, 1]),
+     "table has no identity"),
+    # each element its own inverse, but (1 1) 2 = 2 and 1 (1 2) = 1
+    (["aut-ext"], _c2_pair(L={"table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]},
+                           g=[0, 1, 2], h=[0, 1]),
+     "table is not associative"),
+    (["aut-ext"], _c2_pair(g=[0, 0], h=[0, 1]), "not a bijection"),
+    (["aut-ext"], _c2_pair(g=[1, 0], h=[0, 1]), "not a homomorphism"),
+    (["check-extension"], _c2_pair(z=[[[0], [0]]], **_GRADED_C2),
+     "z table has the wrong shape"),
+    (["verify"], dict(_c2_group_algebra(), dim=-1), "dim must be a nonnegative integer, not -1"),
+    (["verify"], dict(_c2_group_algebra(), mode="bogus"), "mode must be 'plain' or 'color'"),
+    (["verify"], dict(_c2_group_algebra(), mode="color"),
+     "color mode needs grading and braiding data"),
+], ids=["q-ragged", "beta-shape", "max-nodes-0", "table-not-square", "table-no-identity",
+        "table-not-associative", "g-not-bijection", "g-not-homomorphism", "z-shape",
+        "dim-negative", "mode-bogus", "color-mode-ungraded"])
+def test_input_rejection_exits_2(argv, payload, message, tmp_path, capsys):
+    code, captured = _run_malformed(argv[0], payload, tmp_path, capsys, *argv[1:])
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

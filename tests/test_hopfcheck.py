@@ -19,9 +19,8 @@ from chroma.groups import Bicharacter, FinAbGroup
 from chroma.hopfcheck import (ActionError, Echelon, MonomialMatrix, StructBialgebra,
                               antipode_matrix_invertible, bosonize,
                               bosonization_antipode_formula, check_axioms,
-                              check_flip, grade_by_action, invert_columns,
-                              is_bialgebra_morphism, lc_add_scaled,
-                              lift_cyclo, matrix_rank, solve_antipode,
+                              check_flip, grade_by_action, is_bialgebra_morphism,
+                              lc_add_scaled, lift_cyclo, matrix_rank, solve_antipode,
                               verify_color_antipode, _combo_terms, _nonzero_keys, _terms)
 from chroma.scalars import (Cyclo, R01_HALF, R01_ZERO, Rational01,
                             cyclotomic_polynomial)
@@ -432,13 +431,18 @@ def combination(*scaled) -> dict:
 
 @pytest.mark.parametrize("N", [1, 3, 12, 21])
 def test_invert_columns_and_rank(N):
+    """Echelon's tags invert a full-rank set of columns: the row with pivot
+    k holds column k of the inverse, as ``grade_by_action`` reads it; a
+    column in the span of earlier ones comes back as its dependency."""
     rng = random.Random(f"echelon:{N}")
     n = 5
     one = Cyclo.one(N)
     # a sparse draw can be singular: take the first of 20 draws of full rank
     A = next(A for A in (random_columns(rng, N, n, n) for _ in range(20))
              if matrix_rank(A) == n)
-    inv = invert_columns(A, n, one)
+    echelon = Echelon()
+    assert all(echelon.add(col, {j: one}) is None for j, col in enumerate(A))
+    inv = [tags for _, _, tags in sorted(echelon.rows, key=lambda row: row[0])]
     for j in range(n):
         # inv A e_j = e_j and A inv e_j = e_j
         assert combination(*((inv[i], c) for i, c in A[j].items())) == {j: one}
@@ -451,10 +455,10 @@ def test_invert_columns_and_rank(N):
     assert matrix_rank([]) == 0
     singular = A[:-1] + [combination((A[0], w), (A[2], -one))]
     assert matrix_rank(singular) == n - 1
-    with pytest.raises(ZeroDivisionError):
-        invert_columns(singular, n, one)
-    with pytest.raises(ZeroDivisionError):
-        invert_columns(A[:-1], n, one)
+    echelon = Echelon()
+    *kept, dependency = [echelon.add(col, {j: one}) for j, col in enumerate(singular)]
+    assert kept == [None] * (n - 1) and len(echelon.rows) == n - 1
+    assert dependency and combination(*((singular[i], c) for i, c in dependency.items())) == {}
 
 
 @pytest.mark.parametrize("N", [1, 3, 12, 21])
