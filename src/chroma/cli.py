@@ -240,7 +240,9 @@ def _dumps(obj) -> str:
     str, exact ints, bools and None, nested under 64 deep; anything else
     hands the whole object to ``json.dumps``.  A list of exact ints is
     rendered by one join, memoised by object within its depth (by ``id``,
-    one dict per depth) and looked up in the parent's loop.
+    one dict per depth) and looked up in the parent's loop, which writes a
+    str item itself.  A join costs more than that loop on the short str
+    lists of the reports (the 4-entry rows of q and beta).
     """
     chunks, memos = [], defaultdict(dict)  # depth -> {id of an int list: its text}
     put, quote = chunks.append, json.encoder.encode_basestring_ascii
@@ -262,7 +264,9 @@ def _dumps(obj) -> str:
             memo, sep, comma = memos[depth + 1], "[" + _PADS[depth + 1], "," + _PADS[depth + 1]
             for v in o:
                 put(sep)
-                if text := memo.get(id(v)):
+                if type(v) is str:
+                    put(quote(v))
+                elif text := memo.get(id(v)):
                     put(text)
                 else:
                     emit(v, depth + 1)

@@ -977,7 +977,7 @@ def _json_dumps(obj) -> str:
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
-    | st.lists(st.integers(-3, 3), max_size=4),
+    | st.lists(st.integers(-3, 3), max_size=4) | st.lists(st.text(), max_size=4),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
     max_leaves=30)
@@ -988,9 +988,13 @@ _json_values = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]]]})
 @example(["\x00\x1f\u00e9\u2028\U0001f600\"\\/", -(2 ** 80), 2 ** 80, True, False, None])
 @example([[1, 2], {"x": [1, 2], "y": [[1, 2]]}, (1, 2), [1, True], [0, -0]])
+@example(["q", ["q^-1", "1"], {"s": ["", "-1*q"], "t": [["\u00e9", "\U0001f600"]]}])
+@example([["\"", "\\", "\n\t\x7f", "\u2028"], ("", ""), [""], {"": [""]}])
+@example([["a", 1], [1, "a"], ["a", None], ["a", ["b"]], ("a", 2, "b"), ["1", 1]])
 def test_emitter_matches_json_dumps(value):
     """The emitter against ``json.dumps`` on JSON values: the same int list
-    at several depths, tuples, bools among ints, unicode and controls."""
+    at several depths, tuples, bools among ints, str lists at several depths
+    and mixed with other values, unicode, escapes and controls."""
     assert cli._dumps(value) == _json_dumps(value)
 
 

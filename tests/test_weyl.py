@@ -190,6 +190,73 @@ def test_orbit_reflects_each_undirected_edge_once(monkeypatch, max_nodes):
     assert check_consistent_coloring(orb)
 
 
+def test_consistency_check_reflects_every_edge(monkeypatch):
+    """The check recomputes every stored edge, the reverse edges included,
+    whatever the kernel memoises."""
+    orb = weyl_orbit(cases.rank4_klein_datum())
+    calls = []
+    reflect = _OrbitKernel.reflect
+
+    def counting(self, key, payload, p):
+        calls.append((key, p))
+        return reflect(self, key, payload, p)
+
+    monkeypatch.setattr(_OrbitKernel, "reflect", counting)
+    assert check_consistent_coloring(orb)
+    assert len(calls) == len(orb.edges) == 1440
+
+
+def rank4_c12_datum():
+    """The rank-4 reference matrix recoloured over C12 (D = 12): its 1440
+    edges hold 1440 distinct twisted planes."""
+    G = FinAbGroup.of(12)
+    return Datum(cases.rank4_klein_datum().q, G, Bicharacter(G, [[Rational01(1, 12)]]),
+                 tuple(G.element((r,)) for r in (1, 5, 7, 2)))
+
+
+@pytest.mark.parametrize("make", [cases.rank4_klein_datum, rank4_c12_datum])
+def test_orbit_edges_match_fresh_kernel_reflections(make):
+    """Every edge of one search, which reuses its kernel's memoised Cartan
+    rows and plane reflections, is the reflection that ``reflect_datum``
+    computes in a fresh kernel."""
+    orb = weyl_orbit(make())
+    assert len(orb.nodes) == 360 and len(orb.edges) == 1440
+    for src, p, tgt in orb.edges:
+        got = reflect_datum(orb.nodes[src], p)
+        assert got == orb.nodes[tgt]
+        assert got.qt == orb.nodes[tgt].qt and got.xi == orb.nodes[tgt].xi
+
+
+def test_kernel_memos_key_on_the_cartan_row():
+    """Two data with equal root and twisted planes but different exponent
+    planes, so different Cartan rows at 0 ([2, -1] against [2, 0]): one
+    kernel reflects both as the oracle does."""
+    G = cases.c3_group()
+    m1, one, q = Scalar.minus_one(), Scalar.one(), Scalar.variable("q")
+    data = [Datum(BraidingMatrix([[m1, x], [one, m1]]), G, cases.c3_beta(),
+                  (G.generator(0), G.identity())) for x in (q, one)]
+    kernel = _OrbitKernel(data)
+    encoded = [kernel.encode(E) for E in data]
+    assert encoded[0][0][:4] == encoded[1][0][:4] and encoded[0][1] == encoded[1][1]
+    assert [kernel.cartan_row(key, 0) for key, _ in encoded] == [[2, -1], [2, 0]]
+    for E, (key, payload) in zip(data, encoded):
+        reflected = kernel.reflect(key, payload, 0)
+        assert reflected is not None
+        got, want = kernel.datum(*reflected), oracle_reflect(E, 0)
+        assert got == want and got.qt == want.qt
+
+
+def test_new_kernel_starts_with_empty_memos():
+    E = cases.rank4_klein_datum()
+    used = _OrbitKernel([E])
+    key, payload = used.encode(E)
+    used.datum(*used.reflect(key, payload, 0))
+    memos = ("_rows", "_reflected", "_beta_planes", "_scalars", "_elements")
+    assert all(getattr(used, m) for m in memos)
+    fresh = _OrbitKernel([E])
+    assert not any(getattr(fresh, m) for m in memos)
+
+
 def test_orbit_truncation_flag():
     orb = weyl_orbit(cases.rank4_klein_datum(), max_nodes=5)
     assert orb.truncated
