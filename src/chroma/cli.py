@@ -229,6 +229,7 @@ def _cmd_aut_ext(data: dict, args):
 
 
 _PADS = tuple("\n" + "  " * depth for depth in range(64))  # newline, indent of a depth
+_TABLE_ROWS = 16
 
 
 def _dumps(obj) -> str:
@@ -239,13 +240,57 @@ def _dumps(obj) -> str:
     ``indent`` is set.  This one handles str-keyed dicts, lists, tuples,
     str, exact ints, bools and None, nested under 64 deep; anything else
     hands the whole object to ``json.dumps``.  A list of exact ints is
-    rendered by one join, memoised by object within its depth (by ``id``,
-    one dict per depth) and looked up in the parent's loop, which writes a
-    str item itself.  A join costs more than that loop on the short str
-    lists of the reports (the 4-entry rows of q and beta).
+    rendered by one join; a list's loop writes a str item itself.
+
+    A table (``_TABLE_ROWS`` or more equal-length rows, each column only
+    str, only exact ints or only nonempty exact-int lists) is rendered by
+    columns from C-level maps: one quote per distinct str, one join per
+    int list object within its depth (``id`` keys, one memo per depth), and
+    the separators put in by slice assignment.  Anything else takes the
+    loop, which is faster on small tables (2x on 4 x 4 str).
     """
     chunks, memos = [], defaultdict(dict)  # depth -> {id of an int list: its text}
     put, quote = chunks.append, json.encoder.encode_basestring_ascii
+
+    def int_list(o, depth):
+        text = ("," + _PADS[depth + 1]).join(map(repr, o))
+        return f"[{_PADS[depth + 1]}{text}{_PADS[depth]}]"
+
+    def column(cells, depth):
+        """The texts of one table column at ``depth``, or None."""
+        kinds = set(map(type, cells))
+        if kinds == {str}:
+            return list(map({v: quote(v) for v in set(cells)}.__getitem__, cells))
+        if kinds == {int}:
+            return list(map(repr, cells))
+        if not kinds <= {list, tuple}:
+            return None
+        memo, ids = memos[depth], list(map(id, cells))
+        for key, cell in dict(zip(ids, cells)).items():
+            if key not in memo:
+                if not cell or set(map(type, cell)) != {int}:
+                    return None
+                memo[key] = int_list(cell, depth)
+        return list(map(memo.__getitem__, ids))
+
+    def table(rows, depth):
+        """Emit ``rows`` as a table at ``depth``; False when it is not one."""
+        width = 2 * len(rows[0])
+        if (not width or not set(map(type, rows)) <= {list, tuple}
+                or set(map(len, rows)) != {width // 2}):
+            return False
+        texts = [column(cells, depth + 2) for cells in zip(*rows)]
+        if None in texts:
+            return False
+        pad, inner = _PADS[depth + 1], _PADS[depth + 2]
+        pieces = ["," + inner] * (width * len(rows))
+        pieces[::width] = [pad + "]," + pad + "[" + inner] * len(rows)
+        pieces[0] = "[" + pad + "[" + inner
+        for k, col in enumerate(texts):
+            pieces[2 * k + 1::width] = col
+        chunks.extend(pieces)
+        put(pad + "]" + _PADS[depth] + "]")
+        return True
 
     def emit(o, depth):
         kind = type(o)
@@ -258,16 +303,16 @@ def _dumps(obj) -> str:
         elif not o and kind in (dict, list, tuple):
             put("{}" if kind is dict else "[]")
         elif kind in (list, tuple) and type(o[0]) is int and all(type(v) is int for v in o):
-            text = ("," + _PADS[depth + 1]).join(map(repr, o))
-            put(memos[depth].setdefault(id(o), f"[{_PADS[depth + 1]}{text}{_PADS[depth]}]"))
+            put(int_list(o, depth))
+        elif (kind in (list, tuple) and len(o) >= _TABLE_ROWS and type(o[0]) in (list, tuple)
+              and table(o, depth)):
+            pass
         elif kind in (list, tuple):
-            memo, sep, comma = memos[depth + 1], "[" + _PADS[depth + 1], "," + _PADS[depth + 1]
+            sep, comma = "[" + _PADS[depth + 1], "," + _PADS[depth + 1]
             for v in o:
                 put(sep)
                 if type(v) is str:
                     put(quote(v))
-                elif text := memo.get(id(v)):
-                    put(text)
                 else:
                     emit(v, depth + 1)
                 sep = comma

@@ -10,6 +10,7 @@ data (A, K, gamma') that classifies the associated triangular structure.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -23,29 +24,41 @@ class NotCommutationFactor(ValueError):
 
 
 class CocycleTable:
-    """A table (x, y) -> root-of-unity exponent on a finite abelian group."""
+    """A table (x, y) -> root-of-unity exponent on a finite abelian group,
+    kept as the sorted residues (the report's order) and the row-major
+    list of values over them, x the row.  ``table`` is that list, or a
+    dict on every pair, put in that order once."""
 
-    __slots__ = ("group", "_table")
+    __slots__ = ("group", "_residues", "_values")
 
-    def __init__(self, group: FinAbGroup, table: dict):
+    def __init__(self, group: FinAbGroup, table: dict | list):
         self.group = group
-        self._table = dict(table)
+        self._residues = residues = list(itertools.product(*map(range, group.orders)))
+        if len(table) != len(residues) ** 2:
+            raise ValueError("a cocycle table has one value per pair of elements")
+        self._values = ([table[x, y] for x in residues for y in residues]
+                        if isinstance(table, dict) else list(table))
 
     def value(self, x: Element, y: Element) -> Rational01:
-        return self._table[(x.residues, y.residues)]
+        i = j = 0
+        for a, b, o in zip(x.residues, y.residues, self.group.orders):
+            i, j = i * o + a, j * o + b
+        return self._values[i * len(self._residues) + j]
 
     def items(self):
-        return self._table.items()
+        """((x, y), value) pairs in sorted (x, y) order."""
+        return zip(itertools.product(self._residues, repeat=2), self._values)
 
     def to_json(self) -> list:
-        """Rows [x, y, str(value)] in sorted (x, y) order.  Rows share one
-        list per residue and one str per distinct value object; the sort
-        is a linear pass over a table built in this order."""
-        lists = {g.residues: list(g.residues) for g in self.group.elements()}
-        distinct = {id(v): v for v in self._table.values()}
-        texts = {key: str(v) for key, v in distinct.items()}
-        return [[lists[x], lists[y], texts[id(v)]]
-                for (x, y), v in sorted(self._table.items())]
+        """Rows [x, y, str(value)] in sorted (x, y) order, with no sort:
+        rows share one list per residue and one str per distinct value
+        object, and are zipped from three columns."""
+        values = self._values
+        texts = {key: str(v) for key, v in dict(zip(map(id, values), values)).items()}
+        lists = [list(r) for r in self._residues]
+        n = len(lists)
+        xs = itertools.chain.from_iterable(map(itertools.repeat, lists, itertools.repeat(n)))
+        return list(map(list, zip(xs, lists * n, map(texts.__getitem__, map(id, values)))))
 
 
 def drinfeld_u(beta: Bicharacter) -> dict[Element, Rational01]:
@@ -99,19 +112,18 @@ def scheunert_cocycle(beta_p: Bicharacter) -> CocycleTable:
     n = G.rank
     if any(ints[i][i] % e for i in range(n)):
         raise ValueError("diagonal of the bicharacter must be trivial")
-    residues = sorted(x.residues for x in G.elements())   # the report's order
-    roots = {0: R01_ZERO}   # exponent over e -> its Rational01, built once
-    table = {}
-    for x in residues:
-        # gamma(x, y) = sum_j row[j] y_j / e with row[j] = sum_{i>j} x_i B_ij
-        row = [sum(x[i] * ints[i][j] for i in range(j + 1, n)) for j in range(n)]
-        for y in residues:
-            v = sum(map(operator.mul, row, y)) % e
-            root = roots.get(v)
-            if root is None:
-                root = roots[v] = Rational01(v, e)
-            table[(x, y)] = root
-    return CocycleTable(G, table)
+    exps = []
+    for x in itertools.product(*map(range, G.orders)):   # sorted: the report's order
+        # gamma(x, y) = sum_j row[j] y_j / e with row[j] = sum_{i>j} x_i B_ij,
+        # expanded over y one coordinate at a time, the first slowest
+        row = [0]
+        for j, o in enumerate(G.orders):
+            c = sum(x[i] * ints[i][j] for i in range(j + 1, n))
+            row = [v + c * r for v in row for r in range(o)]
+        exps += row
+    exps = [v % e for v in exps]
+    roots = {v: Rational01(v, e) if v else R01_ZERO for v in set(exps)}
+    return CocycleTable(G, list(map(roots.__getitem__, exps)))
 
 
 def _check_reduction(bk: Bicharacter, beta_p: Bicharacter, qm: QuotientMap) -> None:

@@ -343,12 +343,14 @@ def check_consistent_coloring(orbit: OrbitGraph) -> bool:
 
     The public nodes are encoded afresh, so a node altered after the
     search is caught; a node on another group or beta fails outright.
+    Every node's twisted matrix is compared with the twist of its q and
+    degrees, so a node without edges is checked too.
     """
     if not orbit.nodes:
         return not orbit.edges
     kernel = _OrbitKernel(orbit.nodes)
     encoded = [kernel.encode(node) for node in orbit.nodes]
-    if None in encoded:
+    if None in encoded or any(payload != kernel.twist(key) for key, payload in encoded):
         return False
     for src, p, tgt in orbit.edges:
         try:

@@ -5,6 +5,8 @@ Each job of the four ``perfbench`` workloads, on seeds 1-3, runs through
 temporary directory.  Its exit code must be the one the workload expects,
 and the sha256 of its report the recorded one: seed 1's from
 ``perfbench/digests/``, seeds 2 and 3's from ``report_digests.json`` here.
+Where ``main`` emits with ``json.dumps`` (Python 3.13 on), every report
+must also come out the same from the ``cli._dumps`` shim.
 Reports must stay byte-identical, so re-record only for a deliberate
 change of a report, and say so:
 
@@ -61,11 +63,22 @@ def recorded(workload: str, seed: int) -> dict:
 
 @pytest.mark.parametrize("seed", (1,) + HELD_OUT_SEEDS)
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_benchmark_reports_are_pinned(workload, seed, tmp_path, capsys):
+def test_benchmark_reports_are_pinned(workload, seed, tmp_path, capsys, monkeypatch):
+    shim_misses = []
+    if cli._emit is not cli._dumps:  # from 3.13 on, main emits with json.dumps
+
+        def emit_and_check_shim(report, emit=cli._emit):
+            text = emit(report)
+            if cli._dumps(report) != text:
+                shim_misses.append(report["command"])
+            return text
+
+        monkeypatch.setattr(cli, "_emit", emit_and_check_shim)
     got = reports(workload, seed, tmp_path)
     capsys.readouterr()
     assert [job for job, (code, expected, _) in got.items() if code != expected] == []
     assert {job: digest for job, (_, _, digest) in got.items()} == recorded(workload, seed)
+    assert shim_misses == []
 
 
 def record() -> None:

@@ -975,15 +975,41 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+@st.composite
+def _tables(draw):
+    """Lists of rows for the emitter's table rule and its near misses:
+    columns of str, of ints or of int lists shared from a small pool, some
+    rows tuples, row counts on both sides of the rule's minimum, and at
+    most one flaw: a bool, float, None, empty or mixed cell, or a row one
+    cell short."""
+    pool = draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    kinds = {"str": st.text(max_size=3), "int": st.integers(-3, 3),
+             "ints": st.sampled_from(pool)}
+    columns = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=4))
+    count = draw(st.sampled_from([1, 2, cli._TABLE_ROWS - 1, cli._TABLE_ROWS, 20]))
+    rows = [[draw(kinds[kind]) for kind in columns] for _ in range(count)]
+    flaw = draw(st.sampled_from([None, None, "cell", "short"]))
+    row = rows[draw(st.integers(0, count - 1))]
+    if flaw == "cell":
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.booleans() | st.floats(allow_nan=False) | st.none()
+            | st.sampled_from([[], (), [1, True], ["a", 1], [[1]]]))
+    elif flaw == "short":
+        row.pop()
+    return [tuple(row) if draw(st.booleans()) else row for row in rows]
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
-    | st.lists(st.integers(-3, 3), max_size=4) | st.lists(st.text(), max_size=4),
+    | st.lists(st.integers(-3, 3), max_size=4) | st.lists(st.text(), max_size=4)
+    | _tables(),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
     max_leaves=30)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(_json_values)
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]]]})
 @example(["\x00\x1f\u00e9\u2028\U0001f600\"\\/", -(2 ** 80), 2 ** 80, True, False, None])
@@ -994,11 +1020,18 @@ _json_values = st.recursive(
 def test_emitter_matches_json_dumps(value):
     """The emitter against ``json.dumps`` on JSON values: the same int list
     at several depths, tuples, bools among ints, str lists at several depths
-    and mixed with other values, unicode, escapes and controls."""
+    and mixed with other values, unicode, escapes and controls, and tables
+    (lists of equal-length rows) with and without a cell that breaks the
+    table rule."""
     assert cli._dumps(value) == _json_dumps(value)
 
 
 _SHARED_INTS, _SHARED_TUPLE, _SHARED_MIXED = [1, 2], (3, 4), [True, 1]
+
+
+def _table(*rows) -> list:
+    """``rows`` repeated in turn up to the emitter's minimum table size."""
+    return [rows[k % len(rows)] for k in range(cli._TABLE_ROWS)]
 
 
 @pytest.mark.parametrize("value", [
@@ -1008,9 +1041,37 @@ _SHARED_INTS, _SHARED_TUPLE, _SHARED_MIXED = [1, 2], (3, 4), [True, 1]
     [[_SHARED_INTS, 0], _SHARED_INTS, ({"e": [[_SHARED_INTS]]}, _SHARED_INTS)],
     [_SHARED_TUPLE, [_SHARED_TUPLE, _SHARED_TUPLE], {"t": _SHARED_TUPLE}],
     [_SHARED_MIXED, [_SHARED_MIXED, _SHARED_MIXED], {"m": _SHARED_MIXED}],
-], ids=["lists", "dicts", "tuples", "mixed", "tuple-of-ints", "bool-and-int"])
+    {"a": _table([_SHARED_INTS, "x"]), "b": [_table([_SHARED_INTS, "y"])], "c": _SHARED_INTS},
+    [_SHARED_INTS, _table([_SHARED_INTS, 0], [_SHARED_TUPLE, 1]),
+     [_table([[_SHARED_INTS, _SHARED_TUPLE]])]],
+], ids=["lists", "dicts", "tuples", "mixed", "tuple-of-ints", "bool-and-int",
+        "table-cells", "table-and-loop"])
 def test_emitter_renders_one_shared_object_at_each_depth(value):
-    """One object at several depths: the memo by object must keep its depth."""
+    """One object at several depths, in lists and in table columns: the
+    memo by object must keep its depth."""
+    assert cli._dumps(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    _table([True, 1], [False, 2]),
+    _table([1, 1], [2, True]),
+    _table(["a", [1, 2]], ["b", [True, 2]]),
+    _table(["a", []], ["b", [1]]),
+    _table(["a", None], ["b", "c"]),
+    _table(["a", 1.5], ["b", 2]),
+    _table(["a", 1], ["b", "c"]),
+    _table(["a", 1], ["b"]),
+    _table(("a", 1), ["b", 2]),
+    _table([[1, 2], "a", 0]),
+    _table([[1, 2], "a", 0])[1:],
+    _table([]),
+], ids=["bool-column", "bool-late", "bool-in-int-list", "empty-cell", "none-cell",
+        "float-cell", "mixed-column", "ragged", "tuple-row", "one-distinct-row",
+        "below-minimum", "empty-rows"])
+def test_emitter_table_rule_matches_json_dumps(value):
+    """Lists of rows that the table rule takes, and ones it must leave to
+    the loop: a bool is not an int, and ragged rows, mixed columns and
+    empty or mixed cells are no table."""
     assert cli._dumps(value) == _json_dumps(value)
 
 

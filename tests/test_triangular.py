@@ -181,14 +181,14 @@ def test_check_catches_each_changed_gamma_entry(orders):
     beta = Bicharacter(G, [[R01_ZERO, Rational01(1, g)], [Rational01(-1, g), R01_ZERO]])
     data = reduce_commutation_factor(beta)
     check_reduction_data(data)
-    table = data.gamma_prime._table
+    values = data.gamma_prime._values
     step = Rational01(1, data.g_prime.exponent)
-    assert len(table) == data.g_prime.order ** 2 > 1
-    for pair, value in list(table.items()):
-        table[pair] = value + step
+    assert len(values) == data.g_prime.order ** 2 > 1
+    for k, value in enumerate(list(values)):
+        values[k] = value + step
         with pytest.raises(AssertionError):
             check_reduction_data(data)
-        table[pair] = value
+        values[k] = value
     check_reduction_data(data)
 
 

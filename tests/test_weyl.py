@@ -551,3 +551,17 @@ def test_consistency_detects_corrupted_twisted_matrix():
         rows[0][1] = rows[0][1] * bad
         node.qt = ScalarMatrix(rows)
         assert not check_consistent_coloring(orb)
+
+
+def test_consistency_checks_the_twisted_matrix_of_a_node_without_edges():
+    # q_pp^n q_01 q_10 = q^(n+1) is never 1, so neither vertex reflects:
+    # the one node has no edge whose reflection would test its qt
+    E = Datum.from_json({"q": [["q", "q"], ["1", "q"]], "group": {"orders": [3]},
+                         "beta": [["1/3"]], "t": [[1], [0]]})
+    orb = weyl_orbit(E)
+    assert (len(orb.nodes), orb.edges) == (1, [])
+    assert check_consistent_coloring(orb)
+    rows = [list(r) for r in orb.nodes[0].qt.entries]
+    rows[0][1] = rows[0][1] * Scalar.zeta(3, 1)
+    orb.nodes[0].qt = ScalarMatrix(rows)
+    assert not check_consistent_coloring(orb)
