@@ -177,22 +177,16 @@ def color_retraction_count(E: Datum) -> tuple[int, int]:
     return E.group.order ** E.theta, 1
 
 
-def _square_root(target: Element) -> list[int] | None:
+def _square_root(target: Element) -> list[int]:
     """Residues of the first g in ``G.elements()`` order with g * g == target.
 
     Coordinatewise 2x = c (mod o): for odd o the unique root is c(o+1)/2;
-    for even o the roots are c/2 and c/2 + o/2 when c is even, else none.
-    The first element listed takes the least root in every coordinate.
+    for even o the roots are c/2 and c/2 + o/2.  The target is always
+    t_i^{-2}, a square, so c is even wherever o is.  The first element
+    listed takes the least root in every coordinate.
     """
-    root = []
-    for c, o in zip(target.residues, target.group.orders):
-        if o % 2:
-            root.append(c * (o + 1) // 2 % o)
-        elif c % 2:
-            return None
-        else:
-            root.append(c // 2)
-    return root
+    return [c * (o + 1) // 2 % o if o % 2 else c // 2
+            for c, o in zip(target.residues, target.group.orders)]
 
 
 def single_copy_color_check(E: Datum) -> dict:
@@ -200,8 +194,9 @@ def single_copy_color_check(E: Datum) -> dict:
 
     With a symmetric twisted matrix the products K_i L_i become central
     and can be killed; a splitting onto kG then needs pibar(K_i)^2 =
-    t_i^{-2}, and the coinvariants are color iff every t_i is an
-    involution.  When symmetry fails the other fields are suppressed.
+    t_i^{-2}, which t_i^{-1} solves, so one always exists; the coinvariants
+    are color iff every t_i is an involution.  When symmetry fails the
+    other fields are suppressed.
     """
     theta = E.theta
     qt = E.qt
@@ -211,15 +206,7 @@ def single_copy_color_check(E: Datum) -> dict:
         report["retraction_exists"] = None
         report["color"] = None
         return report
-    witness = []
-    for i in range(theta):
-        root = _square_root(E.t[i] ** (-2))
-        if root is None:
-            witness = None
-            break
-        witness.append(root)
-    report["retraction_exists"] = witness is not None
-    if witness is not None:
-        report["witness"] = witness
+    report["retraction_exists"] = True
+    report["witness"] = [_square_root(E.t[i] ** (-2)) for i in range(theta)]
     report["color"] = all((E.t[i] * E.t[i]).is_identity() for i in range(theta))
     return report

@@ -275,12 +275,18 @@ def validate_matched_pair(mp: MatchedPair) -> bool:
 
 class _Cocycle:
     """Roots of unity indexed [a][b][c]: a 2-cocycle in (b, c) of one group
-    for each element a of the other."""
+    for each element a of the other.  Built once with the table: ``den``, the
+    lcm of the values' orders, and ``ints``, the table as integer exponents
+    over ``den``, which every cocycle law, the Kac identity and the
+    conductor read."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "den", "ints")
 
     def __init__(self, table):
         self.table = tuple(tuple(tuple(row) for row in plane) for plane in table)
+        self.den = den = math.lcm(*(v.den for plane in self.table for row in plane for v in row))
+        self.ints = tuple(tuple(tuple(v.num * (den // v.den) for v in row) for row in plane)
+                          for plane in self.table)
 
     def value(self, a: int, b: int, c: int) -> Rational01:
         return self.table[a][b][c]
@@ -292,10 +298,9 @@ class _Cocycle:
 
     def _normalized(self, outer: FiniteGroup, inner: FiniteGroup) -> bool:
         """Trivial on the identity rows and columns and on the identity plane."""
-        t, e, E = self.table, inner.identity, inner.elements()
-        return (all(t[a][e][b].is_zero() and t[a][b][e].is_zero()
-                    for a in outer.elements() for b in E)
-                and all(t[outer.identity][b][c].is_zero() for b in E for c in E))
+        t, e, E = self.ints, inner.identity, inner.elements()
+        return (all(t[a][e][b] == 0 == t[a][b][e] for a in outer.elements() for b in E)
+                and all(t[outer.identity][b][c] == 0 for b in E for c in E))
 
     def mutated(self, a: int, b: int, c: int, delta: Rational01):
         table = [[list(row) for row in plane] for plane in self.table]
@@ -313,11 +318,11 @@ class SigmaCocycle(_Cocycle):
         return cls._zeros(mp.L, mp.Gamma)
 
     def validate(self, mp: MatchedPair) -> bool:
-        L, Gamma, s = mp.L, mp.Gamma, self.table
+        L, Gamma, s, D = mp.L, mp.Gamma, self.ints, self.den
         G = Gamma.elements()
-        return self._normalized(L, Gamma) and all(
-            s[l][g][h] + s[l][Gamma.mul(g, h)][k]
-            == s[mp.la(l, g)][h][k] + s[l][g][Gamma.mul(h, k)]
+        return self._normalized(L, Gamma) and not any(
+            (s[l][g][h] + s[l][Gamma.mul(g, h)][k]
+             - s[mp.la(l, g)][h][k] - s[l][g][Gamma.mul(h, k)]) % D
             for l in L.elements() for g in G for h in G for k in G)
 
 
@@ -336,17 +341,11 @@ class TauCocycle(_Cocycle):
 
 def _tau_cocycle_law(mp: MatchedPair, tau: TauCocycle) -> bool:
     """tau_{m |> gamma}(v, w) tau_gamma(vw, m) = tau_gamma(w, m) tau_gamma(v, wm)."""
-    L, t = mp.L, tau.table
+    L, t, D = mp.L, tau.ints, tau.den
     E = L.elements()
-    return all(t[mp.ra(m, g)][v][w] + t[g][L.mul(v, w)][m]
-               == t[g][w][m] + t[g][v][L.mul(w, m)]
-               for g in mp.Gamma.elements() for v in E for w in E for m in E)
-
-
-def _exponents(cocycle: _Cocycle, D: int) -> tuple:
-    """The cocycle's table as integer exponents over the common denominator D."""
-    return tuple(tuple(tuple(v.num * (D // v.den) for v in row) for row in plane)
-                 for plane in cocycle.table)
+    return not any((t[mp.ra(m, g)][v][w] + t[g][L.mul(v, w)][m]
+                    - t[g][w][m] - t[g][v][L.mul(w, m)]) % D
+                   for g in mp.Gamma.elements() for v in E for w in E for m in E)
 
 
 def _kac_holds(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
@@ -362,7 +361,7 @@ def _kac_holds(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
     """
     L, Gamma = mp.L, mp.Gamma
     D = _bicrossed_conductor(sigma, tau, None if z is None else z.group)
-    S, T = _exponents(sigma, D), _exponents(tau, D)
+    S, T, fs, ft = sigma.ints, tau.ints, D // sigma.den, D // tau.den
     for s in L.elements():
         for t in L.elements():
             st = L.mul(s, t)
@@ -371,8 +370,8 @@ def _kac_holds(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
                 s2 = mp.la(s, tx)
                 for y in Gamma.elements():
                     y2 = mp.ra(tl, y)
-                    diff = (S[st][x][y] + T[Gamma.mul(x, y)][s][t] - S[s][tx][y2]
-                            - S[t][x][y] - T[x][s][t] - T[y][s2][tl])
+                    diff = (fs * (S[st][x][y] - S[s][tx][y2] - S[t][x][y])
+                            + ft * (T[Gamma.mul(x, y)][s][t] - T[x][s][t] - T[y][s2][tl]))
                     if z is not None:
                         b = beta.eval(z.degree(t, x), z.degree(s2, y2))
                         diff -= b.num * (D // b.den)
@@ -392,16 +391,7 @@ def kac_condition(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle) -> bool
 
 
 def _bicrossed_conductor(sigma, tau, group=None):
-    dens = [1]
-    for plane in sigma.table:
-        for row in plane:
-            dens.extend(v.den for v in row)
-    for plane in tau.table:
-        for row in plane:
-            dens.extend(v.den for v in row)
-    if group is not None:
-        dens.append(group.exponent)
-    return math.lcm(*dens)
+    return math.lcm(sigma.den, tau.den, 1 if group is None else group.exponent)
 
 
 def basis_index(mp: MatchedPair, l: int, g: int) -> int:

@@ -543,11 +543,11 @@ def _algebra_generators(H: StructBialgebra) -> list:
     """An irredundant set of basis indices that, with the unit, generate H
     as an algebra.  An index is reached when it is a generator, the unit's one
     basis element, or a nonzero multiple of a single-term product of two
-    reached ones.  A pass makes each unreached candidate in turn a pick and
-    adds its closure: the first pass from the last index down, the second
-    over its picks back up.  From the last pick back, a pick goes when the
-    earlier picks and the kept later ones reach it: a closure that starts
-    from what the earlier picks reached and stops once it reaches the pick.
+    reached ones.  One pass from the last index down makes each unreached
+    index in turn a pick and adds its closure.  From the last pick back, a
+    pick goes when the earlier picks and the kept later ones reach it: a
+    closure that starts from what the earlier picks reached and stops once
+    it reaches the pick.
     """
     n = H.dim
     products: list = [[] for _ in range(n)]  # (b, k): e_a e_b or e_b e_a is c e_k, c != 0
@@ -568,18 +568,15 @@ def _algebra_generators(H: StructBialgebra) -> list:
                 todo += [k for b, k in products[a] if reached[b] and not reached[k]]
         return False
 
-    def picks(candidates):
-        """Yield the picks of a pass, each with what the earlier picks reached."""
-        reached = [False] * n
-        close(reached, [u for u, c in H.unit.items() if len(H.unit) == 1 and not c.is_zero()])
-        for k in candidates:
-            if not reached[k]:
-                yield k, reached[:]
-                close(reached, [k])
-
-    first = [k for k, _ in picks(reversed(range(n)))]
+    reached = [False] * n
+    close(reached, [u for u, c in H.unit.items() if len(H.unit) == 1 and not c.is_zero()])
+    picks = []  # (pick, what the earlier picks reached)
+    for k in reversed(range(n)):
+        if not reached[k]:
+            picks.append((k, reached[:]))
+            close(reached, [k])
     generators: list = []
-    for k, before in reversed(list(picks(reversed(first)))):
+    for k, before in reversed(picks):
         if not close(before, generators[:], k):
             generators.append(k)
     return generators

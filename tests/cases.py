@@ -196,6 +196,25 @@ def mixed_c12_matched_pair() -> MatchedPair:
                        [[ra(l, g) for g in range(3)] for l in range(12)])
 
 
+# Each breaks exactly one law that validate_matched_pair checks, in the
+# order it checks them: (orders of L and Gamma, lact, ract).  Gamma = C4 with
+# l swapping 2 and 3, and L = C4 with gamma swapping 2 and 3, are actions by
+# bijections that are not automorphisms.
+BROKEN_MATCHED_PAIRS = {
+    "identity-row": (2, 2, [[0, 0], [0, 0]], [[0, 1], [0, 1]]),
+    "identity-column": (2, 2, [[0, 0], [1, 1]], [[0, 0], [0, 0]]),
+    "lact-not-right-action": (2, 2, [[0, 0], [1, 0]], [[0, 1], [0, 1]]),
+    "ract-on-products": (2, 4, [[0] * 4, [1] * 4], [[0, 1, 2, 3], [0, 1, 3, 2]]),
+    "ract-not-left-action": (2, 2, [[0, 0], [1, 1]], [[0, 1], [0, 0]]),
+    "lact-on-products": (4, 2, [[0, 0], [1, 1], [2, 3], [3, 2]], [[0, 1]] * 4),
+}
+
+
+def broken_matched_pair(name: str) -> MatchedPair:
+    nl, ng, lact, ract = BROKEN_MATCHED_PAIRS[name]
+    return MatchedPair(FiniteGroup.cyclic(nl), FiniteGroup.cyclic(ng), lact, ract)
+
+
 def inversion_automorphism_table(xi_num: int = 1):
     """The ftilde for the (C7, C3) pair over g = inversion: values xi, xi^3."""
     table = [[R0] * 7 for _ in range(3)]

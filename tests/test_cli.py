@@ -185,6 +185,18 @@ def test_check_extension_command(tmp_path, capsys):
     assert data["checks"]["hopf_axioms"] is True
 
 
+def test_check_extension_reports_an_invalid_matched_pair(tmp_path, capsys):
+    """C2 acting on C4 by swapping 2 and 3 is a left action by bijections,
+    but not by automorphisms: the report says so and the job exits 1."""
+    nl, ng, lact, ract = cases.BROKEN_MATCHED_PAIRS["ract-on-products"]
+    payload = {"L": {"cyclic": nl}, "Gamma": {"cyclic": ng}, "lact": lact, "ract": ract}
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(payload))
+    code, out = run(capsys, "check-extension", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["checks"]["matched_pair"] is False
+
+
 def test_check_extension_with_action(tmp_path, capsys):
     mp, G, beta, action, _ = cases.c12_extension_color_case()
     dual_elems = sorted(action, key=lambda a: a.residues)
@@ -821,6 +833,29 @@ def _rank2(**entries) -> dict:
     return dict(cases.rank2_c3_datum().to_json(), **entries)
 
 
+# x x = y, x y = 1, y x = y y = 0 on the basis 1, x, y of (Z/2)^3, extended
+# bilinearly, with unit 1: (x x) x = 0 but x (x x) = 1
+_NONASSOCIATIVE_RING = [[0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7],
+                        [0, 2, 4, 6, 1, 3, 5, 7], [0, 3, 6, 5, 5, 6, 3, 0],
+                        [0, 4, 0, 4, 0, 4, 0, 4], [0, 5, 2, 7, 4, 1, 6, 3],
+                        [0, 6, 4, 2, 1, 7, 5, 3], [0, 7, 6, 1, 5, 2, 3, 4]]
+
+
+def _ring_over_c1(orders, mul) -> dict:
+    n = len(mul)
+    return {"ring": {"orders": orders, "mul": mul}, "Gamma": {"cyclic": 1}, "nu": [1],
+            "psi": [0], "phi": [[0]], "eta": ["0/1"] * n, "theta": ["0/1"] * n}
+
+
+def _c3_action(*matrices) -> dict:
+    """check-extension on L = C3, Gamma = C1 graded by C2, with one action
+    matrix per dual element listed, given as perms with trivial scales."""
+    return {"L": {"cyclic": 3}, "Gamma": {"cyclic": 1}, "lact": [[0], [1], [2]],
+            "ract": [[0], [0], [0]], **_GRADED_C2,
+            "action": [{"element": [a], "matrix": {"perm": perm, "scal": ["0/1"] * len(perm)}}
+                       for a, perm in enumerate(matrices)]}
+
+
 @pytest.mark.parametrize("argv, payload, message", [
     (["check-datum"], _rank2(q=[["q", "1"], ["1"]]), "scalar matrix must be square"),
     (["triangular"], {"group": {"orders": [3]}, "beta": [["1/3", "0/1"]]},
@@ -842,9 +877,32 @@ def _rank2(**entries) -> dict:
     (["verify"], dict(_c2_group_algebra(), mode="bogus"), "mode must be 'plain' or 'color'"),
     (["verify"], dict(_c2_group_algebra(), mode="color"),
      "color mode needs grading and braiding data"),
+    # beta(g, g) beta(g, g) = zeta_3^2, not 1
+    (["triangular"], {"group": {"orders": [3]}, "beta": [["1/3"]]},
+     "reduction needs a commutation factor"),
+    (["check-extension"], _ring_over_c1([2, 2, 2], _NONASSOCIATIVE_RING),
+     "multiplication is not associative"),
+    # 2 * (1 + 2) = 2 * 3 = 1, but 2 * 1 + 2 * 2 = 2 + 2 = 0
+    (["check-extension"], _ring_over_c1([2, 2], [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 1],
+                                                 [0, 3, 0, 2]]),
+     "left distributivity fails"),
+    # eta(1) + eta(1) != eta(2): sigma_1(g, h) = eta(gh) fails the cocycle
+    # law at (g, h, k) = (1, 1, 2)
+    (["check-extension"], _ring_payload(Gamma={"cyclic": 3}, nu=[1, 1, 1], psi=[0, 0, 0],
+                                        phi=[[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+                                        eta=["0/1", "0/1", "1/3"], theta=["0/1"] * 3),
+     "inputs do not produce a valid sigma cocycle (eta must be additive on the relevant "
+     "products)"),
+    (["check-extension"], _c3_action([0, 1, 2]), "action table must cover the whole dual group"),
+    (["check-extension"], _c3_action([0, 1, 2], [0, 1]), "action matrix size mismatch"),
+    (["check-extension"], _c3_action([1, 0, 2], [0, 2, 1]), "action matrices must commute"),
+    (["check-extension"], _c3_action([0, 1, 2], [0, 0, 2]), "permutation part is not a bijection"),
 ], ids=["q-ragged", "beta-shape", "max-nodes-0", "table-not-square", "table-no-identity",
         "table-not-associative", "g-not-bijection", "g-not-homomorphism", "z-shape",
-        "dim-negative", "mode-bogus", "color-mode-ungraded"])
+        "dim-negative", "mode-bogus", "color-mode-ungraded", "beta-not-commutation-factor",
+        "ring-not-associative", "ring-not-left-distributive", "eta-not-additive",
+        "action-misses-a-character", "action-matrix-size", "action-not-commuting",
+        "action-perm-not-bijection"])
 def test_input_rejection_exits_2(argv, payload, message, tmp_path, capsys):
     code, captured = _run_malformed(argv[0], payload, tmp_path, capsys, *argv[1:])
     assert code == 2

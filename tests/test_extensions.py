@@ -40,6 +40,33 @@ def test_matched_pair_examples():
     assert not validate_matched_pair(MatchedPair(mp.L, mp.Gamma, lact, mp.ract))
 
 
+# the laws of validate_matched_pair, in its order, written out independently
+MATCHED_PAIR_LAWS = [
+    lambda mp, L, G: all(mp.la(l, G.identity) == l and mp.ra(l, G.identity) == G.identity
+                         for l in range(L.n)),
+    lambda mp, L, G: all(mp.la(L.identity, g) == L.identity and mp.ra(L.identity, g) == g
+                         for g in range(G.n)),
+    lambda mp, L, G: all(mp.la(mp.la(l, g), h) == mp.la(l, G.mul(g, h))
+                         for l in range(L.n) for g in range(G.n) for h in range(G.n)),
+    lambda mp, L, G: all(mp.ra(l, G.mul(g, h)) == G.mul(mp.ra(l, g), mp.ra(mp.la(l, g), h))
+                         for l in range(L.n) for g in range(G.n) for h in range(G.n)),
+    lambda mp, L, G: all(mp.ra(L.mul(l, t), g) == mp.ra(l, mp.ra(t, g))
+                         for l in range(L.n) for t in range(L.n) for g in range(G.n)),
+    lambda mp, L, G: all(mp.la(L.mul(l, t), g) == L.mul(mp.la(l, mp.ra(t, g)), mp.la(t, g))
+                         for l in range(L.n) for t in range(L.n) for g in range(G.n)),
+]
+
+
+@pytest.mark.parametrize("index, name", enumerate(cases.BROKEN_MATCHED_PAIRS))
+def test_each_matched_pair_law_is_checked(index, name):
+    """Each pair breaks exactly one law, so each return False of
+    validate_matched_pair is the only one that can reject it."""
+    mp = cases.broken_matched_pair(name)
+    assert [law(mp, mp.L, mp.Gamma) for law in MATCHED_PAIR_LAWS] == [
+        i != index for i in range(len(MATCHED_PAIR_LAWS))]
+    assert not validate_matched_pair(mp)
+
+
 def test_cocycle_validation_and_mutation():
     mp = cases.squaring_matched_pair()
     sigma, tau = SigmaCocycle.trivial(mp), TauCocycle.trivial(mp)
