@@ -4,6 +4,18 @@ Subcommands read JSON inputs, dispatch to the library, and emit
 byte-deterministic JSON (or DOT / glyph-text for diagrams).  Exit codes:
 0 when every check passed, 1 when some check failed (the report is still
 written), 2 on malformed input, 3 when an internal self-check failed.
+
+A process loads only the library its subcommand runs.  The top-level
+imports are ``dynkin`` and ``weyl``, which the package ``__init__`` loads
+anyway, and the ``datum``, ``groups`` and ``scalars`` they rest on; so
+``orbit``, ``diagram`` and ``check-datum`` load nothing more.  Each
+handler that needs more imports it locally, on its first call:
+``check-double`` loads ``doubles``, ``triangular`` loads ``triangular``,
+``verify`` loads ``hopfcheck``, and ``check-extension`` and ``aut-ext``
+load ``extensions`` (which imports ``hopfcheck``).  Handlers call the
+library through module attributes (``hopfcheck.check_axioms(...)``, never
+a name bound at import), so a function replaced on its module, by a
+profiler's wrapper or a test's monkeypatch, is the one that runs.
 """
 
 from __future__ import annotations
@@ -13,11 +25,15 @@ import json
 import sys
 from collections import defaultdict
 from functools import cache, partial
+from typing import TYPE_CHECKING
 
-from . import dynkin, doubles, extensions, hopfcheck, triangular, weyl
+from . import dynkin, weyl
 from .datum import Datum
 from .groups import Bicharacter, FinAbGroup
 from .scalars import Rational01
+
+if TYPE_CHECKING:  # for the annotations only; the handlers import it on first use
+    from . import extensions
 
 
 def _load(path: str) -> dict:
@@ -74,6 +90,7 @@ def _cmd_check_datum(E: Datum, args):
 
 
 def _cmd_check_double(E: Datum, args):
+    from . import doubles
     total, colored = doubles.color_retraction_count(E)
     return {
         "presentation_digest": doubles.presentation_digest(E),
@@ -84,12 +101,14 @@ def _cmd_check_double(E: Datum, args):
 
 
 def _cmd_triangular(data: dict, args):
+    from . import triangular
     group = FinAbGroup.from_json(data["group"])
     beta = Bicharacter.from_json(group, data["beta"])
     return triangular.emit_triangular(triangular.reduce_commutation_factor(beta)), 0
 
 
 def _cmd_verify(data: dict, args):
+    from . import hopfcheck
     H = hopfcheck.StructBialgebra.from_json(data)
     mode = data.get("mode", "plain")
     report = hopfcheck.check_axioms(H, mode)
@@ -102,6 +121,7 @@ def _cmd_verify(data: dict, args):
 
 
 def _parse_matched_pair(data: dict) -> extensions.MatchedPair:
+    from . import extensions
     L = extensions.FiniteGroup.from_json(data["L"])
     Gamma = extensions.FiniteGroup.from_json(data["Gamma"])
     return extensions.MatchedPair(L, Gamma, data["lact"], data["ract"])
@@ -124,6 +144,7 @@ def _parse_cocycle(kind, outer, inner, data, key):
 
 
 def _cmd_check_extension(data: dict, args):
+    from . import extensions, hopfcheck
     if "ring" in data:
         return _check_ring_extension(data)
     for key, needed in (("beta", ["group"]), ("z", ["group"]), ("action", ["group", "beta"])):
@@ -171,6 +192,7 @@ def _cmd_check_extension(data: dict, args):
 
 def _check_ring_extension(data: dict):
     """Build sigma/beta/z from finite-ring data and verify colorability."""
+    from . import extensions, hopfcheck
     if stray := [k for k in ("L", "lact", "ract", "sigma", "group", "beta", "z", "action")
                  if k in data]:
         raise ValueError(f"a ring input takes no matched-pair key: {', '.join(stray)}")
@@ -202,6 +224,7 @@ def _roots(data: dict, key: str) -> list:
 
 def _automorphism(group: extensions.FiniteGroup, images, key: str) -> extensions.GroupAut:
     """``images`` checked as an array of group.n int indices, then validated."""
+    from . import extensions
     n = group.n
     (row,) = extensions._index_table([images], f"{key} must be an array of {n} "
                                      f"indices below {n}", n, (1, n))
@@ -209,6 +232,7 @@ def _automorphism(group: extensions.FiniteGroup, images, key: str) -> extensions
 
 
 def _cmd_aut_ext(data: dict, args):
+    from . import extensions
     mp = _parse_matched_pair(data)
     N = extensions.default_root_bound(mp) if args.root_bound is None else args.root_bound
     if args.enumerate_aut:

@@ -1219,3 +1219,88 @@ def test_parser_is_reused_without_leaking_defaults(tmp_path, capsys):
     assert json.loads(truncated)["truncated"] is True
     assert json.loads(orbit)["truncated"] is False
     assert text.startswith(b"generalized: ") and dot != text
+
+
+# Run in a fresh interpreter on the chroma this test imported: report the
+# exit code of each main(argv) in order, and the chroma modules then loaded.
+# A "patch" step replaces chroma.hopfcheck.check_axioms by a failing check.
+_IMPORT_PROBE = """
+import json, sys
+from chroma import cli
+codes = []
+for step in json.loads(sys.argv[1]):
+    if step == "patch":
+        import chroma.hopfcheck
+        def broken(*args):
+            raise AssertionError("patched check_axioms")
+        chroma.hopfcheck.check_axioms = broken
+    elif step == "parser":
+        cli.build_parser()
+    else:
+        codes.append(cli.main(step))
+print(json.dumps({"codes": codes, "loaded": sorted(
+    name.split(".", 1)[1] for name in sys.modules if name.startswith("chroma."))}))
+"""
+_LAZY = {"doubles", "extensions", "hopfcheck", "triangular"}
+
+
+def _probe_imports(steps) -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def probe_inputs(tmp_path):
+    """A function of (subcommand, fixture name) giving the argv that runs the
+    subcommand on that small fixture."""
+    mp = cases.squaring_matched_pair()
+    payloads = {
+        "datum": cases.rank2_c3_datum().to_json(),
+        "triangular": {"group": {"orders": [2, 2]},
+                       "beta": [["0/1", "1/2"], ["1/2", "0/1"]]},
+        "verify": build_bicrossed(mp, SigmaCocycle.trivial(mp),
+                                  TauCocycle.trivial(mp)).to_json(),
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    return lambda command, name: [command, "--input", str(paths[name]),
+                                  "--output", str(tmp_path / "report.out")]
+
+
+# subcommand -> (its fixture, the lazily loaded modules it needs)
+_LOADS = {
+    "orbit": ("datum", set()),
+    "diagram": ("datum", set()),
+    "check-datum": ("datum", set()),
+    "check-double": ("datum", {"doubles"}),
+    "triangular": ("triangular", {"triangular"}),
+    "verify": ("verify", {"hopfcheck"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_LOADS))
+def test_subcommand_loads_only_its_library(command, probe_inputs):
+    input_name, needed = _LOADS[command]
+    report = _probe_imports([probe_inputs(command, input_name)])
+    assert report["codes"] == [0]
+    assert _LAZY & set(report["loaded"]) == needed, report["loaded"]
+
+
+def test_parser_loads_no_subcommand_library():
+    report = _probe_imports(["parser"])
+    assert not _LAZY & set(report["loaded"]), report["loaded"]
+
+
+def test_lazily_loaded_library_is_called_through_its_module(probe_inputs):
+    """A function patched on its module after the first lazy load is the one
+    the next call runs, as a profiler's wrapper needs."""
+    argv = probe_inputs("verify", "verify")
+    report = _probe_imports([argv, "patch", argv])
+    assert report["codes"] == [0, 3]
