@@ -75,6 +75,17 @@ class FinAbGroup:
         for combo in itertools.product(*(range(o) for o in reversed(self.orders))):
             yield make(self, combo[::-1])
 
+    def linear_images(self, rows, width: int) -> list[list[int]]:
+        """sum_k x_k rows[k], an integer vector of length ``width``, for
+        every element x, in ``elements()`` order.  Built one coordinate at
+        a time, each image one vector addition from an earlier one: O(width)
+        per element, not O(rank * width)."""
+        images = [[0] * width]
+        for o, row in zip(self.orders, rows):
+            images = [list(map(operator.add, v, step))
+                      for step in ([c * b for b in row] for c in range(o)) for v in images]
+        return images
+
     def index_of(self, g: "Element") -> int:
         idx = 0
         base = 1
@@ -256,12 +267,11 @@ class Bicharacter:
     def radical(self) -> "Subgroup":
         """{g : beta(g, h) = 1 for all h}; its members, in enumeration
         order, are also its generators."""
-        e = self._exponent
-        columns = tuple(zip(*self._ints))  # beta(g, g_j) = sum_i g_i ints[i][j] / e
-        members = [g for g in self.group.elements()
-                   if not any(sum(map(operator.mul, col, g.residues)) % e
-                              for col in columns)]
-        return Subgroup._of_members(self.group, members)
+        G, e = self.group, self._exponent
+        # beta(g, g_j) = sum_i g_i ints[i][j] / e, the row of g
+        rows = G.linear_images(self._ints, G.rank)
+        members = [g for g, row in zip(G.elements(), rows) if not any(map(e.__rmod__, row))]
+        return Subgroup._of_members(G, members)
 
     def is_nondegenerate(self) -> bool:
         """chi: G -> G^ is injective, i.e. onto, without listing G.

@@ -65,11 +65,12 @@ def drinfeld_u(beta: Bicharacter) -> dict[Element, Rational01]:
     """u(g) = beta(g, g^{-1}); for a commutation factor this is beta(g, g)."""
     if not beta.is_commutation_factor():
         raise NotCommutationFactor("drinfeld element needs a commutation factor")
-    e, ints = beta._exponent, beta._ints
+    G, e = beta.group, beta._exponent
     out = {}
-    for g in beta.group.elements():
-        r = g.residues
-        v = sum(gi * sum(map(operator.mul, row, r)) for gi, row in zip(r, ints)) % e
+    # beta(g, g) = sum_j g_j row_j / e, the row of g built one coordinate
+    # at a time: O(rank) per element
+    for g, row in zip(G.elements(), G.linear_images(beta._ints, G.rank)):
+        v = sum(map(operator.mul, row, g.residues)) % e
         if 2 * v not in (0, e):
             raise AssertionError("u must take values in {1, -1}")
         out[g] = R01_HALF if v else R01_ZERO
@@ -129,25 +130,45 @@ def scheunert_cocycle(beta_p: Bicharacter) -> CocycleTable:
 def _check_reduction(bk: Bicharacter, beta_p: Bicharacter, qm: QuotientMap) -> None:
     """Self-checks of the reduction; a failure is an internal error.
 
-    beta_p(x, y) == bk(lift x, lift y) on all pairs of G', so beta_p is
-    well defined; beta_p(x, x) == 1; beta_p is nondegenerate.  One lift
-    per element of G', then integer sums over exp(G).
+    beta_p must be well defined (beta_p(x, y) == bk(lift x, lift y) on all
+    pairs of G'), trivial on the diagonal and nondegenerate.  No pair of
+    G' x G' is swept: with e_k the generators of G' and L_k = lift e_k,
+    three integer checks over exp(G) cost O(rank^2) on the generators and
+    O(rank^2) per element of G':
+
+    (a) beta_p(x, x) = sum_i x_i^2 B'_ii + sum_{i<j} x_i x_j (B'_ij + B'_ji)
+        (over exp(G')) is 0 for every x exactly when every B'_ii and every
+        B'_ij + B'_ji is (take x = e_i, then x = e_i + e_j);
+    (b) bk(L_k, L_l) == beta_p(e_k, e_l) on the generator pairs;
+    (c) for every x, the bk-row of lift x (its values against the
+        generators of G) is sum_k x_k times the bk-row of L_k, i.e. lift x
+        - sum_k x_k L_k lies in the radical of bk.  The expected rows are
+        expanded one coordinate at a time, in elements() order.
+
+    (b) and (c) give the pair condition by bilinearity: bk(lift x, lift y)
+    = prod_{k,l} bk(L_k, L_l)^{x_k y_l} = beta_p(x, y), since bk, a
+    commutation factor, is 1 against its radical on either side.  So every
+    failure of an all-pairs sweep is found, with the same message: (a) is
+    its diagonal test, (b) and (c) its pair test.
     """
     e, ep = bk._exponent, beta_p._exponent
     scale = e // ep     # exp(G') divides exp(G)
-    Gp = beta_p.group
-    points = []         # (lift x ++ x, combined row form of x)
-    for x in Gp.elements():
-        xr, lift = x.residues, qm.lift(x).residues
-        row_p = [sum(map(operator.mul, col, xr)) for col in zip(*beta_p._ints)]
-        if sum(map(operator.mul, row_p, xr)) % ep:
-            raise AssertionError("reduced bicharacter must have trivial diagonal")
-        row = [sum(map(operator.mul, col, lift)) for col in zip(*bk._ints)]
-        points.append((lift + xr, row + [-scale * b for b in row_p]))
-    for _, row in points:
-        for y, _ in points:
-            if sum(map(operator.mul, row, y)) % e:
-                raise AssertionError("induced bicharacter is not well defined")
+    Gp, Bp = beta_p.group, beta_p._ints
+    m = Gp.rank
+    if (any(Bp[i][i] % ep for i in range(m))
+            or any((Bp[i][j] + Bp[j][i]) % ep for i in range(m) for j in range(i))):
+        raise AssertionError("reduced bicharacter must have trivial diagonal")
+    cols = tuple(zip(*bk._ints))    # bk(g, g_j) = sum_i g_i ints[i][j] / e
+    lifts = [qm.lift(g).residues for g in Gp.generators()]
+    rows = [[sum(map(operator.mul, col, lift)) for col in cols] for lift in lifts]
+    for row, row_p in zip(rows, Bp):
+        if any((sum(map(operator.mul, row, lift)) - scale * b) % e
+               for lift, b in zip(lifts, row_p)):
+            raise AssertionError("induced bicharacter is not well defined")
+    for x, expected in zip(Gp.elements(), Gp.linear_images(rows, len(cols))):
+        lift = qm.lift(x).residues
+        if any((sum(map(operator.mul, col, lift)) - v) % e for col, v in zip(cols, expected)):
+            raise AssertionError("induced bicharacter is not well defined")
     if not beta_p.is_nondegenerate():
         raise AssertionError("reduced bicharacter must be nondegenerate")
 
@@ -163,12 +184,15 @@ def reduce_commutation_factor(beta: Bicharacter) -> TriangularData:
     rad = bk.radical()
     qm = quotient(G, rad)
     Gp = qm.quotient
+    k_sub = perp(rad)
+    # a quotient by more than the radical passes every check on G' below
+    if Gp.order * rad.order != G.order or k_sub.order != Gp.order:
+        raise AssertionError("|G'| must be |G| / |radical| = |K|")
     # induced bicharacter on the quotient via lifts of its generators; it
     # is well defined because the radical is in both kernels
     lifts = [qm.lift(e) for e in Gp.generators()]
     beta_p = Bicharacter(Gp, [[bk.eval(a, b) for b in lifts] for a in lifts])
     _check_reduction(bk, beta_p, qm)
-    k_sub = perp(rad)
     gamma = scheunert_cocycle(beta_p)
     return TriangularData(group=G, u=u, kappa=kappa, quotient_map=qm,
                           beta_prime=beta_p, k_subgroup=k_sub, gamma_prime=gamma)

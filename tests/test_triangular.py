@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,11 +8,12 @@ import random
 
 import pytest
 
+from chroma import triangular
 from chroma.cli import main
-from chroma.groups import Bicharacter, FinAbGroup, QuotientMap
+from chroma.groups import Bicharacter, FinAbGroup, QuotientMap, Subgroup, quotient
 from chroma.scalars import R01_HALF, R01_ZERO, Rational01
-from chroma.triangular import (CocycleTable, NotCommutationFactor, drinfeld_u,
-                               emit_triangular, kappa_bicharacter,
+from chroma.triangular import (CocycleTable, NotCommutationFactor, _check_reduction,
+                               drinfeld_u, emit_triangular, kappa_bicharacter,
                                reduce_commutation_factor, scheunert_cocycle)
 
 
@@ -271,11 +273,18 @@ def test_integer_tables_match_per_term_oracle_exhaustive():
             assert_tables_match_oracle(beta)
 
 
-@pytest.mark.parametrize("orders", [(3, 3, 3, 3), (9, 9)], ids=["3x3x3x3", "9x9"])
-def test_integer_tables_match_per_term_oracle_seeded(orders):
+SEEDED_SHAPES = [(3, 3, 3, 3), (9, 9)]
+
+
+def seeded_factors(orders) -> list[Bicharacter]:
     rng = random.Random(f"tables:{orders}")
-    for _ in range(6):
-        assert_tables_match_oracle(seeded_commutation_factor(rng, orders))
+    return [seeded_commutation_factor(rng, orders) for _ in range(6)]
+
+
+@pytest.mark.parametrize("orders", SEEDED_SHAPES, ids=["3x3x3x3", "9x9"])
+def test_integer_tables_match_per_term_oracle_seeded(orders):
+    for beta in seeded_factors(orders):
+        assert_tables_match_oracle(beta)
 
 
 def test_mutant_lift_is_an_internal_error(tmp_path, monkeypatch, capsys):
@@ -300,6 +309,187 @@ def test_mutant_lift_is_an_internal_error(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: induced bicharacter is not well defined\n"
+
+
+def test_quotient_by_the_whole_group_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # beta is nondegenerate, so G' is all of G; a quotient by the whole
+    # group passes every check on G' (it has one element) and must trip
+    # the order identities |G'| |radical| = |G| and |K| = |G'|
+    G = FinAbGroup.of(2, 2)
+    beta = Bicharacter(G, [[R01_ZERO, R01_HALF], [R01_HALF, R01_ZERO]])
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"schema": 1, "group": G.to_json(),
+                                "beta": beta.to_json()}))
+    assert main(["triangular", "--input", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(triangular, "quotient",
+                        lambda group, sub: quotient(group, Subgroup.full(group)))
+    assert main(["triangular", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: |G'| must be |G| / |radical| = |K|\n"
+
+
+# ---------------------------------------------------------------------------
+# _check_reduction against the all-pairs sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_check_reduction(bk: Bicharacter, beta_p: Bicharacter, qm: QuotientMap) -> None:
+    """The reduction's self-checks as a sweep of every pair of G' x G':
+    beta_p(x, y) == bk(lift x, lift y) and beta_p(x, x) == 1 on G', and
+    beta_p nondegenerate.  O(|G'|^2); the reference for the generator
+    checks of ``_check_reduction``."""
+    e, ep = bk._exponent, beta_p._exponent
+    scale = e // ep
+    Gp = beta_p.group
+    points = []         # (lift x ++ x, combined row form of x)
+    for x in Gp.elements():
+        xr, lift = x.residues, qm.lift(x).residues
+        row_p = [sum(map(operator.mul, col, xr)) for col in zip(*beta_p._ints)]
+        if sum(map(operator.mul, row_p, xr)) % ep:
+            raise AssertionError("reduced bicharacter must have trivial diagonal")
+        row = [sum(map(operator.mul, col, lift)) for col in zip(*bk._ints)]
+        points.append((lift + xr, row + [-scale * b for b in row_p]))
+    for _, row in points:
+        for y, _ in points:
+            if sum(map(operator.mul, row, y)) % e:
+                raise AssertionError("induced bicharacter is not well defined")
+    if not beta_p.is_nondegenerate():
+        raise AssertionError("reduced bicharacter must be nondegenerate")
+
+
+def check_outcomes(bk, beta_p, qm) -> tuple:
+    """The message each check fails with, or None where it passes."""
+    outcomes = []
+    for check in (_check_reduction, all_pairs_check_reduction):
+        try:
+            check(bk, beta_p, qm)
+            outcomes.append(None)
+        except AssertionError as exc:
+            outcomes.append(str(exc))
+    return tuple(outcomes)
+
+
+def reduction_inputs(beta: Bicharacter):
+    """(bk, beta', quotient map, radical) of the reduction of beta."""
+    data = reduce_commutation_factor(beta)
+    bk = beta * data.kappa
+    return bk, data.beta_prime, data.quotient_map, bk.radical()
+
+
+def shifted_lift(qm: QuotientMap, where, shift) -> QuotientMap:
+    """``qm`` with the lift of the element with residues ``where`` moved
+    by the element ``shift`` of G."""
+    bad = dataclasses.replace(qm)
+    bad.lift = lambda x: qm.lift(x) * shift if x.residues == where else qm.lift(x)
+    return bad
+
+
+def factors_up_to_16():
+    return [beta for G in invariant_factor_groups(16) for beta in commutation_factors(G)]
+
+
+def seeded_large_factors(count: int = 6):
+    """The first ``count`` seeded factors on 3^4 and on 9 x 9 that the
+    table oracle test checks."""
+    return [beta for orders in SEEDED_SHAPES
+            for beta in seeded_factors(orders)[:count]]
+
+
+def test_check_reduction_accepts_what_the_oracle_accepts():
+    for beta in factors_up_to_16() + seeded_large_factors():
+        bk, beta_p, qm, _ = reduction_inputs(beta)
+        assert check_outcomes(bk, beta_p, qm) == (None, None)
+
+
+def corrupted_beta_prime(bk, beta_p, qm, rad):
+    # every entry of beta', in turn, moved by the smallest step its
+    # generator orders allow
+    Gp = beta_p.group
+    for k, l in itertools.product(range(Gp.rank), repeat=2):
+        matrix = [list(row) for row in beta_p.matrix]
+        matrix[k][l] = matrix[k][l] + Rational01(1, math.gcd(Gp.orders[k], Gp.orders[l]))
+        yield bk, Bicharacter(Gp, matrix), qm
+
+
+def lift_off_outside_radical(bk, beta_p, qm, rad):
+    # the lift of each non-generator element of G', in turn, moved by the
+    # first element of G outside the radical
+    Gp = beta_p.group
+    outside = next((g for g in bk.group.elements() if g not in rad), None)
+    gens = {g.residues for g in Gp.generators()}
+    for x in Gp.elements():
+        if outside is not None and x.residues not in gens:
+            yield bk, beta_p, shifted_lift(qm, x.residues, outside)
+
+
+def lift_off_inside_radical(bk, beta_p, qm, rad):
+    # the lift of each element of G', in turn, moved by the last element
+    # of the radical: still a lift of the same coset
+    inside = max(rad.elements(), key=lambda g: g.residues)
+    if not inside.is_identity():
+        for x in beta_p.group.elements():
+            yield bk, beta_p, shifted_lift(qm, x.residues, inside)
+
+
+@pytest.mark.parametrize("corrupt, rejected", [
+    (corrupted_beta_prime, True), (lift_off_outside_radical, True),
+    (lift_off_inside_radical, False),
+], ids=["beta-prime-entry", "lift-outside-radical", "lift-inside-radical"])
+def test_check_reduction_agrees_with_the_oracle_on_corruptions(corrupt, rejected):
+    # one seeded factor each on 3^4 and 9 x 9 besides the exhaustive sweep
+    cases = 0
+    for beta in factors_up_to_16() + seeded_large_factors(1):
+        for args in corrupt(*reduction_inputs(beta)):
+            new, old = check_outcomes(*args)
+            assert new == old and (new is not None) == rejected, (beta.matrix, new, old)
+            cases += 1
+    assert cases > 100
+
+
+def test_check_reduction_tests_every_generator_pair():
+    # bk is not skew: it agrees with beta' on the pairs (k, l) with l <= k
+    # and not on (0, 1), so only the generator pair (0, 1) can fail
+    G = FinAbGroup.of(3, 3)
+    third = Rational01(1, 3)
+    bk = Bicharacter(G, [[R01_ZERO, R01_ZERO], [-third, R01_ZERO]])
+    qm = quotient(G, Subgroup.trivial(G))
+    assert [qm.lift(g) for g in qm.quotient.generators()] == G.generators()
+    beta_p = Bicharacter(qm.quotient, [[R01_ZERO, third], [-third, R01_ZERO]])
+    assert check_outcomes(bk, beta_p, qm) == ("induced bicharacter is not well defined",) * 2
+
+
+# every corner of the coordinate expansions: no generator, order-1 factors,
+# G' of rank 0, and an order-1 factor before, between or after others
+EDGE_CASES = {
+    "trivial-group": ([], [], {"orders": []}, [[]], [[[], "0/1"]]),
+    "order-1": ([1], [["0/1"]], {"orders": []}, [[0]], [[[0], "0/1"]]),
+    "orders-1-2": ([1, 2], [["0/1", "0/1"], ["0/1", "1/2"]], {"orders": []}, [[0, 0]],
+                   [[[0, 0], "0/1"], [[0, 1], "1/2"]]),
+    "rank-0-quotient": ([2], [["1/2"]], {"orders": []}, [[0]],
+                        [[[0], "0/1"], [[1], "1/2"]]),
+    "orders-1-2-2": ([1, 2, 2], [["0/1", "0/1", "0/1"], ["0/1", "0/1", "1/2"],
+                                 ["0/1", "1/2", "0/1"]], {"orders": [2, 2]},
+                     [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]],
+                     [[[0, 0, 0], "0/1"], [[0, 0, 1], "0/1"], [[0, 1, 0], "0/1"],
+                      [[0, 1, 1], "0/1"]]),
+    "orders-2-1-2": ([2, 1, 2], [["0/1", "0/1", "1/2"], ["0/1", "0/1", "0/1"],
+                                 ["1/2", "0/1", "0/1"]], {"orders": [2, 2]},
+                     [[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1]],
+                     [[[0, 0, 0], "0/1"], [[0, 0, 1], "0/1"], [[1, 0, 0], "0/1"],
+                      [[1, 0, 1], "0/1"]]),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_triangular_edge_groups(case, tmp_path):
+    orders, beta, g_prime, k, u = EDGE_CASES[case]
+    src, out = tmp_path / "beta.json", tmp_path / "report.json"
+    src.write_text(json.dumps({"schema": 1, "group": {"orders": orders}, "beta": beta}))
+    assert main(["triangular", "--input", str(src), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["G_prime"], report["K"], report["u"]) == (g_prime, k, u)
 
 
 # sha256 of `chroma triangular` reports on seeded factors with a given
