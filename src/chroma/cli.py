@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from collections import defaultdict
 from functools import cache, partial
 from typing import TYPE_CHECKING
@@ -428,6 +429,18 @@ _parser = cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)  # a fresh Namespace on every call
+    # a library warning (say, aut-ext's BoundTooSmall) that the process's
+    # filters let through is one stderr line per distinct message, and
+    # changes neither report nor exit code
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _run(args)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                sys.stderr.write(f"warning: {message}\n")
+
+
+def _run(args) -> int:
     try:
         report, code = args.func(args.load(args.input), args)
         if isinstance(report, dict):

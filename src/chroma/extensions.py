@@ -410,6 +410,14 @@ def build_bicrossed(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
     """
     L, Gamma = mp.L, mp.Gamma
     N = _bicrossed_conductor(sigma, tau, group)
+    roots: dict = {}  # one Cyclo per distinct root value, shared by every cell
+
+    def embed(r: Rational01) -> Cyclo:
+        c = roots.get(r)
+        if c is None:
+            c = roots[r] = Cyclo.embed(r, N)
+        return c
+
     dim = L.n * Gamma.n
     mult = [[() for _ in range(dim)] for _ in range(dim)]
     for l in L.elements():
@@ -417,7 +425,7 @@ def build_bicrossed(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
             row = basis_index(mp, l, g)
             target_t = mp.la(l, g)
             for h in Gamma.elements():
-                coeff = Cyclo.embed(sigma.value(l, g, h), N)
+                coeff = embed(sigma.value(l, g, h))
                 mult[row][basis_index(mp, target_t, h)] = \
                     ((basis_index(mp, l, Gamma.mul(g, h)), coeff),)
     comult = []
@@ -426,13 +434,13 @@ def build_bicrossed(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
             entry = []
             for u in L.elements():
                 rest = L.mul(L.inv[u], l)
-                coeff = Cyclo.embed(tau.value(g, u, rest), N)
+                coeff = embed(tau.value(g, u, rest))
                 entry.append((basis_index(mp, u, mp.ra(rest, g)),
                               basis_index(mp, rest, g), coeff))
             comult.append(tuple(entry))
-    one = Cyclo.one(N)
+    one, zero = embed(R01_ZERO), Cyclo.zero(N)
     unit = {basis_index(mp, l, Gamma.identity): one for l in L.elements()}
-    counit = [one if l == L.identity else Cyclo.zero(N)
+    counit = [one if l == L.identity else zero
               for l in L.elements() for _ in Gamma.elements()]
     grading = None
     if z is not None:

@@ -79,9 +79,12 @@ class FinAbGroup:
         """sum_k x_k rows[k], an integer vector of length ``width``, for
         every element x, in ``elements()`` order.  Built one coordinate at
         a time, each image one vector addition from an earlier one: O(width)
-        per element, not O(rank * width)."""
-        images = [[0] * width]
-        for o, row in zip(self.orders, rows):
+        per element, not O(rank * width).  The first coordinate's multiples
+        start the expansion, so a rank-1 group builds one list per element."""
+        if not self.orders:
+            return [[0] * width]
+        images = [[c * b for b in rows[0]] for c in range(self.orders[0])]
+        for o, row in zip(self.orders[1:], rows[1:]):
             images = [list(map(operator.add, v, step))
                       for step in ([c * b for b in row] for c in range(o)) for v in images]
         return images

@@ -36,7 +36,6 @@ and ``projector_column``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -241,7 +240,16 @@ class StructBialgebra:
             return self
         if conductor % self.conductor:
             raise ValueError("new conductor must be a multiple of the old one")
-        lift = functools.partial(lift_cyclo, M=conductor)
+        # one lift per coefficient object, keyed by id: the tables share
+        # objects, and self keeps each one alive for the whole call
+        memo: dict = {}
+
+        def lift(c: Cyclo) -> Cyclo:
+            out = memo.get(id(c))
+            if out is None:
+                out = memo[id(c)] = lift_cyclo(c, conductor)
+            return out
+
         mult = [[tuple((k, lift(c)) for k, c in cell) for cell in row]
                 for row in self.mult]
         comult = [tuple((j, k, lift(c)) for j, k, c in entry) for entry in self.comult]

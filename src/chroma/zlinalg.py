@@ -5,12 +5,20 @@ exponent systems that come out of cocycle conditions modulo N.  The Smith
 form keeps only its row side, U and U^-1: a quotient's lift is a column of
 U^-1, and congruences run through the transpose, whose row transform is
 the column transform they need.
+
+Pivot rule: the first entry of least absolute value in the remaining
+block, in row-major order.  The scan stops at the first unit, since no
+entry is smaller and a later unit does not replace an earlier one; and a
+unit pivot divides the whole block, so its divisibility sweep is skipped.
+Both shortcuts leave the sequence of row operations, and so D, U and
+U^-1, exactly as the full scan and sweep give them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 SOLUTION_LIMIT = 100000
 
@@ -36,6 +44,21 @@ def _identity(n: int) -> list[list[int]]:
     for i in range(n):
         rows[i][i] = 1
     return rows
+
+
+def _pivot(A, t: int, n: int):
+    """(i, j) of the first entry of least absolute value in A[t:][t:n],
+    row-major, or None when that block is zero.  Returns at the first unit."""
+    pivot, best = None, 0
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, n):
+            a = row[j]
+            if a and (pivot is None or abs(a) < best):
+                pivot, best = (i, j), abs(a)
+                if best == 1:
+                    return pivot
+    return pivot
 
 
 def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
@@ -85,15 +108,7 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
 
     t = 0
     while t < min(m, n):
-        # find pivot: smallest nonzero absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                if row[j] and (best is None or abs(row[j]) < best):
-                    best = abs(row[j])
-                    pivot = (i, j)
+        pivot = _pivot(A, t, n)
         if pivot is None:
             break
         i, j = pivot
@@ -116,15 +131,11 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
                     again = True
         if again:
             continue
-        # enforce divisibility: A[t][t] must divide the rest of the block
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        # enforce divisibility: the pivot must divide the rest of the block,
+        # as a unit always does
+        p = A[t][t]
+        bad = None if p == 1 else next(
+            (i for i in range(t + 1, m) if any(a % p for a in A[i][t + 1:])), None)
         if bad is not None:
             row_add(t, bad, 1)
             continue
@@ -155,6 +166,9 @@ def solve_homogeneous_mod(matrix: list[list[int]], modulus: int) -> list[tuple[i
     count = math.prod(len(cs) for cs in choice_sets)
     if count > SOLUTION_LIMIT:
         raise ValueError(f"solution space too large: {count} > {SOLUTION_LIMIT}")
-    U = snf.U
-    return [tuple(sum(U[k][i] * z[k] for k in range(n)) % modulus for i in range(n))
-            for z in itertools.product(*choice_sets)]
+    # a choice set {0} adds nothing to x: sum over the free coordinates
+    # only, whose product runs in the same order as the full one
+    free = [k for k, cs in enumerate(choice_sets) if len(cs) > 1]
+    cols = [tuple(snf.U[k][i] for k in free) for i in range(n)]
+    return [tuple(sum(map(operator.mul, z, col)) % modulus for col in cols)
+            for z in itertools.product(*(choice_sets[k] for k in free))]

@@ -24,6 +24,13 @@ def basis_index_of(mp: MatchedPair, l: int, gamma: int) -> int:
     return l * mp.Gamma.n + gamma
 
 
+def coefficients(H: StructBialgebra) -> list:
+    """Every coefficient object in H's tables, repeats included."""
+    return ([c for row in H.mult for cell in row for _, c in cell]
+            + [c for entry in H.comult for *_, c in entry]
+            + list(H.unit.values()) + list(H.counit))
+
+
 # ---------------------------------------------------------------------------
 # rank-2 data over C3
 # ---------------------------------------------------------------------------

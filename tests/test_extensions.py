@@ -17,7 +17,7 @@ from chroma.extensions import (BoundTooSmall, ExtAutomorphism, FiniteGroup,
 from chroma.groups import Bicharacter, FinAbGroup
 from chroma.hopfcheck import (MonomialMatrix, check_axioms, grade_by_action,
                               solve_antipode)
-from chroma.scalars import R01_HALF, R01_ZERO, Rational01
+from chroma.scalars import Cyclo, R01_HALF, R01_ZERO, Rational01
 
 
 def test_finite_group_validation():
@@ -129,6 +129,32 @@ def test_nontrivial_cocycles_with_compatibility():
     H = build_bicrossed(mp, sigma, tau)
     assert check_axioms(H, "plain")["all_ok"]
     assert solve_antipode(H) is not None
+
+
+def test_build_bicrossed_holds_one_cyclo_per_root():
+    """Each cell holds the embedding of its own sigma or tau root, and the
+    cells of one root share one object."""
+    mp = cases.squaring_matched_pair()
+    L, Gamma = mp.L, mp.Gamma
+    sigma = (SigmaCocycle.trivial(mp).mutated(1, 1, 2, Rational01(1, 7))
+             .mutated(3, 2, 1, Rational01(2, 3)))
+    tau = (TauCocycle.trivial(mp).mutated(1, 2, 5, Rational01(3, 7))
+           .mutated(2, 4, 4, Rational01(1, 3)))
+    H = build_bicrossed(mp, sigma, tau)
+    N = H.conductor
+    assert N == 21
+    for l in L.elements():
+        for g in Gamma.elements():
+            row = H.mult[cases.basis_index_of(mp, l, g)]
+            for h in Gamma.elements():
+                ((_, c),) = row[cases.basis_index_of(mp, mp.la(l, g), h)]
+                assert c == Cyclo.embed(sigma.value(l, g, h), N)
+            entry = H.comult[cases.basis_index_of(mp, l, g)]
+            for u, (*_, c) in zip(L.elements(), entry):
+                assert c == Cyclo.embed(tau.value(g, u, L.mul(L.inv[u], l)), N)
+    coeffs = cases.coefficients(H)
+    # roots 0, 1/7, 2/3, 3/7 and 1/3, and the counit's zero
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) == 6
 
 
 def test_valid_cocycle_failing_compatibility_breaks_coproduct():

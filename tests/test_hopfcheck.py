@@ -284,6 +284,26 @@ def test_lift_cyclo():
         lift_cyclo(c, 4)
 
 
+def test_lifted_lifts_each_coefficient_object_once(monkeypatch):
+    """One ``lift_cyclo`` call per distinct coefficient object, and the
+    tables of lifting every coefficient on its own."""
+    mp = cases.squaring_matched_pair()
+    sigma = SigmaCocycle.trivial(mp).mutated(1, 1, 2, Rational01(1, 7))
+    H = build_bicrossed(mp, sigma, TauCocycle.trivial(mp))
+    objects = {id(c) for c in cases.coefficients(H)}
+    calls = []
+    monkeypatch.setattr(hopfcheck, "lift_cyclo",
+                        lambda c, M: calls.append(id(c)) or lift_cyclo(c, M))
+    Hc = H.lifted(21)
+    assert sorted(calls) == sorted(objects) and len(calls) == 3
+    lift = functools.partial(lift_cyclo, M=21)
+    assert Hc.conductor == 21
+    assert Hc.mult == [[tuple((k, lift(c)) for k, c in cell) for cell in row] for row in H.mult]
+    assert Hc.comult == [tuple((j, k, lift(c)) for j, k, c in entry) for entry in H.comult]
+    assert Hc.unit == {k: lift(c) for k, c in H.unit.items()}
+    assert Hc.counit == [lift(c) for c in H.counit]
+
+
 def test_struct_bialgebra_json_round_trip():
     G, beta, H, gens = cases.c4_color_group_case()
     action = action_from_generator_images(G, gens)

@@ -8,8 +8,10 @@ import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+import cases
+from chroma.extensions import GroupAut, _ftilde_equations
 from chroma.groups import FinAbGroup, Subgroup, quotient
-from chroma.zlinalg import SOLUTION_LIMIT, smith_normal_form, solve_homogeneous_mod
+from chroma.zlinalg import SOLUTION_LIMIT, _pivot, smith_normal_form, solve_homogeneous_mod
 
 
 def seeded_inputs():
@@ -28,6 +30,38 @@ def seeded_inputs():
             relations.append((orders, [[rng.randrange(o) for o in orders]
                                        for _ in range(k + 1)]))
     return matrices, relations
+
+
+def late_unit_matrices():
+    """Entries 0 or of absolute value >= 2, but for one or two units placed
+    in the lower right quarter: the first unit comes late in row-major order,
+    after entries of absolute value 2."""
+    rng = random.Random("late unit")
+    matrices = []
+    for m, n in [(2, 3), (3, 3), (3, 5), (4, 4), (5, 3), (5, 6), (6, 8)]:
+        for _ in range(3):
+            A = [[rng.choice((0, 0, 2, -2, 3, -4, 6, 9)) for _ in range(n)] for _ in range(m)]
+            for _ in range(rng.randint(1, 2)):
+                A[rng.randrange(m // 2, m)][rng.randrange(n // 2, n)] = rng.choice((1, -1))
+            matrices.append(A)
+    return matrices
+
+
+def ftilde_systems():
+    """The transposed distinct f-tilde rows aut-ext hands the Smith form:
+    the squaring pair over g = inversion (21 x 108) and the mixed C12 pair
+    over g = l^7 (36 x 358), both with h = identity."""
+    systems = []
+    for mp, k in [(cases.squaring_matched_pair(), -1), (cases.mixed_c12_matched_pair(), 7)]:
+        rows = []
+        for eq in _ftilde_equations(mp, GroupAut.by_power(mp.L, k), GroupAut.identity(mp.Gamma)):
+            row = [0] * (mp.Gamma.n * mp.L.n)
+            for v, c in eq:
+                row[v] += c
+            if any(row):
+                rows.append(tuple(row))
+        systems.append([list(col) for col in zip(*dict.fromkeys(rows))])
+    return systems
 
 
 def relation_matrix(orders, gens):
@@ -67,11 +101,11 @@ def det(M):
     return sign * math.prod(M[i][i] for i in range(n))
 
 
-def check_smith_form(A):
-    """U * A * V == D for unimodular U and some unimodular V, checked without V:
-    the rows of U * A are d_i times the first rows of a unimodular matrix."""
+def check_cheap_identities(A, snf):
+    """|det U| = 1, U * U^-1 = I, D diagonal, nonnegative and in divisibility
+    order, and U * A zero past the rank with row i a multiple of d_i.
+    Returns U * A and the rank."""
     m, n = len(A), len(A[0])
-    snf = smith_normal_form(A)
     U = snf.U
     assert abs(det(U)) == 1
     assert matmul(U, snf.U_inv) == identity(m)
@@ -80,12 +114,22 @@ def check_smith_form(A):
     assert all(x >= 0 for x in d)
     # d_i | d_{i+1}: the nonzero invariant factors come first
     assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
-    assert [x for x in d if x] == [int(x) for x in invariant_factors(Matrix(A), domain=ZZ)
-                                   if x]
     rank = sum(1 for x in d if x)
     UA = matmul(U, A)
     assert all(x == 0 for row in UA[rank:] for x in row)
     assert all(x % d[i] == 0 for i in range(rank) for x in UA[i])
+    return UA, rank
+
+
+def check_smith_form(A):
+    """U * A * V == D for unimodular U and some unimodular V, checked without V:
+    the rows of U * A are d_i times the first rows of a unimodular matrix."""
+    n = len(A[0])
+    snf = smith_normal_form(A)
+    UA, rank = check_cheap_identities(A, snf)
+    d = snf.diagonal
+    assert [x for x in d if x] == [int(x) for x in invariant_factors(Matrix(A), domain=ZZ)
+                                   if x]
     # the divided rows B have coprime r x r minors, so B extends to a
     # unimodular W and U * A * W^-1 == D
     B = [[x // d[i] for x in UA[i]] for i in range(rank)]
@@ -112,6 +156,48 @@ def test_smith_outputs_pinned():
     forms = [smith_normal_form(A) for A in seeded_matrices()]
     text = repr([(s.D, s.U) for s in forms])
     assert hashlib.sha256(text.encode()).hexdigest() == SMITH_DIGEST
+
+
+# sha256 of repr([(D, U, U_inv), ...]), recorded while the pivot search
+# still scanned the whole block and every pivot got the divisibility sweep
+LATE_UNIT_DIGEST = "cc1a0b03b78ce45d1b266ab6b06613c442e6715604c3b0467b29fea95410f321"
+FTILDE_DIGEST = "840cf495e7c80138e1a4c1d30632fa24e7ca950ec5c1e4acddc4f2e2a192d211"
+
+
+def full_forms_digest(matrices) -> str:
+    forms = [smith_normal_form(A) for A in matrices]
+    return hashlib.sha256(repr([(s.D, s.U, s.U_inv) for s in forms]).encode()).hexdigest()
+
+
+def test_pivot_is_the_first_least_entry():
+    """``_pivot`` against a full row-major scan, on every trailing block of
+    the late-unit matrices.  Checked on the pivot alone: a pivot search that
+    stops early at a 2 sends the Smith loop round forever on (2, 1)."""
+    for A in late_unit_matrices():
+        n = len(A[0])
+        for t in range(min(len(A), n)):
+            block = [(abs(A[i][j]), (i, j)) for i in range(t, len(A)) for j in range(t, n)
+                     if A[i][j]]
+            assert _pivot(A, t, n) == (min(block)[1] if block else None)
+
+
+def test_smith_late_units():
+    """The search stops at the first unit, past entries of absolute value 2,
+    and the result is the full scan's."""
+    matrices = late_unit_matrices()
+    for A in matrices:
+        check_smith_form(A)
+    assert full_forms_digest(matrices) == LATE_UNIT_DIGEST
+
+
+def test_smith_ftilde_systems():
+    """The cheap identities only: sympy and the minor check do not finish
+    on 21 x 108 in minutes."""
+    systems = ftilde_systems()
+    assert [(len(A), len(A[0])) for A in systems] == [(21, 108), (36, 358)]
+    for A in systems:
+        check_cheap_identities(A, smith_normal_form(A))
+    assert full_forms_digest(systems) == FTILDE_DIGEST
 
 
 def test_quotient_lift_columns():
@@ -154,6 +240,20 @@ def test_solve_homogeneous_mod_matches_brute_force():
         expected = {x for x in itertools.product(range(modulus), repeat=len(matrix[0]))
                     if all(sum(map(int.__mul__, row, x)) % modulus == 0 for row in matrix)}
         assert set(solutions) == expected, (matrix, modulus)
+
+
+def test_solve_homogeneous_mod_sums_all_coordinates_in_order():
+    """x = U^T z over every choice vector z, all n coordinates summed, in
+    ``itertools.product`` order: the list and its order, not just the set."""
+    systems = [([list(row) for row in zip(*A)], N) for A in ftilde_systems() for N in (3, 7, 21)]
+    for matrix, N in systems + seeded_congruences():
+        n = len(matrix[0])
+        snf = smith_normal_form([list(col) for col in zip(*matrix)])
+        diag = [snf.D[i][i] if i < len(matrix) else 0 for i in range(n)]
+        choice_sets = [[N // math.gcd(d, N) * w for w in range(math.gcd(d, N))] for d in diag]
+        expected = [tuple(sum(snf.U[k][i] * z[k] for k in range(n)) % N for i in range(n))
+                    for z in itertools.product(*choice_sets)]
+        assert solve_homogeneous_mod(matrix, N) == expected
 
 
 def test_solve_homogeneous_mod_limit():
