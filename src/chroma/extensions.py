@@ -128,8 +128,7 @@ class FiniteGroup:
     @classmethod
     def from_fin_ab(cls, G: FinAbGroup) -> "FiniteGroup":
         elems = list(G.elements())
-        index = {g.residues: i for i, g in enumerate(elems)}
-        return cls([[index[(a * b).residues] for b in elems] for a in elems])
+        return cls([[G.index_of(a * b) for b in elems] for a in elems])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -285,7 +284,7 @@ class _Cocycle:
     def __init__(self, table):
         self.table = tuple(tuple(tuple(row) for row in plane) for plane in table)
         self.den = den = math.lcm(*(v.den for plane in self.table for row in plane for v in row))
-        self.ints = tuple(tuple(tuple(v.num * (den // v.den) for v in row) for row in plane)
+        self.ints = tuple(tuple(tuple(v.over(den) for v in row) for row in plane)
                           for plane in self.table)
 
     def value(self, a: int, b: int, c: int) -> Rational01:
@@ -373,8 +372,7 @@ def _kac_holds(mp: MatchedPair, sigma: SigmaCocycle, tau: TauCocycle,
                     diff = (fs * (S[st][x][y] - S[s][tx][y2] - S[t][x][y])
                             + ft * (T[Gamma.mul(x, y)][s][t] - T[x][s][t] - T[y][s2][tl]))
                     if z is not None:
-                        b = beta.eval(z.degree(t, x), z.degree(s2, y2))
-                        diff -= b.num * (D // b.den)
+                        diff -= beta.eval(z.degree(t, x), z.degree(s2, y2)).over(D)
                     if diff % D:
                         return False
     return True
@@ -482,7 +480,7 @@ class ExtAutomorphism:
             return False
         D = math.lcm(*(v.den for row in f for v in row))
         return _solves(_ftilde_equations(mp, self.g, self.h),
-                       [v.num * (D // v.den) for row in f for v in row], D)
+                       [v.over(D) for row in f for v in row], D)
 
     def matrix(self, mp: MatchedPair) -> MonomialMatrix:
         L, Gamma = mp.L, mp.Gamma

@@ -223,7 +223,7 @@ class Bicharacter:
         self.group = group
         self.matrix = rows
         e = self._exponent = group.exponent
-        self._ints = tuple(tuple(b.num * (e // b.den) for b in row) for row in rows)
+        self._ints = tuple(tuple(b.over(e) for b in row) for row in rows)
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Bicharacter":

@@ -15,23 +15,25 @@ The antipode is the convolution inverse of the identity: a convolution power
 of it when H has a finite exponent, otherwise read off its minimal
 polynomial; either way it is verified on both sides.
 
-Every product, coproduct, tensor and map image runs in the group ring of
-mu_N: each coefficient becomes exponent terms (e, r) standing for
-r zeta_N^e (a root of unity is one term), products add exponents mod N,
-and sums reduce mod Phi_N in ``scalars._reduce_mod_phi``, the one fold
-``Cyclo`` uses too, in memory linear in N.  The axiom sweep, the
-morphism test, the antipode's convolution powers and braided laws, and
-the change of basis in ``grade_by_action`` all use it; each equation
-lhs = rhs is one zero test of lhs - rhs, which folds only when the terms
-do not cancel exactly.
+Every product, coproduct, tensor, map image and isotypic projection runs
+in the group ring of mu_N: each coefficient becomes exponent terms (e, r)
+standing for r zeta_N^e, products add exponents mod N, and sums reduce
+mod Phi_N in ``scalars._reduce_mod_phi``, the one fold ``Cyclo`` uses
+too, in memory linear in N.  A root of unity is the one term (k, 1): k is
+``Rational01.over(N)`` for a beta twist, an action scale or a character,
+and is read off the power basis for a root stored as a ``Cyclo``.  The
+axiom sweep, the morphism test, the antipode's convolution powers and
+braided laws, and ``grade_by_action``'s projectors and change of basis
+all use it; each equation lhs = rhs is one zero test of lhs - rhs, which
+folds only when the terms do not cancel exactly.
 
 ``Cyclo`` is used only where a field inverse is taken or a ``Cyclo``
 table is built.  ``Echelon``, the one incremental Gauss-Jordan
 elimination (rank, ``grade_by_action``'s basis and its inverse, and the
 antipode's Krylov fallback), accumulates (key, Cyclo) terms with
-``lc_add_scaled``, which drops zeros.  Monomial dual-group actions are
-validated and projected onto isotypic components by ``validated_action``
-and ``projector_column``.
+``lc_add_scaled``, which drops zeros; a projector column reaches it as
+one fold of its terms.  Monomial dual-group actions are validated by
+``validated_action``.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class MonomialMatrix:
 
     def term_column(self, j: int, N: int) -> tuple:
         """The image of e_j as the one exponent term (perm[j], k, 1), zeta_N^k = scal[j]."""
-        return ((self.perm[j], _exponent(self.scal[j], N), 1),)
+        return ((self.perm[j], self.scal[j].over(N), 1),)
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm), "scal": [str(s) for s in self.scal]}
@@ -527,18 +529,10 @@ def _cyclo_columns(cols: list, N: int) -> list:
     return [_as_cyclo(_sum(_add_terms, col, 0, 1, N), N) for col in cols]
 
 
-def _exponent(r: Rational01, N: int) -> int:
-    """k with exp(2 pi i r) = zeta_N^k."""
-    if r.num and N % r.den:
-        raise ValueError(f"order {r.den} does not divide conductor {N}")
-    return N // r.den * r.num
-
-
 def _twist_table(H: StructBialgebra) -> list:
     """twist[b][a] = the exponent of beta(|b|, |a|) in mu_N."""
     degrees = set(H.grading)
-    exponent = {(g, h): _exponent(H.beta.eval(g, h), H.conductor)
-                for g in degrees for h in degrees}
+    exponent = {(g, h): H.beta.eval(g, h).over(H.conductor) for g in degrees for h in degrees}
     return [[exponent[g, h] for h in H.grading] for g in H.grading]
 
 
@@ -1057,11 +1051,9 @@ def projector_column(mats: list, group: FinAbGroup, g, j: int, N: int) -> dict:
     ``mats`` comes from ``validated_action``; N must be divisible by the
     group exponent and by the orders of the matrix scales.
     """
-    terms = ((m.perm[j], Cyclo.embed(m.scal[j] - Character(group, a.residues)(g), N))
-             for a, m in mats)
-    col: dict = {}
-    lc_add_scaled(col, terms, Cyclo.from_rational(Fraction(1, group.order), N))
-    return col
+    terms = [(m.perm[j], (m.scal[j] - Character(group, a.residues)(g)).over(N), 1)
+             for a, m in mats]
+    return _as_cyclo(_sum(_add_terms, terms, 0, Fraction(1, group.order), N), N)
 
 
 def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
@@ -1101,11 +1093,11 @@ def grade_by_action(H: StructBialgebra, action: dict, group: FinAbGroup,
     def eigenvector(acc, rho, a, g, col):
         # rho(a) col - a(g) col
         _add_mapped(acc, col, rho, N)
-        _add_terms(acc, col, _exponent(Character(group, a.residues)(g), N), -1, N)
+        _add_terms(acc, col, Character(group, a.residues)(g).over(N), -1, N)
 
     # every chosen column must be a genuine simultaneous eigenvector
     for a, m in mats:
-        rho = [((m.perm[j], _exponent(s, N), 1),) for j, s in enumerate(m.scal)]
+        rho = [m.term_column(j, N) for j in range(n)]
         if not all(_holds(eigenvector, N, rho, a, g, col) for col, g in zip(cols, degrees)):
             raise ActionError(
                 "projector image is not an eigenvector; the table is not "

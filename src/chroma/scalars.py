@@ -18,7 +18,10 @@ Two layers:
   inverse (through the norm) run on Python ints.
 
 Roots of unity are represented additively by ``Rational01``: the reduced
-fraction k/N in [0, 1) stands for exp(2*pi*i*k/N).
+fraction k/N in [0, 1) stands for exp(2*pi*i*k/N).  Every law on roots
+of unity is checked on integer exponents over a common conductor D, and
+``Rational01.over`` is the one conversion to them: k with root = zeta_D^k,
+defined only when the root's order divides D.
 """
 
 from __future__ import annotations
@@ -91,6 +94,12 @@ class Rational01:
 
     def is_zero(self) -> bool:
         return self.num == 0
+
+    def over(self, D: int) -> int:
+        """The exponent k with exp(2*pi*i*num/den) = zeta_D^k, for den | D."""
+        if D % self.den:
+            raise ValueError(f"order {self.den} does not divide conductor {D}")
+        return D // self.den * self.num
 
     @property
     def order(self) -> int:
@@ -312,7 +321,7 @@ def solve_power(a: Scalar, b: Scalar) -> int | None:
     """Least n >= 0 with a**n == b, or None when no such n exists."""
     D = math.lcm(a.root.den, b.root.den)
     names = sorted({n for n, _ in a.exps} | {n for n, _ in b.exps})
-    return least_power(D, a.root.num * (D // a.root.den), b.root.num * (D // b.root.den),
+    return least_power(D, a.root.over(D), b.root.over(D),
                        [a.exponent_of(n) for n in names], [b.exponent_of(n) for n in names])
 
 
@@ -464,17 +473,9 @@ class Cyclo:
         return cls._make(N, _root_nums(N, 0), 1)
 
     @classmethod
-    def from_rational(cls, q, N: int) -> "Cyclo":
-        q = Fraction(q)
-        return cls._make(N, (q.numerator,) + (0,) * (_phi_tail(N)[0] - 1),
-                         q.denominator)
-
-    @classmethod
     def embed(cls, r: Rational01, N: int) -> "Cyclo":
         """The root of unity exp(2*pi*i*r) as an element of Q(zeta_N)."""
-        if N % r.den != 0:
-            raise ValueError(f"order {r.den} does not divide conductor {N}")
-        return cls._make(N, _root_nums(N, N // r.den * r.num), 1)
+        return cls._make(N, _root_nums(N, r.over(N)), 1)
 
     # -- ring/field operations ----------------------------------------------
 

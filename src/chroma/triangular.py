@@ -201,7 +201,6 @@ def reduce_commutation_factor(beta: Bicharacter) -> TriangularData:
 def emit_triangular(data: TriangularData) -> dict:
     """JSON-ready report: dual group, K, u values, and the twist table."""
     return {
-        "schema": 1,
         "group": data.group.to_json(),
         "dual_group": data.group.to_json(),
         "u": [[list(g.residues), str(v)] for g, v in sorted(

@@ -127,8 +127,7 @@ class _OrbitKernel:
             for row in m.entries for s in row))
         self.names = tuple(sorted({name for node in nodes for row in node.q.entries
                                    for s in row for name, _ in s.exps}))
-        scale = D // E.beta._exponent
-        self.beta_ints = [[scale * b for b in row] for row in E.beta._ints]
+        self.beta_ints = [[b.over(D) for b in row] for row in E.beta.matrix]
         # key layout: the root plane at 0, the exponent planes, the degrees
         self.size = size = theta * theta
         t0 = size * (len(self.names) + 1)
@@ -153,8 +152,8 @@ class _OrbitKernel:
             for s, st in zip(q_row, qt_row):
                 if s.exps != st.exps:
                     return None
-                roots.append(s.root.num * (D // s.root.den))
-                payload.append(st.root.num * (D // st.root.den))
+                roots.append(s.root.over(D))
+                payload.append(st.root.over(D))
                 exps.append(dict(s.exps))
         key = roots + [e.get(name, 0) for name in names for e in exps]
         for x in E.t:

@@ -903,6 +903,11 @@ def _c3_action(*matrices) -> dict:
     (["verify"], dict(_c2_group_algebra(), mode="bogus"), "mode must be 'plain' or 'color'"),
     (["verify"], dict(_c2_group_algebra(), mode="color"),
      "color mode needs grading and braiding data"),
+    # beta(g, g) = zeta_3 is not a root of unity of Q(zeta_1)
+    (["verify"], dict(StructBialgebra.group_algebra(FiniteGroup.cyclic(3).table, 0).to_json(),
+                      mode="color", grading=[[0], [1], [2]], group={"orders": [3]},
+                      beta=[["1/3"]]),
+     "order 3 does not divide conductor 1"),
     # beta(g, g) beta(g, g) = zeta_3^2, not 1
     (["triangular"], {"group": {"orders": [3]}, "beta": [["1/3"]]},
      "reduction needs a commutation factor"),
@@ -925,7 +930,8 @@ def _c3_action(*matrices) -> dict:
     (["check-extension"], _c3_action([0, 1, 2], [0, 0, 2]), "permutation part is not a bijection"),
 ], ids=["q-ragged", "beta-shape", "max-nodes-0", "table-not-square", "table-no-identity",
         "table-not-associative", "g-not-bijection", "g-not-homomorphism", "z-shape",
-        "dim-negative", "mode-bogus", "color-mode-ungraded", "beta-not-commutation-factor",
+        "dim-negative", "mode-bogus", "color-mode-ungraded", "root-outside-conductor",
+        "beta-not-commutation-factor",
         "ring-not-associative", "ring-not-left-distributive", "eta-not-additive",
         "action-misses-a-character", "action-matrix-size", "action-not-commuting",
         "action-perm-not-bijection"])

@@ -71,7 +71,7 @@ def test_canonical_form(N):
     if not a.is_zero():
         product = a * a.inverse()
         assert (product.N, product.nums, product.den) == (N, Cyclo.one(N).nums, 1)
-    assert (a.scale(6) / Cyclo.from_rational(6, N)) == a
+    assert (a.scale(6) / Cyclo.from_ratios(N, [(6, 1)])) == a
 
 
 def test_cyclotomic_polynomial_matches_sympy():

@@ -220,12 +220,23 @@ def test_embed_examples():
     prod = Cyclo.embed(Rational01(1, 3), 3) * Cyclo.embed(Rational01(2, 3), 3)
     assert prod == Cyclo.one(3)
     total = Cyclo.embed(Rational01(1, 3), 3) + Cyclo.embed(Rational01(2, 3), 3)
-    assert total == Cyclo.from_rational(-1, 3)
+    assert total == Cyclo.from_ratios(3, [(-1, 1)])
 
 
 def test_embed_requires_divisibility():
     with pytest.raises(ValueError):
         Cyclo.embed(Rational01(1, 3), 4)
+
+
+def test_over_gives_the_exponent_over_a_conductor():
+    assert Rational01(1, 4).over(8) == 2
+    assert Rational01(3, 4).over(4) == 3
+    assert Rational01(0, 1).over(7) == 0
+    with pytest.raises(ValueError) as over:
+        Rational01(1, 4).over(6)
+    with pytest.raises(ValueError) as embed:
+        Cyclo.embed(Rational01(1, 4), 6)
+    assert str(over.value) == str(embed.value) == "order 4 does not divide conductor 6"
 
 
 def test_inverse_and_division():
