@@ -204,10 +204,11 @@ class Bicharacter:
     (g_i, g_j); bimultiplicativity forces orders[i]*matrix[i][j] and
     orders[j]*matrix[i][j] to be integers, which is checked.  Every entry
     is therefore a multiple of 1/exponent(G); evaluation sums those
-    integer multiples and reduces once.
+    integer multiples and reduces once.  The integer view is public:
+    ``exponent`` is exponent(G) and ``ints[i][j]`` = exponent * matrix[i][j].
     """
 
-    __slots__ = ("group", "matrix", "_exponent", "_ints")
+    __slots__ = ("group", "matrix", "exponent", "ints")
 
     def __init__(self, group: FinAbGroup, matrix):
         rows = tuple(tuple(m) for m in matrix)
@@ -222,8 +223,8 @@ class Bicharacter:
                         f"{oi}, {oj}")
         self.group = group
         self.matrix = rows
-        e = self._exponent = group.exponent
-        self._ints = tuple(tuple(b.over(e) for b in row) for row in rows)
+        e = self.exponent = group.exponent
+        self.ints = tuple(tuple(b.over(e) for b in row) for row in rows)
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Bicharacter":
@@ -234,12 +235,12 @@ class Bicharacter:
         if g.group != self.group or h.group != self.group:
             raise DomainError("bicharacter applied to foreign elements")
         total = 0
-        for gi, row in zip(g.residues, self._ints):
+        for gi, row in zip(g.residues, self.ints):
             if gi:
                 for hj, b in zip(h.residues, row):
                     if hj:
                         total += gi * hj * b
-        e = self._exponent
+        e = self.exponent
         return Rational01(total, e) if total % e else R01_ZERO
 
     def is_trivial_on(self, elements) -> bool:
@@ -249,16 +250,16 @@ class Bicharacter:
 
     def chi(self, g: Element) -> Character:
         """The character h -> beta(h, g)."""
-        return self._character(self._ints, g)
+        return self._character(self.ints, g)
 
     def chi_o(self, g: Element) -> Character:
         """The character h -> beta(g, h)."""
-        return self._character(tuple(zip(*self._ints)), g)
+        return self._character(tuple(zip(*self.ints)), g)
 
     def _character(self, rows, g: Element) -> Character:
         # residue i is orders[i] * (sum_j rows[i][j] g_j / exponent mod 1),
         # an integer because orders[i] kills every entry of row i
-        e = self._exponent
+        e = self.exponent
         res = tuple((o * (sum(b * gj for b, gj in zip(row, g.residues)) % e)) // e
                     for o, row in zip(self.group.orders, rows))
         return Character(self.group, res)
@@ -270,9 +271,9 @@ class Bicharacter:
     def radical(self) -> "Subgroup":
         """{g : beta(g, h) = 1 for all h}; its members, in enumeration
         order, are also its generators."""
-        G, e = self.group, self._exponent
+        G, e = self.group, self.exponent
         # beta(g, g_j) = sum_i g_i ints[i][j] / e, the row of g
-        rows = G.linear_images(self._ints, G.rank)
+        rows = G.linear_images(self.ints, G.rank)
         members = [g for g, row in zip(G.elements(), rows) if not any(map(e.__rmod__, row))]
         return Subgroup._of_members(G, members)
 
@@ -283,9 +284,9 @@ class Bicharacter:
         orders[i] * matrix[i][j]; it is onto iff the columns of
         [C | diag(orders)] span Z^rank, i.e. every invariant factor is 1.
         """
-        G, e = self.group, self._exponent
+        G, e = self.group, self.exponent
         relations = [[o * b // e for b in row] + [o * (i == k) for k in range(G.rank)]
-                     for i, (o, row) in enumerate(zip(G.orders, self._ints))]
+                     for i, (o, row) in enumerate(zip(G.orders, self.ints))]
         return all(d == 1 for d in smith_normal_form(relations).diagonal)
 
     def is_commutation_factor(self) -> bool:

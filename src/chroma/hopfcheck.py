@@ -11,9 +11,9 @@ mode a graded product; for coassociativity and the counit laws every
 bialgebra law and, in color mode, a graded H.  Otherwise all tuples are
 swept for the first counterexample.  The parse, the term tables and the
 joins walk only nonzero products: each mult row's nonempty cells.
-The antipode is the convolution inverse of the identity: a convolution power
-of it when H has a finite exponent, otherwise read off its minimal
-polynomial; either way it is verified on both sides.
+The antipode is the convolution inverse of the identity: id^{*(dim H - 1)}
+by squaring when H's exponent divides dim H, otherwise read off its
+minimal polynomial; either candidate is verified on both sides.
 
 Every product, coproduct, tensor, map image and isotypic projection runs
 in the group ring of mu_N: each coefficient becomes exponent terms (e, r)
@@ -808,70 +808,65 @@ def solve_antipode(H: StructBialgebra, mode: str = "plain"):
 
     The antipode is the convolution inverse of id.  A semisimple,
     cosemisimple H has a finite exponent e with id^{*e} = eta epsilon
-    (Etingof-Gelaki), and then S = id^{*(e-1)}: each power up to id^{*dim H}
-    is compared with eta epsilon, one zero test per column, before any
-    elimination.  Without a hit in that budget, S comes from the minimal
-    polynomial of id in the convolution algebra (exact Gaussian elimination
-    on the Krylov vectors, reusing the powers; so such an H pays for all
-    dim H powers first).  Either way both one-sided convolution inverses
-    are then verified (on the exponent path S * id is the hit itself), so
-    the output is the unique two-sided inverse, and the budget changes only
+    (Etingof-Gelaki), and Kashina conjectured that e divides dim H, so the
+    first candidate is id^{*(dim H - 1)}, computed by squaring in
+    O(log dim H) convolutions.  Otherwise S comes from the
+    minimal polynomial of id in the convolution algebra (exact Gaussian
+    elimination on the Krylov vectors id^{*m}, up to the first relation).
+    Either candidate must satisfy S * id = id * S = eta epsilon, so the
+    output is the unique two-sided inverse, and the candidates change only
     speed.  In color mode the braided antipode laws are verified as well
     and a failure raises.
     """
     n, N = H.dim, H.conductor
     mult, comult, unit, counit, _ = _term_tables(H)
     identity = [((i, 0, 1),) for i in range(n)]
-    # id^{*m} as term columns, from id^{*0} = eta epsilon: e_i -> epsilon(e_i) 1
-    # maps through ``unit`` as the column of the counit's one key ()
-    powers = [_term_columns(_sum(_add_mapped, c, {(): unit}, N) for c in counit),
-              identity]
-
-    def power(m: int) -> list:
-        while len(powers) <= m:
-            powers.append(_term_columns(_convolve(powers[-1], identity, mult, comult, N)))
-        return powers[m]
-
-    if _same_columns(powers[0], [()] * n, N):
-        return None     # id^{*0} vanishes: there is no convolution unit
-    e = _finite_exponent(power, n, N)
-    if e is None:
-        S = _krylov_inverse(power, n, N)
-        if S is None:
-            return None
-        cols = [_combo_terms(col.items(), N) for col in S]
-        sides = ((cols, identity), (identity, cols))
+    # id^{*0} = eta epsilon: e_i -> epsilon(e_i) 1 maps through ``unit`` as
+    # the column of the counit's one key ()
+    eta_epsilon = _term_columns(_sum(_add_mapped, c, {(): unit}, N) for c in counit)
+    if _same_columns(eta_epsilon, [()] * n, N):
+        return None     # there is no convolution unit
+    for candidate in (_inverse_by_squaring, _krylov_inverse):
+        cols = candidate(identity, eta_epsilon, mult, comult, N)
+        if cols is not None and all(
+                _same_columns(_term_columns(_convolve(f, g, mult, comult, N)), eta_epsilon, N)
+                for f, g in ((cols, identity), (identity, cols))):
+            break
     else:
-        # S * id is id^{*e}, the power just compared with eta epsilon
-        cols = powers[e - 1]
-        S = _cyclo_columns(cols, N)
-        sides = ((identity, cols),)
-    for f, g in sides:
-        if not _same_columns(_term_columns(_convolve(f, g, mult, comult, N)), powers[0], N):
-            return None
+        return None
+    S = _cyclo_columns(cols, N)
     if mode == "color":
         if not verify_color_antipode(H, S):
             raise AssertionError("antipode violates the braided antipode laws")
     return S
 
 
-def _finite_exponent(power, n: int, N: int):
-    """The least e in [1, n] with id^{*e} = id^{*0} = eta epsilon, or None."""
-    return next((m for m in range(1, n + 1) if _same_columns(power(m), power(0), N)), None)
+def _inverse_by_squaring(identity: list, unit: list, mult: list, comult: list, N: int) -> list:
+    """id^{*(n-1)} for n = dim H, left to right over the bits of n - 1 from
+    id^{*0} = ``unit``: id's inverse when exp H divides n."""
+    m = len(identity) - 1
+    out = identity if m else unit
+    for bit in bin(m)[3:]:
+        out = _term_columns(_convolve(out, out, mult, comult, N))
+        if bit == "1":
+            out = _term_columns(_convolve(out, identity, mult, comult, N))
+    return out
 
 
-def _krylov_inverse(power, n: int, N: int):
-    """The convolution inverse of id as Cyclo columns, or None, from the
-    first linear relation among its powers ``power(m)``."""
+def _krylov_inverse(identity: list, unit: list, mult: list, comult: list, N: int):
+    """The convolution inverse of id as term columns, or None, from the
+    first linear relation among its powers id^{*m}, m = 0, 1, ..."""
+    n = len(identity)
     one = Cyclo.one(N)
-    powers = []
+    powers, power = [], unit
     echelon = Echelon()
     for m in range(n * n + 2):
-        powers.append(_cyclo_columns(power(m), N))
+        powers.append(_cyclo_columns(power, N))
         relation = echelon.add({(i, k): c for i, col in enumerate(powers[m])
                                 for k, c in col.items()}, {m: one})
         if relation is not None:
             break
+        power = _term_columns(_convolve(power, identity, mult, comult, N))
     else:
         raise RuntimeError("convolution powers failed to close")
     # relation: sum_k relation[k] id^{*k} == 0 with relation[m] == 1, so
@@ -885,7 +880,7 @@ def _krylov_inverse(power, n: int, N: int):
         for k, c in relation.items():
             if k:
                 lc_add_scaled(col, powers[k - 1][i].items(), c * scale)
-        S.append(col)
+        S.append(_combo_terms(col.items(), N))
     return S
 
 

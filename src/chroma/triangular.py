@@ -65,11 +65,11 @@ def drinfeld_u(beta: Bicharacter) -> dict[Element, Rational01]:
     """u(g) = beta(g, g^{-1}); for a commutation factor this is beta(g, g)."""
     if not beta.is_commutation_factor():
         raise NotCommutationFactor("drinfeld element needs a commutation factor")
-    G, e = beta.group, beta._exponent
+    G, e = beta.group, beta.exponent
     out = {}
     # beta(g, g) = sum_j g_j row_j / e, the row of g built one coordinate
     # at a time: O(rank) per element
-    for g, row in zip(G.elements(), G.linear_images(beta._ints, G.rank)):
+    for g, row in zip(G.elements(), G.linear_images(beta.ints, G.rank)):
         v = sum(map(operator.mul, row, g.residues)) % e
         if 2 * v not in (0, e):
             raise AssertionError("u must take values in {1, -1}")
@@ -109,7 +109,7 @@ def scheunert_cocycle(beta_p: Bicharacter) -> CocycleTable:
     G = beta_p.group
     if not beta_p.is_commutation_factor():
         raise NotCommutationFactor("scheunert cocycle needs a commutation factor")
-    e, ints = beta_p._exponent, beta_p._ints
+    e, ints = beta_p.exponent, beta_p.ints
     n = G.rank
     if any(ints[i][i] % e for i in range(n)):
         raise ValueError("diagonal of the bicharacter must be trivial")
@@ -151,14 +151,14 @@ def _check_reduction(bk: Bicharacter, beta_p: Bicharacter, qm: QuotientMap) -> N
     failure of an all-pairs sweep is found, with the same message: (a) is
     its diagonal test, (b) and (c) its pair test.
     """
-    e, ep = bk._exponent, beta_p._exponent
+    e, ep = bk.exponent, beta_p.exponent
     scale = e // ep     # exp(G') divides exp(G)
-    Gp, Bp = beta_p.group, beta_p._ints
+    Gp, Bp = beta_p.group, beta_p.ints
     m = Gp.rank
     if (any(Bp[i][i] % ep for i in range(m))
             or any((Bp[i][j] + Bp[j][i]) % ep for i in range(m) for j in range(i))):
         raise AssertionError("reduced bicharacter must have trivial diagonal")
-    cols = tuple(zip(*bk._ints))    # bk(g, g_j) = sum_i g_i ints[i][j] / e
+    cols = tuple(zip(*bk.ints))    # bk(g, g_j) = sum_i g_i ints[i][j] / e
     lifts = [qm.lift(g).residues for g in Gp.generators()]
     rows = [[sum(map(operator.mul, col, lift)) for col in cols] for lift in lifts]
     for row, row_p in zip(rows, Bp):

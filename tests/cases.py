@@ -174,13 +174,18 @@ def rank4_reference_table():
 # ---------------------------------------------------------------------------
 
 
+def multiplying_matched_pair(p: int, k: int, a: int) -> MatchedPair:
+    """L = C_p, Gamma = C_k, trivial right action, the generator of Gamma
+    multiplies L by a (a^k = 1 mod p); its bicrossed product with trivial
+    cocycles is the group algebra dual of C_p x| C_k, of dimension pk."""
+    lact = [[l * pow(a, g, p) % p for g in range(k)] for l in range(p)]
+    ract = [list(range(k)) for _ in range(p)]
+    return MatchedPair(FiniteGroup.cyclic(p), FiniteGroup.cyclic(k), lact, ract)
+
+
 def squaring_matched_pair() -> MatchedPair:
     """L = C7, Gamma = C3, trivial right action, generator of Gamma squares L."""
-    L = FiniteGroup.cyclic(7)
-    Gamma = FiniteGroup.cyclic(3)
-    lact = [[(l * pow(2, g, 7)) % 7 for g in range(3)] for l in range(7)]
-    ract = [[g for g in range(3)] for _ in range(7)]
-    return MatchedPair(L, Gamma, lact, ract)
+    return multiplying_matched_pair(7, 3, 2)
 
 
 def mixed_c12_matched_pair() -> MatchedPair:

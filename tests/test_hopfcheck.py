@@ -95,9 +95,9 @@ def test_no_antipode_detected():
 
 def _nonassociative_loop_algebra():
     # basis 1, a, b with a.a = b, a.b = -1, b.a = 1, b.b = -a, all grouplike:
-    # the left-nested powers give id^{*3} = eta epsilon, so S = id^{*2}
-    # (S(a) = b, S(b) = -a) is a right convolution inverse of id, but
-    # a S(a) = a.b = -1, so it is not a left one
+    # the left-nested powers give id^{*3} = eta epsilon, so C = id^{*2}
+    # (C(a) = b, C(b) = -a) satisfies C * id = eta epsilon, but
+    # a C(a) = a.b = -1, so id * C does not
     one = Cyclo.one(1)
     mult = [[((0, one),), ((1, one),), ((2, one),)],
             [((1, one),), ((2, one),), ((0, -one),)],
@@ -112,8 +112,8 @@ def test_a_right_convolution_inverse_alone_is_no_antipode(monkeypatch):
     assert not check_axioms(H)["associativity"]["ok"]
     krylov = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
     assert solve_antipode(H) is None
-    assert not krylov       # the exponent path found e = 3
-    monkeypatch.setattr(hopfcheck, "_finite_exponent", lambda *args: None)
+    assert krylov           # the squared candidate id^{*2} failed id * C
+    monkeypatch.setattr(hopfcheck, "_inverse_by_squaring", lambda *args: None)
     assert solve_antipode(H) is None
 
 
@@ -938,10 +938,7 @@ def _trivial_bicrossed(mp):
 
 def _c5c4_bicrossed():
     """L = C5, Gamma = C4 acting by multiplication with 2: dim 20, conductor 1."""
-    L, Gamma = FiniteGroup.cyclic(5), FiniteGroup.cyclic(4)
-    return _trivial_bicrossed(MatchedPair(
-        L, Gamma, [[l * pow(2, g, 5) % 5 for g in range(4)] for l in range(5)],
-        [[g for g in range(4)] for _ in range(5)]))
+    return _trivial_bicrossed(cases.multiplying_matched_pair(5, 4, 2))
 
 
 # every structure the tests build that has an antipode to compare, with
@@ -987,12 +984,14 @@ def _antipode_outcome(H: StructBialgebra, mode: str):
 
 @pytest.mark.parametrize("name", sorted(ANTIPODE_STRUCTURES))
 def test_exponent_and_krylov_paths_give_the_same_antipode(name, monkeypatch):
+    """The exponent path is the squared candidate id^{*(dim H - 1)}, which is
+    S when exp H divides dim H; with it removed, Krylov finds the same S."""
     build, mode = ANTIPODE_STRUCTURES[name]
     calls = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
     outcome = _antipode_outcome(build(), mode)
     assert bool(calls) == (name in NO_FINITE_EXPONENT)
     assert (outcome is None) == (name == "idempotent")
-    monkeypatch.setattr(hopfcheck, "_finite_exponent", lambda *args: None)
+    monkeypatch.setattr(hopfcheck, "_inverse_by_squaring", lambda *args: None)
     assert _antipode_outcome(build(), mode) == outcome
 
 
@@ -1010,11 +1009,41 @@ def test_sweedler_antipode_by_the_krylov_fallback(monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 2, 7, 12])
 def test_one_dimensional_antipode_takes_the_exponent_path(N, monkeypatch):
-    """On H = k, id = eta epsilon: the exponent is 1, and no elimination runs."""
+    """On H = k, id = eta epsilon: the exponent is 1, the squared candidate
+    is id^{*0}, and no elimination runs."""
     H = cyclic_group_algebra(1).lifted(N)
     calls = _spy(monkeypatch, Echelon, "add")
     assert solve_antipode(H) == [{0: Cyclo.one(N)}]
     assert not calls
+
+
+def test_semisimple_antipode_takes_logarithmically_many_convolutions(monkeypatch):
+    """On C13 x| C6 (dim 78, exponent 78) id^{*77} is S: six squarings, three
+    products with id and the two sides of the check, where a linear search
+    would take 78 powers."""
+    H = _trivial_bicrossed(cases.multiplying_matched_pair(13, 6, 4))
+    assert H.dim == 78
+    convolutions = _spy(monkeypatch, hopfcheck, "_convolve")
+    krylov = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
+    assert solve_antipode(H) is not None
+    assert len(convolutions) <= 2 * math.ceil(math.log2(H.dim)) + 2
+    assert not krylov
+
+
+def test_a_pointed_antipode_computes_no_power_beyond_its_relation(monkeypatch):
+    """On the 25-dim color quantum plane over C5 x C5, id^{*24} is no inverse,
+    and the Krylov relation closes at id^{*9}: fewer convolutions than the
+    dim H powers a linear exponent search would take first."""
+    G = FinAbGroup.of(5, 5)
+    beta = Bicharacter(G, [[Rational01(1, 5), Rational01(1, 5)],
+                           [Rational01(4, 5), Rational01(1, 5)]])
+    H = cases.color_quantum_linear_space(G, beta, (G.generator(0), G.generator(1)))
+    assert H.dim == 25
+    convolutions = _spy(monkeypatch, hopfcheck, "_convolve")
+    krylov = _spy(monkeypatch, hopfcheck, "_krylov_inverse")
+    assert solve_antipode(H, "color") is not None
+    assert krylov
+    assert len(convolutions) < H.dim
 
 
 def _gaussian_binomial(n: int, k: int, q: Rational01, N: int) -> Cyclo:

@@ -340,16 +340,16 @@ def all_pairs_check_reduction(bk: Bicharacter, beta_p: Bicharacter, qm: Quotient
     beta_p(x, y) == bk(lift x, lift y) and beta_p(x, x) == 1 on G', and
     beta_p nondegenerate.  O(|G'|^2); the reference for the generator
     checks of ``_check_reduction``."""
-    e, ep = bk._exponent, beta_p._exponent
+    e, ep = bk.exponent, beta_p.exponent
     scale = e // ep
     Gp = beta_p.group
     points = []         # (lift x ++ x, combined row form of x)
     for x in Gp.elements():
         xr, lift = x.residues, qm.lift(x).residues
-        row_p = [sum(map(operator.mul, col, xr)) for col in zip(*beta_p._ints)]
+        row_p = [sum(map(operator.mul, col, xr)) for col in zip(*beta_p.ints)]
         if sum(map(operator.mul, row_p, xr)) % ep:
             raise AssertionError("reduced bicharacter must have trivial diagonal")
-        row = [sum(map(operator.mul, col, lift)) for col in zip(*bk._ints)]
+        row = [sum(map(operator.mul, col, lift)) for col in zip(*bk.ints)]
         points.append((lift + xr, row + [-scale * b for b in row_p]))
     for _, row in points:
         for y, _ in points:
