@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .groups import Bicharacter, Character, Element, FinAbGroup, Subgroup, perp
 from .hopfcheck import (MonomialMatrix, NonCommutingAction, StructBialgebra,
-                        _morphism_check, projector_column, validated_action)
+                        _monomial_certificate, projector_column, validated_action)
 from .scalars import Cyclo, R01_ZERO, Rational01
-from .zlinalg import solve_homogeneous_mod
+from .zlinalg import Congruences, solve_homogeneous_mod
 
 
 class RactNotTrivial(ValueError):
@@ -479,8 +479,8 @@ class ExtAutomorphism:
         if not _respects_actions(mp, self.g, self.h):
             return False
         D = math.lcm(*(v.den for row in f for v in row))
-        return _solves(_ftilde_equations(mp, self.g, self.h),
-                       [v.over(D) for row in f for v in row], D)
+        return Congruences([(0, eq) for eq in _ftilde_equations(mp, self.g, self.h)],
+                           D).holds([v.over(D) for row in f for v in row])
 
     def matrix(self, mp: MatchedPair) -> MonomialMatrix:
         L, Gamma = mp.L, mp.Gamma
@@ -532,11 +532,6 @@ def _ftilde_equations(mp: MatchedPair, g: GroupAut, h: GroupAut) -> list:
                for gam in G for l in E for t in E])
 
 
-def _solves(equations: list, x: list, D: int) -> bool:
-    """Whether the exponents x over D satisfy every ``_ftilde_equations`` row."""
-    return all(sum(c * x[v] for v, c in eq) % D == 0 for eq in equations)
-
-
 def default_root_bound(mp: MatchedPair) -> int:
     """lcm(exp L, exp Gamma, |L|): covers every example family we know of."""
     return math.lcm(mp.L.exponent, mp.Gamma.exponent, mp.L.n)
@@ -560,9 +555,13 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
     """All extension automorphisms over (g, h) with values in mu_N.
 
     The four ftilde conditions are linear in the exponents mod N; the
-    solution lattice is enumerated through the Smith form.  Each result is
-    checked to be a bialgebra automorphism of the trivial-cocycle
-    bicrossed product.
+    solution lattice of their distinct rows is enumerated through the
+    Smith form, and each solution is checked against those rows.  Each
+    result is then certified as a bialgebra automorphism of the
+    trivial-cocycle bicrossed product Hc: its matrix is monomial,
+    e_j -> zeta^{x_j} e_pi(j) with pi fixed by (g, h), so the morphism
+    laws are integer forms in x (``_monomial_certificate``), built once
+    from Hc's tables and pi, never from the ftilde conditions.
     """
     L, Gamma = mp.L, mp.Gamma
     if N < 1:
@@ -574,28 +573,31 @@ def aut_ext_solve(mp: MatchedPair, g: GroupAut, h: GroupAut, N: int) -> list[Ext
             "may be incomplete", BoundTooSmall)
     if not _respects_actions(mp, g, h):
         return []
-    equations = _ftilde_equations(mp, g, h)
     rows = []
-    for eq in equations:
+    for eq in _ftilde_equations(mp, g, h):
         row = [0] * (Gamma.n * L.n)
         for v, c in eq:
             row[v] += c
         if any(row):
             rows.append(tuple(row))
     # a repeated row adds nothing to the Smith form but its cost
-    solutions = solve_homogeneous_mod(list(dict.fromkeys(rows)), N)
-    out = []
+    rows = list(dict.fromkeys(rows))
+    solutions = solve_homogeneous_mod(rows, N)
+    equations = Congruences([(0, [(v, c) for v, c in enumerate(row) if c]) for row in rows], N)
     H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
     Hc = H.lifted(math.lcm(H.conductor, N))
+    perm = ExtAutomorphism(g, h, [[R01_ZERO] * L.n for _ in Gamma.elements()]).matrix(mp).perm
+    certificate = _monomial_certificate(Hc, perm)
+    out = []
     for sol in sorted(solutions):
-        if not _solves(equations, sol, N):
+        if not equations.holds(sol):
             raise AssertionError("solver produced an invalid automorphism")
         ftilde = [[Rational01(sol[gam * L.n + l], N) for l in L.elements()]
                   for gam in Gamma.elements()]
         aut = ExtAutomorphism(g, h, ftilde)
         m = aut.matrix(mp)
-        cols = [m.term_column(j, Hc.conductor) for j in range(m.dim)]
-        if not _morphism_check(Hc, cols):
+        if (certificate is None or m.perm != perm
+                or not certificate.holds([s.over(Hc.conductor) for s in m.scal])):
             raise AssertionError("solver output failed certification")
         out.append(aut)
     return out

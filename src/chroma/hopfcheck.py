@@ -34,6 +34,12 @@ antipode's Krylov fallback), accumulates (key, Cyclo) terms with
 ``lc_add_scaled``, which drops zeros; a projector column reaches it as
 one fold of its terms.  Monomial dual-group actions are validated by
 ``validated_action``.
+
+A monomial map e_j -> zeta^{x_j} e_pi(j) of an H whose table cells are
+sums of distinct roots of unity is a bialgebra morphism exactly when
+integer forms in x vanish mod N: ``_monomial_certificate`` builds them
+once per pi from the term tables, and ``aut-ext`` checks every solution
+against them.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from fractions import Fraction
 
 from .groups import Bicharacter, Character, FinAbGroup
 from .scalars import Cyclo, Rational01, _parse_rational, _reduce_mod_phi, _substitute
+from .zlinalg import Congruences
 
 
 class ActionError(ValueError):
@@ -1138,7 +1145,7 @@ def _morphism_check(H: StructBialgebra, cols: list) -> bool:
     """``is_bialgebra_morphism`` on term columns.  f(xy) = f(x) f(y) is a
     product law (``_product_law``) whose precondition is f unital, tested
     first, and H's unit laws and associativity (``_algebra_laws``); without
-    them, which ``aut-ext`` never checks, all n^2 pairs are swept."""
+    them all n^2 pairs are swept."""
     n, N = H.dim, H.conductor
     mult, comult, unit, counit, _ = _term_tables(H)
 
@@ -1164,3 +1171,66 @@ def _morphism_check(H: StructBialgebra, cols: list) -> bool:
             and all(_holds(counital, N, i) for i in range(n))
             and _product_law(multiplicative, failures == [None, None], generators, n, N) is None
             and all(_holds(comultiplicative, N, i) for i in range(n)))
+
+
+def _root_terms(combo) -> dict:
+    """A term combination of distinct keys and weight 1 as key -> exponent."""
+    out = {k: e for k, e, r in combo if r == 1}
+    if len(out) != len(combo):
+        raise AssertionError("a table cell is not a sum of distinct roots of unity")
+    return out
+
+
+def _monomial_certificate(H: StructBialgebra, perm) -> Congruences | None:
+    """The bialgebra-morphism laws of f: e_j -> zeta_N^{x_j} e_perm[j],
+    perm a permutation of H's basis and N = H.conductor, as integer forms
+    in x; None when a law fails for every x.
+
+    Read from H's term tables alone, each cell a sum of distinct keys with
+    weight 1 (else ``AssertionError``).  Both sides of a law are then such
+    sums: it holds exactly when they have the same keys and, at each key,
+    exponents equal mod N, one form per key.  Its laws: f unital, counital
+    at every e_i, multiplicative on all n^2 pairs and comultiplicative at
+    every e_i; no precondition on H is assumed.
+    """
+    N = H.conductor
+    _, comult, unit, counit, cells = _term_tables(H)
+    forms: list = []
+
+    def equate(lhs: dict, rhs: dict, minus: tuple) -> bool:
+        """One form per key for lhs = rhs, or False when their keys differ.
+        lhs maps a key to (e, terms), the root zeta^(e + sum a x_v) there;
+        rhs maps it to e, and the right side's x-part is ``minus`` negated."""
+        if lhs.keys() != rhs.keys():
+            return False
+        forms.extend((e - rhs[k], terms + minus) for k, (e, terms) in lhs.items())
+        return True
+
+    def image(combo) -> dict:
+        return {perm[k]: (e, ((k, 1),)) for k, e in _root_terms(combo).items()}
+
+    if not equate(image(unit), _root_terms(unit), ()):
+        return None
+    for i, row in enumerate(cells):
+        pi = perm[i]
+        # epsilon(f(e_i)) = zeta^{x_i} epsilon(e_{pi i}) against epsilon(e_i)
+        if not equate({k: (e, ((i, 1),)) for k, e in _root_terms(counit[pi]).items()},
+                      _root_terms(counit[i]), ()):
+            return None
+        # f(e_i e_j) against zeta^{x_i + x_j} e_{pi i} e_{pi j}: a pair of
+        # two empty cells holds, and one empty cell against a nonempty one
+        # fails, left unmatched here or in ``targets``
+        targets = dict(cells[pi])
+        for j, cell in row:
+            target = targets.pop(perm[j], None)
+            if target is None or not equate(image(cell), _root_terms(target),
+                                            ((i, -1), (j, -1))):
+                return None
+        if targets:
+            return None
+        # (f (x) f)(Delta e_i) against zeta^{x_i} Delta(e_{pi i})
+        if not equate({(perm[j], perm[k]): (e, ((j, 1), (k, 1)))
+                       for (j, k), e in _root_terms(comult[i]).items()},
+                      _root_terms(comult[pi]), ((i, -1),)):
+            return None
+    return Congruences(forms, N)

@@ -11,7 +11,14 @@ block, in row-major order.  The scan stops at the first unit, since no
 entry is smaller and a later unit does not replace an earlier one; and a
 unit pivot divides the whole block, so its divisibility sweep is skipped.
 Both shortcuts leave the sequence of row operations, and so D, U and
-U^-1, exactly as the full scan and sweep give them.
+U^-1, exactly as the full scan and sweep give them.  A column operation
+touches only the rows where the pivot column is nonzero: they are
+collected once per column phase, which leaves the pivot column as it is,
+and every other row would only have 0 added.
+
+``Congruences`` checks a candidate x against sparse forms
+c + sum a_v x_v = 0 (mod N), the forms grouped by their coefficient
+tuple so that each group is evaluated by C-level ``map``s.
 """
 
 from __future__ import annotations
@@ -21,6 +28,60 @@ import math
 import operator
 
 SOLUTION_LIMIT = 100000
+
+
+class Congruences:
+    """Sparse integer forms c + sum a_v x_v, each to vanish mod N.
+
+    A form is (c, ((v, a), ...)); a variable may repeat, and its
+    coefficients are summed mod N, into the range (-N/2, N/2].  A form
+    with no variable left is dropped when c = 0 mod N and fails every x
+    otherwise.  Forms with one coefficient tuple share one group, whose
+    variables are held column by column, and whose constants are None
+    when all are 0.
+    """
+
+    __slots__ = ("modulus", "_groups")
+
+    def __init__(self, forms, modulus: int):
+        self.modulus = N = modulus
+        half = N // 2
+        groups: dict = {}
+        for c, terms in forms:
+            coeffs: dict = {}
+            for v, a in terms:
+                coeffs[v] = coeffs.get(v, 0) + a
+            shape, variables = [], []
+            for v, a in coeffs.items():
+                a %= N
+                if a:
+                    shape.append(a - N if a > half else a)
+                    variables.append(v)
+            c %= N
+            if shape or c:
+                consts, rows = groups.setdefault(tuple(shape), ([], []))
+                consts.append(c)
+                rows.append(variables)
+        self._groups = [(shape, consts if any(consts) else None, tuple(zip(*rows)))
+                        for shape, (consts, rows) in groups.items()]
+
+    def holds(self, x) -> bool:
+        """Whether every form vanishes mod N at x."""
+        N, get = self.modulus, x.__getitem__
+        for shape, consts, columns in self._groups:
+            # a group without variables has nonzero constants
+            acc = itertools.repeat(0) if consts is None else consts
+            for a, column in zip(shape, columns):
+                values = map(get, column)
+                if a == 1:
+                    acc = map(operator.add, acc, values)
+                elif a == -1:
+                    acc = map(operator.sub, acc, values)
+                else:
+                    acc = map(operator.add, acc, map(operator.mul, values, itertools.repeat(a)))
+            if any(map(N.__rmod__, acc)):
+                return False
+        return True
 
 
 class SmithForm:
@@ -101,9 +162,9 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
         for row in A:
             row[i], row[j] = row[j], row[i]
 
-    def col_add(i, j, c):
-        # col_i += c * col_j
-        for row in A:
+    def col_add(rows, i, j, c):
+        # col_i += c * col_j on ``rows``, the rows where col_j is nonzero
+        for row in rows:
             row[i] += c * row[j]
 
     t = 0
@@ -123,10 +184,13 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
                 row_add(i, t, -q)
                 if A[i][t] != 0:
                     again = True
+        # the column phase leaves column t as it is, so the rows it changes
+        # are fixed: every other row would only have 0 added
+        pivot_rows = [row for row in A if row[t]]
         for j in range(t + 1, n):
             if A[t][j] != 0:
                 q = A[t][j] // A[t][t]
-                col_add(j, t, -q)
+                col_add(pivot_rows, j, t, -q)
                 if A[t][j] != 0:
                     again = True
         if again:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import warnings
 
@@ -216,13 +217,17 @@ def test_aut_ext_squaring_pair_solutions():
 
 
 def test_aut_ext_builds_its_equations_once(monkeypatch):
+    """The ftilde conditions and the morphism certificate's forms, each once
+    per call and not once per solution."""
     import chroma.extensions as ext
-    build, calls = ext._ftilde_equations, []
-    monkeypatch.setattr(ext, "_ftilde_equations",
-                        lambda *args: calls.append(args) or build(*args))
+    calls = {"_ftilde_equations": [], "_monomial_certificate": []}
+    for name, seen in calls.items():
+        build = getattr(ext, name)
+        monkeypatch.setattr(ext, name, lambda *args, build=build, seen=seen:
+                            seen.append(args) or build(*args))
     mp = cases.squaring_matched_pair()
     sols = aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
-    assert len(sols) == 7 and len(calls) == 1
+    assert len(sols) == 7 and [len(seen) for seen in calls.values()] == [1, 1]
 
 
 def test_aut_ext_rejects_a_solution_off_its_equations(monkeypatch):
@@ -234,6 +239,70 @@ def test_aut_ext_rejects_a_solution_off_its_equations(monkeypatch):
     mp = cases.squaring_matched_pair()
     with pytest.raises(AssertionError, match="solver produced an invalid automorphism"):
         aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
+
+
+def test_aut_ext_fails_certification_without_the_last_ftilde_family(monkeypatch):
+    """Without the ftilde_gamma(lt) rows the solver returns maps that are no
+    bialgebra morphisms, and the certificate stops them."""
+    import chroma.extensions as ext
+    mp = cases.squaring_matched_pair()
+    build, last = ext._ftilde_equations, mp.Gamma.n * mp.L.n ** 2
+    monkeypatch.setattr(ext, "_ftilde_equations", lambda *args: build(*args)[:-last])
+    with pytest.raises(AssertionError, match="^solver output failed certification$"):
+        aut_ext_solve(mp, GroupAut.by_power(mp.L, -1), GroupAut.identity(mp.Gamma), 7)
+
+
+@pytest.mark.parametrize("pair,k,N", [("squaring", -1, 7), ("squaring", -1, 21),
+                                      ("mixed_c12", 7, 3)])
+def test_monomial_certificate_matches_the_morphism_oracle(pair, k, N):
+    """The certificate's verdict is ``_morphism_check``'s on every solution,
+    on seeded perturbations of one or two exponents, and with pi composed
+    with a transposition."""
+    from chroma.hopfcheck import _monomial_certificate, _morphism_check
+    mp = getattr(cases, f"{pair}_matched_pair")()
+    g, h = GroupAut.by_power(mp.L, k), GroupAut.identity(mp.Gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sols = aut_ext_solve(mp, g, h, N)
+    H = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
+    Hc = H.lifted(math.lcm(H.conductor, N))
+    M, rng = Hc.conductor, random.Random(f"certificate {pair} {N}")
+
+    def verdicts(perm, x):
+        certificate = _monomial_certificate(Hc, perm)
+        cols = [((perm[j], x[j] % M, 1),) for j in range(Hc.dim)]
+        return certificate is not None and certificate.holds(x), _morphism_check(Hc, cols)
+
+    seen = set()
+    for aut in sols:
+        m = aut.matrix(mp)
+        x = [s.over(M) for s in m.scal]
+        assert verdicts(m.perm, x) == (True, True)
+        for changes in (1, 1, 2, 2):
+            y = list(x)
+            for j in rng.sample(range(Hc.dim), changes):
+                y[j] += rng.randrange(1, M)
+            ours, oracle = verdicts(m.perm, y)
+            assert ours == oracle
+            seen.add(ours)
+        i, j = rng.sample(range(Hc.dim), 2)
+        perm = list(m.perm)
+        perm[i], perm[j] = perm[j], perm[i]
+        ours, oracle = verdicts(perm, x)
+        assert ours == oracle
+        seen.add(ours)
+    assert sols and False in seen
+
+
+def test_monomial_certificate_rejects_a_cell_of_weight_two():
+    from chroma.hopfcheck import _monomial_certificate, _term_tables
+    mp = cases.squaring_matched_pair()
+    Hc = build_bicrossed(mp, SigmaCocycle.trivial(mp), TauCocycle.trivial(mp))
+    cells = _term_tables(Hc)[4]  # the nonempty cells, as (j, cell) by row
+    j, ((k, e, _),) = cells[0][0]
+    cells[0][0] = (j, ((k, e, 2),))
+    with pytest.raises(AssertionError, match="not a sum of distinct roots of unity"):
+        _monomial_certificate(Hc, range(Hc.dim))
 
 
 @pytest.mark.parametrize("pair,k,hk,N", [("squaring", -1, 1, 7), ("mixed_c12", 7, 1, 3),

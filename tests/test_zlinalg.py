@@ -11,7 +11,8 @@ from sympy.matrices.normalforms import invariant_factors
 import cases
 from chroma.extensions import GroupAut, _ftilde_equations
 from chroma.groups import FinAbGroup, Subgroup, quotient
-from chroma.zlinalg import SOLUTION_LIMIT, _pivot, smith_normal_form, solve_homogeneous_mod
+from chroma.zlinalg import (SOLUTION_LIMIT, Congruences, _pivot, smith_normal_form,
+                            solve_homogeneous_mod)
 
 
 def seeded_inputs():
@@ -254,6 +255,29 @@ def test_solve_homogeneous_mod_sums_all_coordinates_in_order():
         expected = [tuple(sum(snf.U[k][i] * z[k] for k in range(n)) % N for i in range(n))
                     for z in itertools.product(*choice_sets)]
         assert solve_homogeneous_mod(matrix, N) == expected
+
+
+def test_congruences_match_direct_evaluation():
+    """Seeded forms with repeated variables, constants, coefficients that
+    cancel or reduce to 0, and forms with no variable, against the sum
+    evaluated form by form, on moduli 1, 2, 3, 7 and 12."""
+    rng, outcomes = random.Random("congruences"), set()
+    for N in (1, 2, 3, 7, 12):
+        for _ in range(40):
+            forms = [(rng.choice((0, 0, rng.randint(-30, 30))),
+                      [(rng.randrange(5), rng.choice((1, -1, 2, N, -N - 1, rng.randint(-40, 40))))
+                       for _ in range(rng.randrange(4))])
+                     for _ in range(rng.randint(1, 4))]
+            system = Congruences(forms, N)
+            for _ in range(6):
+                x = [rng.randint(-50, 50) for _ in range(5)]
+                expected = all((c + sum(a * x[v] for v, a in terms)) % N == 0
+                               for c, terms in forms)
+                assert system.holds(x) == expected, (forms, N, x)
+                outcomes.add(expected)
+        assert Congruences([(0, [(0, 1)])], N).holds([N])
+        assert Congruences([(N, [(0, N)])], N).holds([5])
+    assert outcomes == {True, False}
 
 
 def test_solve_homogeneous_mod_limit():
