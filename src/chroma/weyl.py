@@ -8,11 +8,12 @@ rule as the braiding matrix itself, which every reflection re-checks.
 One integer kernel (``_OrbitKernel``) holds the rule: orbits are searched
 and re-checked on its keys, and the public functions encode one datum,
 reflect it once and decode the result.  A bare braiding matrix is encoded
-as a datum over the trivial group, where qt = q.  Each kernel memoises its
-Cartan rows, keyed by p and the products q_pj q_jp (sums on every plane of
-the key), and its plane reflections, keyed by (plane, p, Cartan row, mod D
-or not); the memos live and die with the kernel, so no cache outlives one
-orbit search, one consistency check or one public call.
+as a datum over the trivial group, where qt = q.  A kernel interns each
+theta^2 plane of ints to a small id, so a key is (root id, exponent ids,
+degrees) and the twisted payload one id, and memoises Cartan rows, plane
+and degree reflections and the twist on those ids; the memos live and die
+with the kernel, so no cache outlives one orbit search, one consistency
+check or one public call.
 """
 
 from __future__ import annotations
@@ -97,23 +98,23 @@ class OrbitGraph:
 
 
 class _OrbitKernel:
-    """Cartan rows and reflections along one orbit, on integer tuples.
+    """Cartan rows and reflections along one orbit, on interned planes.
 
     Along an orbit theta, G, beta and the variable names never change, and
     every root of unity stays in mu_D, D = lcm(the root orders, exp G).  A
-    node is one tuple of ints: planes of theta^2 entries (row-major) --
-    the root numerators of q over D, then one exponent plane per variable
-    name, in name order -- followed by the theta degree residue vectors.
-    The root numerators of qt ride along as a payload outside the key.
-    Keys are equal exactly when the data are equal.
-
-    Every memo is a pure function of integer keys and belongs to this
-    kernel alone: beta planes, ``Scalar``s and ``Element``s for decoding,
-    Cartan rows and reflected planes (keyed in ``cartan_row`` and
-    ``_reflect_plane``).  Re-checking the 1440 edges of the rank-4
-    reference orbit, one kernel computes 94 Cartan rows instead of 1440
-    and 1352 planes instead of 4320; the twisted-matrix identity is still
-    checked on every reflection.
+    plane is a tuple of theta^2 ints, row-major: the root numerators of q
+    over D, one exponent plane per variable name, or the root numerators of
+    qt.  Each plane is interned to a small id, one table per kernel, so a
+    key is (root id, exponent ids in name order, degree residue tuples) and
+    the payload, qt's plane, is one id.  Keys are equal exactly when the
+    data are equal.  Each memo is a pure function of its key (listed in
+    ``__init__``) and belongs to this kernel alone.  A reflected diagonal
+    entry is 1 when it is 0 on every plane, read off one bitmask per plane,
+    so a reflection whose memos all hit costs a few dict lookups.
+    Re-checking the 1440 edges of the rank-4 reference orbit, one kernel
+    computes 94 Cartan rows instead of 1440 and 1352 plane reflections
+    instead of 4320, over 255 distinct planes, and compares the
+    twisted-matrix identity on every reflection.
     """
 
     def __init__(self, nodes):
@@ -128,137 +129,159 @@ class _OrbitKernel:
         self.names = tuple(sorted({name for node in nodes for row in node.q.entries
                                    for s in row for name, _ in s.exps}))
         self.beta_ints = [[b.over(D) for b in row] for row in E.beta.matrix]
-        # key layout: the root plane at 0, the exponent planes, the degrees
-        self.size = size = theta * theta
-        t0 = size * (len(self.names) + 1)
-        self.planes = range(0, t0, size)
-        self.exp_planes = self.planes[1:]
-        self.t_slices = [slice(t0 + i * G.rank, t0 + (i + 1) * G.rank)
-                         for i in range(theta)]
+        self.size = theta * theta
+        # (index in a plane, bit) of each diagonal entry
+        self.diagonal = [(k, 1 << b) for b, k in enumerate(range(0, self.size, theta + 1))]
+        self._planes = []       # id -> plane
+        self._ids = {}          # plane -> id
+        self._zeros = {}        # reflected id -> bitmask of its zero diagonal entries
+        self._rows = {}         # (p, plane ids) -> Cartan row
+        self._sums = {}         # (p, q_pj + q_jp on every plane) -> Cartan row
+        self._reflected = {}    # (plane id, p, Cartan row, mod D) -> reflected id
+        self._degrees = {}      # (degrees, p, Cartan row) -> reflected degrees
+        self._twists = {}       # (root id, degrees) -> id of the twisted roots
         self._beta_planes = {}  # degrees -> beta(t_i, t_j) over D, row-major
         self._scalars = {}      # (root numerator, exponents) -> Scalar
         self._elements = {}     # residues -> (Element, its character)
-        self._rows = {}         # (p, q_pj + q_jp on every plane) -> Cartan row
-        self._reflected = {}    # (plane, p, Cartan row, mod D) -> reflected plane
+
+    def _intern(self, plane: tuple) -> int:
+        i = self._ids.setdefault(plane, len(self._planes))
+        if i == len(self._planes):
+            self._planes.append(plane)
+        return i
 
     def encode(self, E: Datum):
         """(key, payload) of E; None when E has another size, group or
         beta, or when its qt and q differ in their variable parts."""
         if (E.theta, E.group, E.beta) != (self.theta, self.group, self.beta):
             return None
-        D, names = self.D, self.names
-        roots, payload, exps = [], [], []
-        for q_row, qt_row in zip(E.q.entries, E.qt.entries):
-            for s, st in zip(q_row, qt_row):
-                if s.exps != st.exps:
-                    return None
-                roots.append(s.root.over(D))
-                payload.append(st.root.over(D))
-                exps.append(dict(s.exps))
-        key = roots + [e.get(name, 0) for name in names for e in exps]
-        for x in E.t:
-            key.extend(x.residues)
-        return tuple(key), tuple(payload)
+        q = [s for row in E.q.entries for s in row]
+        qt = [s for row in E.qt.entries for s in row]
+        exps = [s.exps for s in q]
+        if exps != [s.exps for s in qt]:
+            return None
+        D, intern = self.D, self._intern
+        columns = {name: [0] * self.size for name in self.names}
+        for k, pairs in enumerate(exps):
+            for name, e in pairs:
+                columns[name][k] = e
+        key = (intern(tuple([s.root.over(D) for s in q])),
+               *[intern(tuple(column)) for column in columns.values()],
+               tuple([x.residues for x in E.t]))
+        return key, intern(tuple([s.root.over(D) for s in qt]))
 
     def cartan_entry(self, key: tuple, p: int, j: int) -> int | None:
         """``cartan_entry`` on a key: q_pp has finite order D / gcd(r_pp, D)
         iff its exponents vanish, and q_pp^n = (q_pj q_jp)^-1 is solved by
-        ``least_power`` on the key's integers."""
+        ``least_power`` on the planes' integers."""
         if j == p:
             return 2
-        theta, D, planes = self.theta, self.D, self.exp_planes
+        theta, D = self.theta, self.D
+        roots, *exps = [self._planes[i] for i in key[:-1]]
         pp, pj, jp = p * theta + p, p * theta + j, j * theta + p
-        r_pp = key[pp]
-        e_pp = [key[off + pp] for off in planes]
-        n = least_power(D, r_pp, -(key[pj] + key[jp]) % D, e_pp,
-                        [-(key[off + pj] + key[off + jp]) for off in planes])
+        e_pp = [e[pp] for e in exps]
+        n = least_power(D, roots[pp], -(roots[pj] + roots[jp]) % D, e_pp,
+                        [-(e[pj] + e[jp]) for e in exps])
         if n is None:
             if any(e_pp):
                 return None
-            n = D // math.gcd(r_pp, D) - 1
+            n = D // math.gcd(roots[pp], D) - 1
         return -n
 
     def cartan_row(self, key: tuple, p: int) -> list[int] | None:
-        """The Cartan row at p, memoised on what it depends on: p and the
-        sums q_pj + q_jp of every plane, j = p giving 2 q_pp."""
-        theta, size = self.theta, self.size
-        sums = (p,)
-        for off in self.planes:
-            start = off + p * theta
-            sums += tuple(map(operator.add, key[start:start + theta],
-                              key[off + p:off + size:theta]))
-        try:
-            return self._rows[sums]
-        except KeyError:
-            row = [self.cartan_entry(key, p, j) for j in range(theta)]
-            row = self._rows[sums] = None if None in row else row
-            return row
+        """The Cartan row at p, memoised on p and the plane ids, then on
+        what it depends on: p and the sums q_pj + q_jp of every plane, j = p
+        giving 2 q_pp."""
+        ids = (p, *key[:-1])
+        if ids not in self._rows:
+            theta, start = self.theta, p * self.theta
+            sums = [p]
+            for i in key[:-1]:
+                plane = self._planes[i]
+                sums += map(operator.add, plane[start:start + theta], plane[p::theta])
+            sums = tuple(sums)
+            if sums not in self._sums:
+                row = [self.cartan_entry(key, p, j) for j in range(theta)]
+                self._sums[sums] = None if None in row else row
+            self._rows[ids] = self._sums[sums]
+        return self._rows[ids]
 
-    def reflect(self, key: tuple, payload: tuple, p: int):
+    def reflect(self, key: tuple, payload: int, p: int):
         """(key, payload) of the reflection at p; None when p is not
         reflectable or a reflected diagonal entry is 1."""
         a = self.cartan_row(key, p)
         return None if a is None else self.apply(key, payload, p, a)
 
-    def apply(self, key: tuple, payload: tuple, p: int, a: list[int]):
+    def apply(self, key: tuple, payload: int, p: int, a: list[int]):
         """(key, payload) of the reflection at p with Cartan row a; None
         when a reflected diagonal entry is 1.  The twisted roots must
         transform by the same rule as q: that identity is enforced."""
-        theta, size = self.theta, self.size
-        a_key = tuple(a)
-        new = [*self._reflect_plane(key[:size], p, a_key, True)]
-        for off in self.exp_planes:
-            new += self._reflect_plane(key[off:off + size], p, a_key, False)
-        if not all(any(new[k::size]) for k in range(0, size, theta + 1)):
+        a, reflect, zeros = tuple(a), self._reflect_plane, self._zeros
+        ids = (reflect(key[0], p, a, True), *[reflect(i, p, a, False) for i in key[1:-1]])
+        ones = -1
+        for i in ids:
+            ones &= zeros[i]
+        if ones:
             return None
-        t_p = key[self.t_slices[p]]
-        for ai, sl in zip(a, self.t_slices):
-            new += [(x - ai * y) % o for x, y, o in zip(key[sl], t_p, self.group.orders)]
-        new = tuple(new)
-        new_payload = self._reflect_plane(payload, p, a_key, True)
-        want = self.twist(new)
+        t = key[-1]
+        k = (t, p, a)
+        degrees = self._degrees.get(k)
+        if degrees is None:
+            orders, t_p = self.group.orders, t[p]
+            degrees = self._degrees[k] = tuple(
+                tuple((x - ai * y) % o for x, y, o in zip(ti, t_p, orders))
+                for ti, ai in zip(t, a))
+        new = (*ids, degrees)
+        new_payload, want = reflect(payload, p, a, True), self.twist(new)
         if new_payload != want:
-            k = next(k for k, (x, y) in enumerate(zip(new_payload, want)) if x != y)
+            k = next(k for k, (x, y) in enumerate(zip(self._planes[new_payload],
+                                                       self._planes[want])) if x != y)
             raise AssertionError(
                 f"twisted matrix does not satisfy the reflection identity "
-                f"at ({k // theta},{k % theta})")
+                f"at ({k // self.theta},{k % self.theta})")
         return new, new_payload
 
-    def _reflect_plane(self, plane: tuple, p: int, a: tuple, mod: bool) -> tuple:
-        """x_ij - a_i x_pj - a_j x_ip + a_i a_j x_pp over one theta^2 plane,
-        reduced mod D when ``mod`` (root planes); memoised on its arguments."""
+    def _reflect_plane(self, plane: int, p: int, a: tuple, mod: bool) -> int:
+        """x_ij - a_i x_pj - a_j x_ip + a_i a_j x_pp over one plane, reduced
+        mod D when ``mod`` (root planes); memoised on its arguments.  The
+        result's zero diagonal entries are recorded as a bitmask."""
         k = (plane, p, a, mod)
-        hit = self._reflected.get(k)
-        if hit is None:
-            theta, D = self.theta, self.D
-            rows = [plane[b:b + theta] for b in range(0, self.size, theta)]
+        i = self._reflected.get(k)
+        if i is None:
+            theta, D, values = self.theta, self.D, self._planes[plane]
+            rows = [values[b:b + theta] for b in range(0, self.size, theta)]
             row_p = rows[p]
             x_pp = row_p[p]
-            hit = [x - ai * y - aj * u
+            new = [x - ai * y - aj * u
                    for row, ai in zip(rows, a) for u in (row[p] - ai * x_pp,)
                    for x, y, aj in zip(row, row_p, a)]
-            hit = self._reflected[k] = tuple(r % D for r in hit) if mod else tuple(hit)
+            new = tuple([r % D for r in new]) if mod else tuple(new)
+            i = self._reflected[k] = self._intern(new)
+            self._zeros[i] = sum([bit for k, bit in self.diagonal if not new[k]])
+        return i
+
+    def twist(self, key: tuple) -> int:
+        """The id of qt's plane: qt_ij = beta(t_i, t_j)^-1 q_ij over D."""
+        k = (key[0], key[-1])
+        hit = self._twists.get(k)
+        if hit is None:
+            t = key[-1]
+            b = self._beta_planes.get(t)
+            if b is None:
+                rows = [[sum(map(operator.mul, ti, col)) for col in zip(*self.beta_ints)]
+                        for ti in t]
+                b = self._beta_planes[t] = [sum(map(operator.mul, row, tj))
+                                            for row in rows for tj in t]
+            hit = self._twists[k] = self._intern(
+                tuple([(r - x) % self.D for r, x in zip(self._planes[key[0]], b)]))
         return hit
 
-    def twist(self, key: tuple) -> tuple:
-        """Root numerators of qt_ij = beta(t_i, t_j)^-1 q_ij over D."""
-        t = key[self.t_slices[0].start:]
-        b = self._beta_planes.get(t)
-        if b is None:
-            ts = [key[sl] for sl in self.t_slices]
-            rows = [[sum(map(operator.mul, ti, col)) for col in zip(*self.beta_ints)]
-                    for ti in ts]
-            b = [sum(map(operator.mul, row, tj)) for row in rows for tj in ts]
-            self._beta_planes[t] = b
-        D = self.D
-        return tuple((r - x) % D for r, x in zip(key, b))
-
-    def datum(self, key: tuple, payload: tuple) -> Datum:
+    def datum(self, key: tuple, payload: int) -> Datum:
         """The datum of a key, its twisted matrix taken from the payload."""
         theta, names, D, size = self.theta, self.names, self.D, self.size
-        scalars, elements = self._scalars, self._elements
+        planes, scalars, elements = self._planes, self._scalars, self._elements
         # the exponents of entry k, one per name: column k of the exponent planes
-        columns = [*zip(*(key[off:off + size] for off in self.exp_planes))] or [()] * size
+        columns = [*zip(*(planes[i] for i in key[1:-1]))] or [()] * size
 
         def matrix(kind, roots):
             entries = []
@@ -271,16 +294,16 @@ class _OrbitKernel:
             return kind([entries[i:i + theta] for i in range(0, size, theta)])
 
         t, xi = [], []
-        for sl in self.t_slices:
-            res = key[sl]
+        for res in key[-1]:
             hit = elements.get(res)
             if hit is None:
                 x = Element._make(self.group, res)
                 hit = elements[res] = (x, self.beta.chi(x))
             t.append(hit[0])
             xi.append(hit[1])
-        return Datum._of_parts(matrix(BraidingMatrix, key), self.group, self.beta,
-                               tuple(t), matrix(ScalarMatrix, payload), tuple(xi))
+        return Datum._of_parts(matrix(BraidingMatrix, planes[key[0]]), self.group,
+                               self.beta, tuple(t), matrix(ScalarMatrix, planes[payload]),
+                               tuple(xi))
 
 
 def weyl_orbit(E: Datum, max_nodes: int = 1024) -> OrbitGraph:

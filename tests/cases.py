@@ -122,6 +122,14 @@ def rank4_klein_datum() -> Datum:
     return Datum(BraidingMatrix(rows), G, klein_beta(), (G.identity(), s, n, s))
 
 
+def rank4_c12_datum() -> Datum:
+    """The rank-4 reference matrix recoloured over C12 (D = 12): its 1440
+    edges hold 1440 distinct twisted planes."""
+    G = FinAbGroup.of(12)
+    return Datum(rank4_klein_datum().q, G, Bicharacter(G, [[Rational01(1, 12)]]),
+                 tuple(G.element((r,)) for r in (1, 5, 7, 2)))
+
+
 def rank4_reference_table():
     """The six (generalized, colored) diagram pairs the rank-4 orbit must hit."""
     from chroma.dynkin import Diagram

@@ -206,15 +206,7 @@ def test_consistency_check_reflects_every_edge(monkeypatch):
     assert len(calls) == len(orb.edges) == 1440
 
 
-def rank4_c12_datum():
-    """The rank-4 reference matrix recoloured over C12 (D = 12): its 1440
-    edges hold 1440 distinct twisted planes."""
-    G = FinAbGroup.of(12)
-    return Datum(cases.rank4_klein_datum().q, G, Bicharacter(G, [[Rational01(1, 12)]]),
-                 tuple(G.element((r,)) for r in (1, 5, 7, 2)))
-
-
-@pytest.mark.parametrize("make", [cases.rank4_klein_datum, rank4_c12_datum])
+@pytest.mark.parametrize("make", [cases.rank4_klein_datum, cases.rank4_c12_datum])
 def test_orbit_edges_match_fresh_kernel_reflections(make):
     """Every edge of one search, which reuses its kernel's memoised Cartan
     rows and plane reflections, is the reflection that ``reflect_datum``
@@ -237,7 +229,9 @@ def test_kernel_memos_key_on_the_cartan_row():
                   (G.generator(0), G.identity())) for x in (q, one)]
     kernel = _OrbitKernel(data)
     encoded = [kernel.encode(E) for E in data]
-    assert encoded[0][0][:4] == encoded[1][0][:4] and encoded[0][1] == encoded[1][1]
+    # one root id, one payload id, two exponent ids
+    assert encoded[0][0][0] == encoded[1][0][0] and encoded[0][1] == encoded[1][1]
+    assert encoded[0][0][1] != encoded[1][0][1]
     assert [kernel.cartan_row(key, 0) for key, _ in encoded] == [[2, -1], [2, 0]]
     for E, (key, payload) in zip(data, encoded):
         reflected = kernel.reflect(key, payload, 0)
@@ -246,12 +240,56 @@ def test_kernel_memos_key_on_the_cartan_row():
         assert got == want and got.qt == want.qt
 
 
+def test_kernel_memos_key_on_mod_d():
+    """A's root plane and B's exponent plane hold the same integers
+    (0, 1, 2, 1), so one kernel gives them one id, and both rows at 0 are
+    [2, -2].  Reflected at 0 the root plane is reduced mod D = 3 and the
+    exponent plane is not: (0, 2, 1, 1) against (0, -1, -2, 7)."""
+    G, beta = cases.c3_group(), cases.c3_beta()
+
+    def z(r, e=0):
+        return Scalar(Rational01(r, 3), {"q": e})
+
+    t = (G.generator(0), G.identity())
+    A = Datum(BraidingMatrix([[z(0, 1), z(1, -1)], [z(2, -1), z(1)]]), G, beta, t)
+    B = Datum(BraidingMatrix([[z(1), z(0, 1)], [z(0, 2), z(2, 1)]]), G, beta, t)
+    for data in ([A, B], [B, A]):
+        kernel = _OrbitKernel(data)
+        encoded = [kernel.encode(E) for E in data]
+        assert len({key[0] for key, _ in encoded} | {key[1] for key, _ in encoded}) == 3
+        for E, (key, payload) in zip(data, encoded):
+            assert kernel.cartan_row(key, 0) == [2, -2]
+            got, want = kernel.datum(*kernel.reflect(key, payload, 0)), oracle_reflect(E, 0)
+            assert got == want == reflect_datum(E, 0)
+            assert got.qt == want.qt and got.xi == want.xi
+
+
+@pytest.mark.parametrize("make", [cases.rank4_klein_datum, cases.rank4_c12_datum])
+def test_kernel_keys_are_equal_exactly_when_the_data_are(make):
+    """All 360 nodes of one orbit encode to 360 keys in one kernel, and a
+    copy of each node rebuilt from its JSON encodes to the node's key and
+    payload; payload ids are equal exactly when the roots of the twisted
+    matrices are."""
+    orb = weyl_orbit(make())
+    kernel = _OrbitKernel(orb.nodes)
+    encoded = [kernel.encode(E) for E in orb.nodes]
+    assert len({key for key, _ in encoded}) == len(orb.nodes) == 360
+    roots = {}
+    for E, pair in zip(orb.nodes, encoded):
+        copy = Datum.from_json(E.to_json())
+        assert copy is not E and copy == E and kernel.encode(copy) == pair
+        twisted = tuple(s.root for row in E.qt.entries for s in row)
+        assert roots.setdefault(pair[1], twisted) == twisted
+    assert len(roots) == len(set(roots.values()))
+
+
 def test_new_kernel_starts_with_empty_memos():
     E = cases.rank4_klein_datum()
     used = _OrbitKernel([E])
     key, payload = used.encode(E)
     used.datum(*used.reflect(key, payload, 0))
-    memos = ("_rows", "_reflected", "_beta_planes", "_scalars", "_elements")
+    memos = ("_planes", "_ids", "_zeros", "_rows", "_sums", "_reflected", "_degrees",
+             "_twists", "_beta_planes", "_scalars", "_elements")
     assert all(getattr(used, m) for m in memos)
     fresh = _OrbitKernel([E])
     assert not any(getattr(fresh, m) for m in memos)
